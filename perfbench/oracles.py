@@ -31,6 +31,7 @@ FD_DEV_RTOL = 1e-5    # finite-difference routes against the reference tensor
 SLOPE_RANGE = (1.8, 2.2)  # fitted convergence orders of the FD routes
 EVOLVE_RTOL = 1e-7    # RK4 diagnostics against the exact solution
 RATE_RTOL = 1e-6      # measured ray speed against the exact one
+RATIO_FLOOR = 1e-12   # below this the adiabatic ratio is compared absolutely
 
 
 # --------------------------------------------------------------------------
@@ -383,6 +384,10 @@ def check_evolve(data: bytes, family: SpinFamily, lam0, omega: float, m0,
     zero = predicted == 0.0
     if not np.array_equal(rows[:, 6] != 0, zero):
         errors.append("ratio_exact_zero does not match the schedule")
-    ratio = np.where(zero, 0.0, delta / np.where(zero, 1.0, predicted))
-    _compare(errors, "ratio", rows[:, 5], ratio, EVOLVE_RTOL)
+    # The ratio is the delta_e column over the closed-form rate.  delta_e
+    # was checked above; comparing the ratio with the exact dE instead would
+    # ask the near-zero dE of a state on its level (sqrt of a rounded
+    # variance, ~sqrt(eps) * |E S|) to be exact to an absolute 1e-7.
+    ratio = np.where(zero, 0.0, rows[:, 2] / np.where(zero, 1.0, predicted))
+    _compare(errors, "ratio", rows[:, 5], ratio, EVOLVE_RTOL, RATIO_FLOOR)
     return errors

@@ -55,7 +55,7 @@ OUT = ROOT / ".perfbench_out"
 MIN_PASSES = 3
 REFERENCE_ITERATIONS = 300_000
 REFERENCE_EIGENSOLVES = 100
-SETUP_PROBES = 9
+SETUP_PROBES = 15
 PROBE_TIMEOUT_S = 60
 
 

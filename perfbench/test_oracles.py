@@ -136,6 +136,19 @@ def test_evolve_oracle_rejects_perturbed_uncertainty(tmp_path):
     assert inv.oracle(edited(out, "delta_e", lambda d: d * (1 + 1e-6)))
     assert inv.oracle(edited(out, "energy_mean", lambda e: -e))
     assert inv.oracle(edited(out, "leakage", lambda x: x + 1e-6))
+    assert inv.oracle(edited(out, "ratio", lambda r: r * (1 + 1e-6)))
+
+
+def test_evolve_oracle_on_a_spin_state_at_rest_on_its_level(tmp_path):
+    # at t = 0 the spin-63/2 state is exactly on level 0; the CLI's dE is the
+    # square root of a rounded variance, ~5e-7 instead of 0
+    path = tmp_path / "model.json"
+    workload = wl.dense(1247932845, str(path))
+    path.write_text(json.dumps(workload.model_doc))
+    inv = next(i for i in workload.invocations if i.command == "evolve")
+    (out,) = outputs(tmp_path, inv)
+    assert inv.oracle(out) == []
+    assert inv.oracle(edited(out, "ratio", lambda r: r + 1e-6))
 
 
 def test_evolve_oracle_on_fixed_lattice_point(tmp_path):
