@@ -41,7 +41,9 @@ from .expr import (
     parse_expression,
 )
 from .model import (
+    Curve,
     ModelSpec,
+    curve,
     hamiltonian_at,
     hamiltonian_derivative_at,
     load_model_spec,
@@ -79,7 +81,6 @@ from .geometry import (
 from .dynamics import (
     AaReport,
     AdiabaticReport,
-    Schedule,
     Trajectory,
     aa_consistency,
     adiabatic_diagnostic,
@@ -101,8 +102,8 @@ __all__ = [
     "format_expression",
     # models
     "ModelSpec", "model_spec", "parameter_point", "hamiltonian_at",
-    "hamiltonian_derivative_at", "spin_half", "two_band_lattice",
-    "load_model_spec",
+    "hamiltonian_derivative_at", "Curve", "curve", "spin_half",
+    "two_band_lattice", "load_model_spec",
     # tensors
     "QgtTensor", "NonAbelianQgt", "derivative_matrices",
     "qgt_from_eigensystem", "qgt_sum_over_states", "aligned_neighbor_states",
@@ -114,6 +115,6 @@ __all__ = [
     "small_separation_check", "SurfaceGrid", "FluxResult",
     "plaquette_flux_grid", "berry_flux",
     # dynamics
-    "Schedule", "schedule", "Trajectory", "evolve", "energy_uncertainty",
+    "schedule", "Trajectory", "evolve", "energy_uncertainty",
     "AaReport", "aa_consistency", "AdiabaticReport", "adiabatic_diagnostic",
 ]

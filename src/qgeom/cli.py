@@ -16,21 +16,19 @@ overrides.  Exit codes: 0 success, 1 validation error, 2 numerical error
 
 Outputs embed a header with the tool version, the config hash and the
 convention notes.  CSV floats carry 17 significant digits so values
-round-trip exactly; rows are emitted in row-major parameter order no matter
-how the work was scheduled.
+round-trip exactly; rows are emitted in row-major parameter order.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .expr import evaluate
 from .dynamics import aa_consistency, adiabatic_diagnostic, evolve, schedule
 from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
@@ -127,9 +125,6 @@ def run(command: str, config_path, output, fmt, written: list[Path]) -> None:
     if fmt not in ("csv", "json"):
         raise InputError(f"unknown output format {fmt!r}")
     out_path = Path(output or cfg.get("output") or f"qgeom_{command}.{fmt}")
-    workers = int(cfg.get("workers", 1))
-    if workers < 1:
-        raise InputError("workers must be >= 1")
 
     meta = {
         "tool": "qgeom",
@@ -147,7 +142,7 @@ def run(command: str, config_path, output, fmt, written: list[Path]) -> None:
         "evolve": _run_evolve,
         "check": _run_check,
     }[command]
-    handler(model, block, meta, out_path, fmt, workers, written)
+    handler(model, block, meta, out_path, fmt, written)
 
 
 def _resolve_model(spec) -> ModelSpec:
@@ -174,6 +169,21 @@ def _level(block: dict, command: str, model: ModelSpec) -> int:
     if not isinstance(level, int) or not 0 <= level < model.dim:
         raise InputError(f"{command}: level must be an integer in 0..{model.dim - 1}")
     return level
+
+
+def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
+    """Parameter vector from a name -> value mapping; unnamed parameters are 0."""
+    if not isinstance(mapping, dict):
+        raise InputError(f"{where} must map parameter names to values")
+    lam = np.zeros(model.n_parameters)
+    for name, val in mapping.items():
+        if name not in model.parameters:
+            raise InputError(f"{where}: unknown parameter {name!r}")
+        try:
+            lam[model.parameters.index(name)] = float(val)
+        except (TypeError, ValueError):
+            raise InputError(f"{where}: parameter {name!r} needs a number, not {val!r}") from None
+    return lam
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +231,7 @@ def _json_value(v):
 # command handlers
 
 
-def _run_grid(model, block, meta, out_path, fmt, workers, written) -> None:
+def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "grid", model)
     axes = _require(block, "axes", "grid")
     if not isinstance(axes, dict) or not axes:
@@ -230,6 +240,7 @@ def _run_grid(model, block, meta, out_path, fmt, workers, written) -> None:
     if unknown:
         raise InputError(f"grid: unknown parameters {sorted(unknown)}")
     fixed = block.get("fixed", {})
+    base = _point(model, fixed, "grid: 'fixed'")
     if set(fixed) & set(axes):
         raise InputError("grid: a parameter cannot be both fixed and gridded")
 
@@ -241,28 +252,13 @@ def _run_grid(model, block, meta, out_path, fmt, workers, written) -> None:
             raise InputError(f"grid: axis {p!r} must be [lo, hi, n] with n >= 1")
         values.append(np.linspace(float(spec[0]), float(spec[1]), int(spec[2])))
 
-    base = np.zeros(model.n_parameters)
-    for name, val in fixed.items():
-        if name not in model.parameters:
-            raise InputError(f"grid: unknown fixed parameter {name!r}")
-        base[model.parameters.index(name)] = float(val)
-
-    points = []
-    # row-major over the swept axes, in model parameter order
-    def build(prefix, depth):
-        if depth == len(swept):
-            lam = base.copy()
-            for p, v in zip(swept, prefix):
-                lam[model.parameters.index(p)] = v
-            points.append(lam)
-            return
-        for v in values[depth]:
-            build(prefix + [v], depth + 1)
-
-    build([], 0)
     k = model.n_parameters
-
-    def compute_row(lam):
+    swept_index = [model.parameters.index(p) for p in swept]
+    rows = []
+    # row-major over the swept axes, in model parameter order
+    for combo in itertools.product(*values):
+        lam = base.copy()
+        lam[swept_index] = combo
         es = hermitian_eigensystem(hamiltonian_at(model, lam))
         try:
             q = qgt_from_eigensystem(es, derivative_matrices(model, lam), level)
@@ -273,13 +269,7 @@ def _run_grid(model, block, meta, out_path, fmt, workers, written) -> None:
         row += [g[i, j] for i in range(k) for j in range(i, k)]
         row += [f[i, j] for i in range(k) for j in range(i + 1, k)]
         row.append(es.gap(level))
-        return tuple(row)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(compute_row, points))
-    else:
-        rows = [compute_row(lam) for lam in points]
+        rows.append(tuple(row))
 
     columns = list(model.parameters)
     columns += [f"g_{i}{j}" for i in range(k) for j in range(i, k)]
@@ -293,13 +283,7 @@ def _build_surface(model, surface) -> SurfaceGrid:
         raise InputError("chern: 'surface' must be an object")
     closure = surface.get("closure", "sphere")
     shape = surface.get("shape", [24, 24])
-    base = None
-    if "fixed" in surface:
-        base = np.zeros(model.n_parameters)
-        for name, val in surface["fixed"].items():
-            if name not in model.parameters:
-                raise InputError(f"chern: unknown fixed parameter {name!r}")
-            base[model.parameters.index(name)] = float(val)
+    base = _point(model, surface.get("fixed", {}), "chern: surface 'fixed'")
     if closure == "sphere":
         return SurfaceGrid.sphere(
             model, surface.get("polar", model.parameters[0]),
@@ -323,7 +307,7 @@ def _build_surface(model, surface) -> SurfaceGrid:
     raise InputError(f"chern: unknown closure {closure!r}")
 
 
-def _run_chern(model, block, meta, out_path, fmt, workers, written) -> None:
+def _run_chern(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "chern", model)
     grid = _build_surface(model, _require(block, "surface", "chern"))
     result = berry_flux(model, level, grid)
@@ -351,25 +335,24 @@ def _run_chern(model, block, meta, out_path, fmt, workers, written) -> None:
                     dict(zip(summary_cols, (_json_value(v) for v in summary))), written)
 
 
-def _run_distance(model, block, meta, out_path, fmt, workers, written) -> None:
+def _run_distance(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "distance", model)
     exprs = _require(block, "path", "distance")
     samples = int(block.get("samples", 201))
     path = path_spec(model, level, exprs, samples)
     length, angle = path_quantum_length(path)
 
-    endpoints = []
-    for s in (0.0, 1.0):
-        lam = np.array([evaluate(ast, {"s": s}) for ast in path.coords])
-        es = hermitian_eigensystem(hamiltonian_at(model, lam))
-        endpoints.append(es.vectors[:, level])
+    endpoints = [
+        hermitian_eigensystem(hamiltonian_at(model, path.curve.values(s))).vectors[:, level]
+        for s in (0.0, 1.0)
+    ]
     end_angle = fidelity_angle(endpoints[0], endpoints[1])
 
     columns = ("length", "angle", "endpoint_fidelity_angle")
     _write_table(out_path, fmt, meta, columns, [(length, angle, end_angle)], written)
 
 
-def _run_evolve(model, block, meta, out_path, fmt, workers, written) -> None:
+def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
     sched = schedule(model, _require(block, "schedule", "evolve"))
     t0 = float(_require(block, "t0", "evolve"))
     t1 = float(_require(block, "t1", "evolve"))
@@ -411,16 +394,9 @@ def _run_evolve(model, block, meta, out_path, fmt, workers, written) -> None:
     _write_table(out_path, fmt, meta, columns, rows, written)
 
 
-def _run_check(model, block, meta, out_path, fmt, workers, written) -> None:
+def _run_check(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "check", model)
-    point = _require(block, "point", "check")
-    if not isinstance(point, dict):
-        raise InputError("check: 'point' must map parameter names to values")
-    lam = np.zeros(model.n_parameters)
-    for name, val in point.items():
-        if name not in model.parameters:
-            raise InputError(f"check: unknown parameter {name!r}")
-        lam[model.parameters.index(name)] = float(val)
+    lam = _point(model, _require(block, "point", "check"), "check: 'point'")
     h = float(block.get("h", 1e-4))
     base_h = float(block.get("order_base_h", 4e-3))
 

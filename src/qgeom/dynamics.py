@@ -23,14 +23,12 @@ from typing import Mapping
 
 import numpy as np
 
-from . import expr
 from .errors import DegeneracyError, InputError, QgeomError, StepError
-from .model import ModelSpec, hamiltonian_at
+from .model import Curve, ModelSpec, curve, hamiltonian_at
 from .numerics import hermitian_eigensystem, state_vector
 from .qgt import derivative_matrices, qgt_from_eigensystem
 
 __all__ = [
-    "Schedule",
     "schedule",
     "Trajectory",
     "evolve",
@@ -45,44 +43,9 @@ MAX_NORM_DRIFT = 1e-6
 STABILITY_LIMIT = 0.1  # dt * spectral radius must stay below this
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Model parameters as expressions in the time t (units 1/energy)."""
-
-    parameters: tuple[str, ...]
-    coords: tuple[expr.ExprNode, ...]
-    coord_sources: tuple[str, ...]
-
-    def values(self, t: float) -> np.ndarray:
-        return np.array([expr.evaluate(ast, {"t": t}) for ast in self.coords])
-
-    def values_and_rates(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """lambda(t) and d lambda / dt, exact via dual numbers."""
-        k = len(self.coords)
-        lam, rate = np.empty(k), np.empty(k)
-        for i, ast in enumerate(self.coords):
-            lam[i], rate[i] = expr.evaluate_with_derivative(ast, {"t": t}, "t")
-        return lam, rate
-
-
-def schedule(model: ModelSpec, exprs: Mapping[str, str]) -> Schedule:
-    """Build a :class:`Schedule` covering every model parameter."""
-    missing = set(model.parameters) - set(exprs)
-    if missing:
-        raise InputError(f"schedule does not cover parameters {sorted(missing)}")
-    extra = set(exprs) - set(model.parameters)
-    if extra:
-        raise InputError(f"schedule names unknown parameters {sorted(extra)}")
-    coords = []
-    sources = []
-    for name in model.parameters:
-        src = exprs[name]
-        try:
-            coords.append(expr.parse_expression(src, ("t",)))
-        except expr.ParseError as exc:
-            raise InputError(f"schedule for {name!r}: {exc}") from None
-        sources.append(src)
-    return Schedule(model.parameters, tuple(coords), tuple(sources))
+def schedule(model: ModelSpec, exprs: Mapping[str, str]) -> Curve:
+    """Build the schedule lambda(t): a :class:`Curve` in the time ``t`` (units 1/energy)."""
+    return curve(model, exprs, "t")
 
 
 @dataclass(frozen=True)
@@ -134,7 +97,7 @@ def _spectral_radius(h: np.ndarray) -> float:
 
 def evolve(
     model: ModelSpec,
-    sched: Schedule,
+    sched: Curve,
     psi0,
     t0: float,
     t1: float,
@@ -284,7 +247,7 @@ class AdiabaticReport:
 
 def adiabatic_diagnostic(
     model: ModelSpec,
-    sched: Schedule,
+    sched: Curve,
     level: int,
     traj: Trajectory,
 ) -> AdiabaticReport:

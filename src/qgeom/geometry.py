@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
 from .errors import DegeneracyError, InputError, StepError
-from .model import ModelSpec, hamiltonian_at, parameter_point
+from .model import Curve, ModelSpec, curve, hamiltonian_at, parameter_point
 from .numerics import hermitian_eigensystem, state_vector
-from .qgt import derivative_matrices, qgt_from_eigensystem
+from .qgt import derivative_matrices, qgt_from_eigensystem, qgt_sum_over_states
 
 __all__ = [
     "fidelity_angle",
@@ -57,61 +56,28 @@ def fidelity_angle(psi, chi) -> float:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """Parametric curve lambda(s), s in [0, 1], through a model's parameter space.
-
-    Coordinates are expressions in the path parameter ``s``, one per model
-    parameter, in model parameter order.
-    """
+    """A level followed along a :class:`Curve` lambda(s), s in [0, 1]."""
 
     model: ModelSpec
     level: int
-    coords: tuple[expr.ExprNode, ...]
-    coord_sources: tuple[str, ...]
+    curve: Curve
     samples: int
 
 
 def path_spec(model: ModelSpec, level: int, exprs, samples: int) -> PathSpec:
-    """Build a :class:`PathSpec` from per-coordinate expression strings."""
+    """Build a :class:`PathSpec` from per-coordinate expression strings in ``s``."""
     if samples < 2:
         raise InputError("a path needs at least 2 samples")
-    missing = set(model.parameters) - set(exprs)
-    if missing:
-        raise InputError(f"path does not cover parameters {sorted(missing)}")
-    extra = set(exprs) - set(model.parameters)
-    if extra:
-        raise InputError(f"path names unknown parameters {sorted(extra)}")
-    coords = []
-    sources = []
-    for name in model.parameters:
-        src = exprs[name]
-        try:
-            coords.append(expr.parse_expression(src, ("s",)))
-        except expr.ParseError as exc:
-            raise InputError(f"path coordinate {name!r}: {exc}") from None
-        sources.append(src)
-    return PathSpec(model, int(level), tuple(coords), tuple(sources), int(samples))
-
-
-def _path_point(path: PathSpec, s: float) -> tuple[np.ndarray, np.ndarray]:
-    lam = np.empty(len(path.coords))
-    rate = np.empty(len(path.coords))
-    for i, ast in enumerate(path.coords):
-        lam[i], rate[i] = expr.evaluate_with_derivative(ast, {"s": s}, "s")
-    return lam, rate
+    return PathSpec(model, int(level), curve(model, exprs, "s"), int(samples))
 
 
 def _speed(path: PathSpec, s: float) -> float:
-    lam, rate = _path_point(path, s)
+    lam, rate = path.curve.values_and_rates(s)
     try:
-        g = _metric_at(path.model, lam, path.level)
+        g = qgt_sum_over_states(path.model, lam, path.level).metric
     except DegeneracyError as exc:
         raise DegeneracyError(f"at s = {s:.6g}: {exc}") from None
     return float(np.sqrt(max(rate @ g @ rate, 0.0)))
-
-
-def _metric_at(model: ModelSpec, lam, level: int) -> np.ndarray:
-    es = hermitian_eigensystem(hamiltonian_at(model, lam))
-    return qgt_from_eigensystem(es, derivative_matrices(model, lam), level).metric
 
 
 def _simpson(values: np.ndarray, h: float) -> float:

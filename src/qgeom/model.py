@@ -28,6 +28,7 @@ largest entry); it is then symmetrized exactly.
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -41,6 +42,8 @@ __all__ = [
     "parameter_point",
     "hamiltonian_at",
     "hamiltonian_derivative_at",
+    "Curve",
+    "curve",
     "spin_half",
     "two_band_lattice",
     "load_model_spec",
@@ -138,19 +141,31 @@ def _binding(model: ModelSpec, lam: np.ndarray) -> dict[str, float]:
     return dict(zip(model.parameters, lam.tolist()))
 
 
-def hamiltonian_at(model: ModelSpec, lam) -> np.ndarray:
-    """H(lambda) = sum_k f_k(lambda) H_k, re-symmetrized."""
-    lam = parameter_point(model, lam)
+def _term_sum(model: ModelSpec, lam: np.ndarray, coefficient) -> np.ndarray:
+    """sum_k coefficient(f_k) H_k at a validated point, re-symmetrized."""
     env = _binding(model, lam)
-    h = np.zeros((model.dim, model.dim), dtype=complex)
+    out = np.zeros((model.dim, model.dim), dtype=complex)
     for k, (matrix, ast) in enumerate(model.terms):
         try:
-            h += expr.evaluate(ast, env) * matrix
+            out += coefficient(ast, env) * matrix
         except EvaluationError as exc:
             raise EvaluationError(
                 f"term {k} ({model.coeff_sources[k]!r}) at {env}: {exc}"
             ) from None
-    return (h + h.conj().T) / 2
+    return (out + out.conj().T) / 2
+
+
+def hamiltonian_at(model: ModelSpec, lam) -> np.ndarray:
+    """H(lambda) = sum_k f_k(lambda) H_k, re-symmetrized."""
+    return _term_sum(model, parameter_point(model, lam), expr.evaluate)
+
+
+def _derivative_at(model: ModelSpec, lam: np.ndarray, mu: int) -> np.ndarray:
+    """dH/dmu at a validated point and parameter index."""
+    direction = model.parameters[mu]
+    return _term_sum(
+        model, lam, lambda ast, env: expr.evaluate_with_derivative(ast, env, direction)[1]
+    )
 
 
 def hamiltonian_derivative_at(model: ModelSpec, lam, mu: int) -> np.ndarray:
@@ -158,18 +173,56 @@ def hamiltonian_derivative_at(model: ModelSpec, lam, mu: int) -> np.ndarray:
     lam = parameter_point(model, lam)
     if not 0 <= mu < model.n_parameters:
         raise InputError(f"parameter index {mu} out of range")
-    env = _binding(model, lam)
-    direction = model.parameters[mu]
-    dh = np.zeros((model.dim, model.dim), dtype=complex)
-    for k, (matrix, ast) in enumerate(model.terms):
+    return _derivative_at(model, lam, mu)
+
+
+@dataclass(frozen=True)
+class Curve:
+    """Model parameters as expressions in one variable, with exact rates.
+
+    A path lambda(s) through parameter space and a time schedule lambda(t)
+    are both curves; only the name of the variable differs.  ``coords`` holds
+    one expression per model parameter, in model parameter order.
+    """
+
+    parameters: tuple[str, ...]
+    variable: str
+    coords: tuple[expr.ExprNode, ...]
+    coord_sources: tuple[str, ...]
+
+    def values(self, x: float) -> np.ndarray:
+        return np.array([expr.evaluate(ast, {self.variable: x}) for ast in self.coords])
+
+    def values_and_rates(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """lambda(x) and d lambda / dx, exact via dual numbers."""
+        k = len(self.coords)
+        lam, rate = np.empty(k), np.empty(k)
+        for i, ast in enumerate(self.coords):
+            lam[i], rate[i] = expr.evaluate_with_derivative(
+                ast, {self.variable: x}, self.variable
+            )
+        return lam, rate
+
+
+def curve(model: ModelSpec, exprs: Mapping[str, str], variable: str) -> Curve:
+    """Build a :class:`Curve` with one expression in ``variable`` per model parameter."""
+    if not isinstance(exprs, Mapping):
+        raise InputError(f"curve in {variable!r} must map parameter names to expressions")
+    missing = set(model.parameters) - set(exprs)
+    if missing:
+        raise InputError(f"curve in {variable!r} does not cover parameters {sorted(missing)}")
+    extra = set(exprs) - set(model.parameters)
+    if extra:
+        raise InputError(f"curve in {variable!r} names unknown parameters {sorted(extra)}")
+    coords = []
+    for name in model.parameters:
         try:
-            _, deriv = expr.evaluate_with_derivative(ast, env, direction)
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"term {k} ({model.coeff_sources[k]!r}) at {env}: {exc}"
-            ) from None
-        dh += deriv * matrix
-    return (dh + dh.conj().T) / 2
+            coords.append(expr.parse_expression(exprs[name], (variable,)))
+        except expr.ParseError as exc:
+            raise InputError(f"curve coordinate {name!r}: {exc}") from None
+    return Curve(
+        model.parameters, variable, tuple(coords), tuple(exprs[n] for n in model.parameters)
+    )
 
 
 def spin_half(mu_times_b: float) -> ModelSpec:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError, StepError
-from .model import ModelSpec, hamiltonian_at, hamiltonian_derivative_at, parameter_point
+from .model import ModelSpec, _derivative_at, hamiltonian_at, parameter_point
 from .numerics import EigenSystem, hermitian_eigensystem
 
 __all__ = [
@@ -85,11 +85,6 @@ class QgtTensor:
         return self.matrix.real.copy()
 
     @property
-    def imag_part(self) -> np.ndarray:
-        """Imaginary part; equals -F/2."""
-        return self.matrix.imag.copy()
-
-    @property
     def curvature(self) -> np.ndarray:
         """Berry curvature F = -2 Im Q (antisymmetric)."""
         return -2.0 * self.matrix.imag
@@ -130,7 +125,7 @@ class NonAbelianQgt:
 def derivative_matrices(model: ModelSpec, lam) -> list[np.ndarray]:
     """dH/dmu for every parameter, evaluated exactly."""
     lam = parameter_point(model, lam)
-    return [hamiltonian_derivative_at(model, lam, mu) for mu in range(model.n_parameters)]
+    return [_derivative_at(model, lam, mu) for mu in range(model.n_parameters)]
 
 
 def _check_isolated(es: EigenSystem, level: int) -> bool:
@@ -180,15 +175,16 @@ def qgt_sum_over_states(
 # phase-aligned finite differences
 
 
-def _neighbor_level_state(
-    center: np.ndarray, es: EigenSystem, level: int, min_overlap: float
+def _aligned_state(
+    model: ModelSpec, lam, level: int, center: np.ndarray, min_overlap: float
 ) -> np.ndarray:
-    """Pick the ``level`` column at a neighbor point, phase-aligned.
+    """The ``level`` eigenstate at ``lam``, phase-aligned to ``center``.
 
-    The neighbor vector is rephased so its overlap with ``center`` is real
-    and positive.  An overlap modulus below ``min_overlap`` means the step
-    is too large (or the level crossed another inside the step).
+    The state is rephased so its overlap with ``center`` is real and
+    positive.  An overlap modulus below ``min_overlap`` means the step from
+    the center is too large (or the level crossed another inside the step).
     """
+    es = hermitian_eigensystem(hamiltonian_at(model, lam))
     vec = es.vectors[:, level]
     overlaps = np.abs(es.vectors.conj().T @ center)
     if int(np.argmax(overlaps)) != level:
@@ -204,6 +200,20 @@ def _neighbor_level_state(
     return vec * (o / abs(o))
 
 
+def _aligned_pairs(
+    model: ModelSpec, lam: np.ndarray, level: int, h: float, center: np.ndarray,
+    min_overlap: float,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    if not h > 0:
+        raise InputError("step h must be positive")
+    pairs = []
+    for step in h * np.eye(model.n_parameters):
+        plus, minus = (_aligned_state(model, lam + sign * step, level, center, min_overlap)
+                       for sign in (+1.0, -1.0))
+        pairs.append((plus, minus))
+    return pairs
+
+
 def aligned_neighbor_states(
     model: ModelSpec, lam, level: int, h: float, min_overlap: float = 0.5
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -214,19 +224,8 @@ def aligned_neighbor_states(
     the simplest smooth gauge near the point.
     """
     lam = parameter_point(model, lam)
-    if not h > 0:
-        raise InputError("step h must be positive")
     center = hermitian_eigensystem(hamiltonian_at(model, lam)).vectors[:, level]
-    pairs = []
-    for mu in range(model.n_parameters):
-        step = np.zeros_like(lam)
-        step[mu] = h
-        pair = []
-        for sign in (+1.0, -1.0):
-            es = hermitian_eigensystem(hamiltonian_at(model, lam + sign * step))
-            pair.append(_neighbor_level_state(center, es, level, min_overlap))
-        pairs.append((pair[0], pair[1]))
-    return pairs
+    return _aligned_pairs(model, lam, level, h, center, min_overlap)
 
 
 def derivative_states_from_neighbors(neighbors, h: float) -> np.ndarray:
@@ -258,15 +257,8 @@ def qgt_projector_fd(
     """Convenience wrapper: aligned neighbors -> derivatives -> projector QGT."""
     lam = parameter_point(model, lam)
     es = hermitian_eigensystem(hamiltonian_at(model, lam))
-    neighbors = aligned_neighbor_states(model, lam, level, h)
+    neighbors = _aligned_pairs(model, lam, level, h, es.vectors[:, level], 0.5)
     return qgt_projector(es, derivative_states_from_neighbors(neighbors, h), level)
-
-
-def _level_state_checked(
-    model: ModelSpec, lam, level: int, center: np.ndarray, min_overlap: float
-) -> np.ndarray:
-    es = hermitian_eigensystem(hamiltonian_at(model, lam))
-    return _neighbor_level_state(center, es, level, min_overlap)
 
 
 def qgt_overlap_fd(
@@ -292,7 +284,7 @@ def qgt_overlap_fd(
     k = model.n_parameters
 
     def state(point):
-        return _level_state_checked(model, point, level, center, min_overlap=0.9)
+        return _aligned_state(model, point, level, center, min_overlap=0.9)
 
     def decay(delta):
         # symmetrized 2(1 - |overlap|), one quadratic-form sample

@@ -190,6 +190,35 @@ class TestFixedParameters:
         assert code == 1 and "both fixed and gridded" in err
 
 
+@pytest.mark.parametrize("command, block, needle", [
+    ("grid", {"level": 1, "axes": {"theta": [0, 1, 2]}, "fixed": ["phi"]}, "grid: 'fixed'"),
+    ("grid", {"level": 1, "axes": {"theta": [0, 1, 2]}, "fixed": {"phi": [1]}}, "'phi'"),
+    ("chern", {"level": 1, "surface": {"closure": "sphere", "fixed": 3}}, "surface 'fixed'"),
+    ("chern", {"level": 1, "surface": {"closure": "sphere", "fixed": {"phi": None}}}, "'phi'"),
+    ("check", {"level": 1, "point": [1.0, 0.3]}, "check: 'point'"),
+    ("check", {"level": 1, "point": {"theta": "abc", "phi": 0.3}}, "'theta'"),
+], ids=["grid-list", "grid-value", "chern-number", "chern-value", "check-list", "check-value"])
+def test_malformed_parameter_mapping_is_a_validation_error(
+    tmp_path, capsys, command, block, needle
+):
+    cfg = _write_config(tmp_path, {"model": SPIN, command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and needle in err
+
+
+@pytest.mark.parametrize("command, block", [
+    ("distance", {"level": 1, "path": ["theta", "phi"]}),
+    ("evolve", {"schedule": ["theta", "phi"], "t0": 0.0, "t1": 0.1, "dt": 0.01,
+                "initial": {"level": 1}}),
+], ids=["distance", "evolve"])
+def test_curve_given_as_a_list_is_a_validation_error(tmp_path, capsys, command, block):
+    cfg = _write_config(tmp_path, {"model": SPIN, command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and "must map parameter names" in err
+
+
 class TestDistanceCommand:
     def test_meridian_angle(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {

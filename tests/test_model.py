@@ -211,3 +211,16 @@ class TestModelFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(qg.InputError):
             qg.load_model_spec(tmp_path / "absent.json")
+
+
+class TestCurve:
+    def test_paths_and_schedules_are_one_type(self, spin_model):
+        path = qg.path_spec(spin_model, 1, {"theta": "1 + 0.4*sin(s)", "phi": "0.3*s^2"}, 11)
+        sched = qg.schedule(spin_model, {"theta": "1 + 0.4*sin(t)", "phi": "0.3*t^2"})
+        assert isinstance(path.curve, qg.Curve) and isinstance(sched, qg.Curve)
+        for x in (0.0, 0.37, 1.0):
+            lam_s, rate_s = path.curve.values_and_rates(x)
+            lam_t, rate_t = sched.values_and_rates(x)
+            assert np.array_equal(lam_s, lam_t) and np.array_equal(rate_s, rate_t)
+            assert np.array_equal(sched.values(x), lam_t)
+        assert np.allclose(rate_t, [0.4 * np.cos(1.0), 0.6], atol=1e-15)
