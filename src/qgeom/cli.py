@@ -151,9 +151,9 @@ def _resolve_model(spec) -> ModelSpec:
     if isinstance(spec, dict) and "builtin" in spec:
         name = spec["builtin"]
         if name == "spin_half":
-            return spin_half(float(spec.get("mu_times_b", 1.0)))
+            return spin_half(_number(spec, "mu_times_b", "model", 1.0))
         if name == "two_band_lattice":
-            return two_band_lattice(float(spec.get("mass", 1.0)))
+            return two_band_lattice(_number(spec, "mass", "model", 1.0))
         raise InputError(f"unknown builtin model {name!r}")
     raise InputError("config needs 'model': a file path or {'builtin': name, ...}")
 
@@ -164,9 +164,21 @@ def _require(block: dict, key: str, command: str):
     return block[key]
 
 
+def _number(block: dict, key: str, command: str, default=None, kind=float):
+    """block[key] as a finite ``kind``; required when there is no default."""
+    value = _require(block, key, command) if default is None else block.get(key, default)
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or not np.isfinite(number):
+        raise InputError(f"{command}: {key!r} must be a finite number, not {value!r}")
+    return number
+
+
 def _level(block: dict, command: str, model: ModelSpec) -> int:
     level = _require(block, "level", command)
-    if not isinstance(level, int) or not 0 <= level < model.dim:
+    if isinstance(level, bool) or not isinstance(level, int) or not 0 <= level < model.dim:
         raise InputError(f"{command}: level must be an integer in 0..{model.dim - 1}")
     return level
 
@@ -176,13 +188,10 @@ def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
     if not isinstance(mapping, dict):
         raise InputError(f"{where} must map parameter names to values")
     lam = np.zeros(model.n_parameters)
-    for name, val in mapping.items():
+    for name in mapping:
         if name not in model.parameters:
             raise InputError(f"{where}: unknown parameter {name!r}")
-        try:
-            lam[model.parameters.index(name)] = float(val)
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: parameter {name!r} needs a number, not {val!r}") from None
+        lam[model.parameters.index(name)] = _number(mapping, name, where)
     return lam
 
 
@@ -248,7 +257,8 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     values = []
     for p in swept:
         spec = axes[p]
-        if not (isinstance(spec, list) and len(spec) == 3 and spec[2] >= 1):
+        if not (isinstance(spec, list) and len(spec) == 3
+                and all(isinstance(v, (int, float)) for v in spec) and spec[2] >= 1):
             raise InputError(f"grid: axis {p!r} must be [lo, hi, n] with n >= 1")
         values.append(np.linspace(float(spec[0]), float(spec[1]), int(spec[2])))
 
@@ -293,8 +303,8 @@ def _build_surface(model, surface) -> SurfaceGrid:
         return SurfaceGrid.torus(
             model, surface.get("mu", model.parameters[0]),
             surface.get("nu", model.parameters[1]), shape,
-            tuple(surface.get("mu_range", (0.0, 2 * np.pi))),
-            tuple(surface.get("nu_range", (0.0, 2 * np.pi))), base,
+            surface.get("mu_range", (0.0, 2 * np.pi)),
+            surface.get("nu_range", (0.0, 2 * np.pi)), base,
         )
     if closure == "open":
         if "mu_range" not in surface or "nu_range" not in surface:
@@ -302,7 +312,7 @@ def _build_surface(model, surface) -> SurfaceGrid:
         return SurfaceGrid.open_grid(
             model, surface.get("mu", model.parameters[0]),
             surface.get("nu", model.parameters[1]),
-            tuple(surface["mu_range"]), tuple(surface["nu_range"]), shape, base,
+            surface["mu_range"], surface["nu_range"], shape, base,
         )
     raise InputError(f"chern: unknown closure {closure!r}")
 
@@ -338,7 +348,7 @@ def _run_chern(model, block, meta, out_path, fmt, written) -> None:
 def _run_distance(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "distance", model)
     exprs = _require(block, "path", "distance")
-    samples = int(block.get("samples", 201))
+    samples = _number(block, "samples", "distance", 201, int)
     path = path_spec(model, level, exprs, samples)
     length, angle = path_quantum_length(path)
 
@@ -354,15 +364,12 @@ def _run_distance(model, block, meta, out_path, fmt, written) -> None:
 
 def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
     sched = schedule(model, _require(block, "schedule", "evolve"))
-    t0 = float(_require(block, "t0", "evolve"))
-    t1 = float(_require(block, "t1", "evolve"))
-    dt = float(_require(block, "dt", "evolve"))
+    t0, t1, dt = (_number(block, key, "evolve") for key in ("t0", "t1", "dt"))
     initial = _require(block, "initial", "evolve")
     if isinstance(initial, dict) and "level" in initial:
-        init_level = int(initial["level"])
+        default_level = _level(initial, "evolve: 'initial'", model)
         es = hermitian_eigensystem(hamiltonian_at(model, sched.values(t0)))
-        psi0 = es.vectors[:, init_level]
-        default_level = init_level
+        psi0 = es.vectors[:, default_level]
     elif isinstance(initial, dict) and "amplitudes" in initial:
         amps = initial["amplitudes"]
         try:
@@ -372,10 +379,9 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
         default_level = None
     else:
         raise InputError("evolve: 'initial' needs 'level' or 'amplitudes'")
-    level = block.get("level", default_level)
+    level = _number(block, "level", "evolve", kind=int) if "level" in block else default_level
     if level is None:
         raise InputError("evolve: 'level' is required when starting from amplitudes")
-    level = int(level)
 
     traj = evolve(model, sched, psi0, t0, t1, dt)
     aa = aa_consistency(traj)
@@ -397,8 +403,8 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
 def _run_check(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "check", model)
     lam = _point(model, _require(block, "point", "check"), "check: 'point'")
-    h = float(block.get("h", 1e-4))
-    base_h = float(block.get("order_base_h", 4e-3))
+    h = _number(block, "h", "check", 1e-4)
+    base_h = _number(block, "order_base_h", "check", 4e-3)
 
     q_sum = qgt_sum_over_states(model, lam, level)
     q_proj = qgt_projector_fd(model, lam, level, h)

@@ -308,7 +308,9 @@ def parse_expression(src: str, params) -> ExprNode:
     Raises :class:`ParseError` (with byte offset) on unknown identifiers,
     unbalanced parentheses or missing operands.
     """
-    if not isinstance(src, str) or not src.strip():
+    if not isinstance(src, str):
+        raise ParseError(f"expression must be a string, not {type(src).__name__}")
+    if not src.strip():
         raise ParseError("empty expression")
     return _Parser(src, tuple(params)).parse()
 

@@ -9,9 +9,15 @@ is the phase of the Wilson loop of state overlaps around it.  On a closed
 surface the plaquette fluxes sum to an exact multiple of 2 pi (every link
 appears once in each direction), so the Chern number total/(2 pi) is an
 integer up to float rounding whenever no plaquette phase is ambiguous
-(magnitude >= pi).  Spheres are closed with polar caps: rows at the poles
-are replaced by a single analytic state each, and the cap flux is the sum
-of the triangular pole plaquettes.
+(magnitude >= pi).  Each link overlap is computed once, into one array per
+grid direction; a closure only adds link rows and columns to them.  A
+sphere is closed by one state at each pole, and each cap is a row of
+plaquettes whose edge along the pole is contracted to a point.
+
+That quantization holds on any grid that wraps, so it proves nothing by
+itself: :class:`SurfaceGrid` alone knows how its surface closes, and
+:func:`berry_flux` first checks, from H alone, that H agrees on the points
+the closure identifies.
 """
 
 import warnings
@@ -146,14 +152,17 @@ class SurfaceGrid:
 
     ``closure`` is one of:
 
-    - ``"torus"``: both directions periodic; grid points exclude the
-      duplicate endpoints and every plaquette wraps.
+    - ``"torus"``: both directions periodic over ``mu_range`` and
+      ``nu_range``; grid points exclude the duplicate endpoints and every
+      plaquette wraps.
     - ``"sphere"``: the first (polar) direction runs over (0, pi) at cell
-      centers and is capped by single analytic pole states; the second
+      centers and is capped by single pole states at its ends; the second
       (azimuthal) direction is periodic over [0, 2 pi).
     - ``"open"``: inclusive endpoints, no closure; the total flux is not
       quantized.
 
+    ``mu_range`` and ``nu_range`` hold the ends of each direction: the seam
+    a periodic direction closes on, or the poles of the polar direction.
     ``base`` supplies values for any parameters not being gridded.
     """
 
@@ -163,17 +172,17 @@ class SurfaceGrid:
     nu_values: np.ndarray
     closure: str
     base: np.ndarray
+    mu_range: tuple[float, float]
+    nu_range: tuple[float, float]
 
     @staticmethod
     def _resolve(model: ModelSpec, name_or_index) -> int:
-        if isinstance(name_or_index, str):
-            try:
-                return model.parameters.index(name_or_index)
-            except ValueError:
-                raise InputError(
-                    f"model {model.name!r} has no parameter {name_or_index!r}"
-                ) from None
-        return int(name_or_index)
+        if isinstance(name_or_index, str) and name_or_index in model.parameters:
+            return model.parameters.index(name_or_index)
+        if (isinstance(name_or_index, (int, np.integer))
+                and 0 <= name_or_index < model.n_parameters):
+            return int(name_or_index)
+        raise InputError(f"model {model.name!r} has no parameter {name_or_index!r}")
 
     @staticmethod
     def _base(model: ModelSpec, base) -> np.ndarray:
@@ -181,10 +190,18 @@ class SurfaceGrid:
             return np.zeros(model.n_parameters)
         return parameter_point(model, base)
 
+    @staticmethod
+    def _pair(value, key: str, kind=float) -> tuple:
+        try:
+            a, b = value
+            return kind(a), kind(b)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"grid {key!r} must be two numbers, not {value!r}") from None
+
     @classmethod
     def sphere(cls, model: ModelSpec, polar, azimuth, shape=(24, 24), base=None):
         """Polar-capped sphere grid; rows sit at cell centers, off the poles."""
-        n_th, n_ph = int(shape[0]), int(shape[1])
+        n_th, n_ph = cls._pair(shape, "shape", int)
         if n_th < 2 or n_ph < 3:
             raise InputError("sphere grid needs shape >= (2, 3)")
         mu = cls._resolve(model, polar)
@@ -193,42 +210,93 @@ class SurfaceGrid:
             raise InputError("polar and azimuth must differ")
         thetas = (np.arange(n_th) + 0.5) * np.pi / n_th
         phis = np.arange(n_ph) * 2.0 * np.pi / n_ph
-        return cls(mu, nu, thetas, phis, "sphere", cls._base(model, base))
+        return cls(mu, nu, thetas, phis, "sphere", cls._base(model, base),
+                   (0.0, np.pi), (0.0, 2.0 * np.pi))
 
     @classmethod
     def torus(cls, model: ModelSpec, mu, nu, shape=(24, 24),
               mu_range=(0.0, 2.0 * np.pi), nu_range=(0.0, 2.0 * np.pi), base=None):
         """Doubly periodic grid; both ranges are one full period."""
-        n_mu, n_nu = int(shape[0]), int(shape[1])
+        n_mu, n_nu = cls._pair(shape, "shape", int)
         if n_mu < 3 or n_nu < 3:
             raise InputError("torus grid needs shape >= (3, 3)")
         mu = cls._resolve(model, mu)
         nu = cls._resolve(model, nu)
         if mu == nu:
             raise InputError("grid directions must differ")
+        mu_range = cls._pair(mu_range, "mu_range")
+        nu_range = cls._pair(nu_range, "nu_range")
         mu_vals = mu_range[0] + np.arange(n_mu) * (mu_range[1] - mu_range[0]) / n_mu
         nu_vals = nu_range[0] + np.arange(n_nu) * (nu_range[1] - nu_range[0]) / n_nu
-        return cls(mu, nu, mu_vals, nu_vals, "torus", cls._base(model, base))
+        return cls(mu, nu, mu_vals, nu_vals, "torus", cls._base(model, base),
+                   mu_range, nu_range)
 
     @classmethod
     def open_grid(cls, model: ModelSpec, mu, nu, mu_range, nu_range,
                   shape=(24, 24), base=None):
         """Open rectangle with inclusive endpoints."""
-        n_mu, n_nu = int(shape[0]), int(shape[1])
+        n_mu, n_nu = cls._pair(shape, "shape", int)
         if n_mu < 2 or n_nu < 2:
             raise InputError("open grid needs shape >= (2, 2)")
         mu = cls._resolve(model, mu)
         nu = cls._resolve(model, nu)
         if mu == nu:
             raise InputError("grid directions must differ")
-        return cls(mu, nu, np.linspace(*mu_range, n_mu),
-                   np.linspace(*nu_range, n_nu), "open", cls._base(model, base))
+        mu_range = cls._pair(mu_range, "mu_range")
+        nu_range = cls._pair(nu_range, "nu_range")
+        return cls(mu, nu, np.linspace(*mu_range, n_mu), np.linspace(*nu_range, n_nu),
+                   "open", cls._base(model, base), mu_range, nu_range)
+
+    def _at(self, mu_value: float, nu_value: float) -> np.ndarray:
+        lam = self.base.copy()
+        lam[self.mu] = mu_value
+        lam[self.nu] = nu_value
+        return lam
 
     def point(self, j: int, i: int) -> np.ndarray:
-        lam = self.base.copy()
-        lam[self.mu] = self.mu_values[j]
-        lam[self.nu] = self.nu_values[i]
-        return lam
+        return self._at(self.mu_values[j], self.nu_values[i])
+
+    def poles(self) -> dict[str, np.ndarray]:
+        """The points of a sphere's "north" and "south" caps (none otherwise)."""
+        if self.closure != "sphere":
+            return {}
+        return {name: self._at(value, self.nu_values[0])
+                for name, value in zip(("north", "south"), self.mu_range)}
+
+    def check_closed(self, model: ModelSpec) -> None:
+        """Check, with H evaluations only, that the closure's premise holds.
+
+        A periodic direction needs H on its first edge to equal H one period
+        further; a pole needs H to be the same at every azimuth of the grid.
+
+        Raises
+        ------
+        InputError
+            On a mismatch above 1e-9 * max(1, max|H|), max|H| being the
+            largest entry of the two H compared; names the direction or pole,
+            the two points and the mismatch.
+        """
+        mu_name, nu_name = model.parameters[self.mu], model.parameters[self.nu]
+        seams = []  # (where, lambda, lambda identified with it)
+        if self.closure in ("torus", "sphere"):
+            lo, hi = self.nu_range
+            seams += [(f"along {nu_name!r}", self._at(m, lo), self._at(m, hi))
+                      for m in self.mu_values]
+        if self.closure == "torus":
+            lo, hi = self.mu_range
+            seams += [(f"along {mu_name!r}", self._at(lo, n), self._at(hi, n))
+                      for n in self.nu_values]
+        for name, lam in self.poles().items():
+            seams += [(f"at the {name} pole", lam, self._at(lam[self.mu], n))
+                      for n in self.nu_values[1:]]
+        for where, a, b in seams:
+            ha, hb = hamiltonian_at(model, a), hamiltonian_at(model, b)
+            mismatch = float(np.abs(ha - hb).max())
+            if mismatch > 1e-9 * max(1.0, np.abs(ha).max(), np.abs(hb).max()):
+                raise InputError(
+                    f"surface is not closed {where}: H at lambda = {a.tolist()} and "
+                    f"at lambda = {b.tolist()} differ by {mismatch:.3e}"
+                )
 
 
 @dataclass(frozen=True)
@@ -236,9 +304,9 @@ class FluxResult:
     """Berry flux tabulated over a surface.
 
     ``plaquette_fluxes`` rows follow the grid; in sphere mode row 0 and the
-    last row hold the polar cap triangles.  ``chern`` is total/(2 pi) and
-    ``residue`` its distance to the nearest integer (meaningful for closed
-    surfaces).  ``ambiguous`` is set when some plaquette phase reached pi,
+    last row are the polar caps, so the shape is (n_theta + 1, n_phi).
+    ``chern`` is total/(2 pi) and ``residue`` its distance to the nearest
+    integer (meaningful for closed surfaces).  ``ambiguous`` is set when some plaquette phase reached pi,
     where the branch of the flux is undetermined; refine the grid.
     """
 
@@ -255,15 +323,6 @@ class FluxResult:
         return abs(self.total_flux) / (4.0 * np.pi)
 
 
-def _link(a: np.ndarray, b: np.ndarray, min_link: float) -> complex:
-    o = np.vdot(a, b)
-    if abs(o) < min_link:
-        raise StepError(
-            f"link overlap {abs(o):.3f} below {min_link}: grid too coarse"
-        )
-    return o
-
-
 def plaquette_flux_grid(
     states: np.ndarray,
     closure: str,
@@ -278,52 +337,40 @@ def plaquette_flux_grid(
     (j,i) -> (j+1,i) -> (j+1,i+1) -> (j,i+1), matching the orientation of
     the continuum flux F_mu_nu d mu d nu.  The caller picks the closure:
     "torus" wraps both directions, "sphere" wraps the second and caps the
-    first with the supplied pole states, "open" wraps nothing.
+    first with the supplied pole states, "open" wraps nothing.  A link
+    overlap below ``min_link`` raises StepError naming the weakest link.
     """
-    n_mu, n_nu = states.shape[:2]
-
-    def plaquette(a, b, c, d):
-        loop = (_link(a, b, min_link) * _link(b, c, min_link)
-                * _link(c, d, min_link) * _link(d, a, min_link))
-        return -float(np.angle(loop))
-
-    wrap_i = closure in ("torus", "sphere")
-    n_cols = n_nu if wrap_i else n_nu - 1
-
-    def interior_rows(n_rows, wrap_j):
-        rows = np.empty((n_rows, n_cols))
-        for j in range(n_rows):
-            j2 = (j + 1) % n_mu if wrap_j else j + 1
-            for i in range(n_cols):
-                i2 = (i + 1) % n_nu if wrap_i else i + 1
-                rows[j, i] = plaquette(
-                    states[j, i], states[j2, i], states[j2, i2], states[j, i2]
-                )
-        return rows
-
-    if closure == "torus":
-        return interior_rows(n_mu, wrap_j=True)
-    if closure == "open":
-        return interior_rows(n_mu - 1, wrap_j=False)
-    if closure != "sphere":
+    if closure not in ("torus", "sphere", "open"):
         raise InputError(f"unknown closure {closure!r}")
-    if north is None or south is None:
+    if closure == "sphere" and (north is None or south is None):
         raise InputError("sphere closure needs both pole states")
+    # u_mu[j, i] = <(j,i)|(j+1,i)> and u_nu[j, i] = <(j,i)|(j,i+1)>, each link once.
+    # A closure adds link rows and columns; plaquette (j, i) is then bounded by
+    # u_mu[j, i], u_nu[j+1, i], u_mu[j, i+1] and u_nu[j, i].
+    u_mu = np.vecdot(states[:-1], states[1:])
+    u_nu = np.vecdot(states[:, :-1], states[:, 1:])
+    if closure != "open":
+        u_nu = np.concatenate([u_nu, np.vecdot(states[:, -1:], states[:, :1])], axis=1)
+    if closure == "torus":
+        u_mu = np.concatenate([u_mu, np.vecdot(states[-1:], states[:1])])
+        u_nu = np.concatenate([u_nu, u_nu[:1]])
+    if closure == "sphere":
+        # each cap is a row of plaquettes whose edge along its pole is contracted
+        u_mu = np.concatenate([np.vecdot(north, states[:1]), u_mu,
+                               np.vecdot(states[-1:], south)])
+        u_nu = np.pad(u_nu, [(1, 1), (0, 0)], constant_values=1)
+    if closure != "open":
+        u_mu = np.concatenate([u_mu, u_mu[:, :1]], axis=1)
 
-    fluxes = np.empty((n_mu + 1, n_nu))
-    fluxes[1:n_mu] = interior_rows(n_mu - 1, wrap_j=False)
-    for i in range(n_nu):
-        i2 = (i + 1) % n_nu
-        # degenerate plaquettes with one edge contracted onto the pole
-        loop_n = (_link(north, states[0, i], min_link)
-                  * _link(states[0, i], states[0, i2], min_link)
-                  * _link(states[0, i2], north, min_link))
-        fluxes[0, i] = -float(np.angle(loop_n))
-        loop_s = (_link(states[-1, i], south, min_link)
-                  * _link(south, states[-1, i2], min_link)
-                  * _link(states[-1, i2], states[-1, i], min_link))
-        fluxes[n_mu, i] = -float(np.angle(loop_s))
-    return fluxes
+    mags = np.abs(u_mu), np.abs(u_nu)
+    d = int(mags[1].min() < mags[0].min())
+    j, i = np.unravel_index(mags[d].argmin(), mags[d].shape)
+    if mags[d][j, i] < min_link:
+        j -= closure == "sphere"  # a sphere's link rows start at its north pole
+        start = f"the north pole to grid point (0, {i})" if j < 0 else f"grid point ({j}, {i})"
+        raise StepError(f"link overlap {mags[d].min():.3f} below {min_link} along "
+                        f"{('mu', 'nu')[d]} from {start}: grid too coarse")
+    return -np.angle(u_mu[:, :-1] * u_nu[1:] * u_mu[:, 1:].conj() * u_nu[:-1].conj())
 
 
 def berry_flux(
@@ -335,10 +382,11 @@ def berry_flux(
 ) -> FluxResult:
     """Berry flux of one band over a surface grid, by link variables.
 
+    The grid's closure is checked first (:meth:`SurfaceGrid.check_closed`).
     The level must be non-degenerate at every grid point (and at the poles
     in sphere mode); a degeneracy raises and names the offending point.
     """
-    dim = model.dim
+    grid.check_closed(model)
 
     def solved_state(lam, where: str) -> np.ndarray:
         es = hermitian_eigensystem(hamiltonian_at(model, lam), degeneracy_tol)
@@ -348,26 +396,14 @@ def berry_flux(
             )
         return es.vectors[:, level]
 
-    n_mu, n_nu = grid.mu_values.size, grid.nu_values.size
-    states = np.empty((n_mu, n_nu, dim), dtype=complex)
-    for j in range(n_mu):
-        for i in range(n_nu):
-            lam = grid.point(j, i)
-            states[j, i] = solved_state(lam, f"lambda = {lam.tolist()}")
+    states = np.empty((grid.mu_values.size, grid.nu_values.size, model.dim), dtype=complex)
+    for j, i in np.ndindex(states.shape[:2]):
+        lam = grid.point(j, i)
+        states[j, i] = solved_state(lam, f"lambda = {lam.tolist()}")
+    poles = {name: solved_state(lam, f"{name} pole, lambda = {lam.tolist()}")
+             for name, lam in grid.poles().items()}
 
-    north = south = None
-    if grid.closure == "sphere":
-        for name, value in (("north", 0.0), ("south", np.pi)):
-            lam = grid.base.copy()
-            lam[grid.mu] = value
-            lam[grid.nu] = grid.nu_values[0]
-            pole = solved_state(lam, f"{name} pole, lambda = {lam.tolist()}")
-            if name == "north":
-                north = pole
-            else:
-                south = pole
-
-    fluxes = plaquette_flux_grid(states, grid.closure, north, south, min_link)
+    fluxes = plaquette_flux_grid(states, grid.closure, min_link=min_link, **poles)
     total = float(fluxes.sum())
     chern = total / (2.0 * np.pi)
     closed = grid.closure in ("torus", "sphere")

@@ -219,6 +219,49 @@ def test_curve_given_as_a_list_is_a_validation_error(tmp_path, capsys, command, 
     assert code == 1 and "must map parameter names" in err
 
 
+EVOLVE = {"schedule": {"theta": "1.0", "phi": "t"}, "t0": 0.0, "t1": 0.1, "dt": 0.01,
+          "initial": {"level": 1}}
+
+
+@pytest.mark.parametrize("model, command, block, needle", [
+    (SPIN, "evolve", {**EVOLVE, "t0": "abc"}, "'t0'"),
+    (SPIN, "evolve", {**EVOLVE, "t0": float("nan")}, "'t0'"),
+    (SPIN, "evolve", {**EVOLVE, "initial": {"level": 5}}, "'initial': level must be"),
+    (SPIN, "grid", {"level": 1, "axes": {"theta": [0, 1, "3"]}}, "'theta'"),
+    (SPIN, "distance", {"level": 1, "samples": "x",
+                        "path": {"theta": "s", "phi": "0.1"}}, "'samples'"),
+    ({"builtin": "spin_half", "mu_times_b": "big"}, "check",
+     {"level": 1, "point": {"theta": 1.0}}, "'mu_times_b'"),
+    (SPIN, "chern", {"level": 1, "surface": {"closure": "sphere", "shape": [4]}}, "'shape'"),
+    (SPIN, "chern", {"level": 1, "surface": {"closure": "sphere", "polar": 5}}, "parameter 5"),
+    (SPIN, "chern", {"level": 1, "surface": {"closure": "torus", "nu": [1]}}, "parameter [1]"),
+    (SPIN, "check", {"level": True, "point": {"theta": 1.0}}, "check: level must be"),
+    (SPIN, "distance", {"level": 1, "path": {"theta": 3, "phi": "s"}},
+     "'theta': expression must be a string, not int"),
+], ids=["evolve-t0", "evolve-t0-nan", "evolve-initial-level", "grid-axis",
+        "distance-samples", "builtin-field", "chern-shape", "chern-polar-index",
+        "chern-nu-list", "check-level-bool", "distance-path-number"])
+def test_malformed_config_value_is_a_validation_error(
+    tmp_path, capsys, model, command, block, needle
+):
+    cfg = _write_config(tmp_path, {"model": model, command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and needle in err
+
+
+def test_chern_on_a_torus_that_does_not_close_is_a_validation_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "model": {"builtin": "two_band_lattice", "mass": 1.0},
+        "chern": {"level": 0, "surface": {"closure": "torus", "shape": [12, 12],
+                                          "mu_range": [0.0, 5.026548245743669]}},
+    })
+    out = tmp_path / "chern.csv"
+    code, _, err = _run(capsys, "chern", "--config", str(cfg), "--output", str(out))
+    assert code == 1 and "not closed along 'kx'" in err
+    assert not out.exists()
+
+
 class TestDistanceCommand:
     def test_meridian_angle(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {

@@ -39,6 +39,11 @@ class TestParsing:
         with pytest.raises(qg.ParseError):
             qg.parse_expression(src, ("x",))
 
+    @pytest.mark.parametrize("src, name", [(3, "int"), (2.5, "float"), (None, "NoneType")])
+    def test_non_string_is_named(self, src, name):
+        with pytest.raises(qg.ParseError, match=f"expression must be a string, not {name}"):
+            qg.parse_expression(src, ("x",))
+
     def test_unknown_function(self):
         with pytest.raises(qg.ParseError, match="foo"):
             qg.parse_expression("foo(2)", ())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qgeom as qg
-from conftest import bloch_overlap, upper_state
+from conftest import SX, SY, SZ, bloch_overlap, upper_state
 
 
 class TestFidelityAngle:
@@ -272,3 +272,130 @@ class TestSurfaceGridValidation:
         result = qg.berry_flux(model, 0, grid)
         assert result.residue < 1e-9
         assert abs(round(result.chern)) == 1
+
+
+def _states_near_one(rng, shape, dim):
+    """Unit states scattered around one random state, each with a random phase."""
+    center = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    noise = rng.normal(size=shape + (dim,)) + 1j * rng.normal(size=shape + (dim,))
+    states = center + 0.3 * np.linalg.norm(center) * noise / np.sqrt(dim)
+    states /= np.linalg.norm(states, axis=-1, keepdims=True)
+    return states * np.exp(1j * rng.uniform(0, 2 * np.pi, shape + (1,)))
+
+
+def _wilson_loops(states, closure, north=None, south=None):
+    """Per-plaquette -arg of the four-link loop, one np.vdot per link.
+
+    A sphere's caps are the rows between a pole, repeated at every azimuth,
+    and the first or last grid row.
+    """
+    if closure == "sphere":
+        states = np.concatenate([np.broadcast_to(north, states[:1].shape), states,
+                                 np.broadcast_to(south, states[:1].shape)])
+    n_mu, n_nu = states.shape[:2]
+    rows = n_mu if closure == "torus" else n_mu - 1
+    cols = n_nu - 1 if closure == "open" else n_nu
+    fluxes = np.empty((rows, cols))
+    weakest = 1.0
+    for j in range(rows):
+        for i in range(cols):
+            j2, i2 = (j + 1) % n_mu, (i + 1) % n_nu
+            a, b, c, d = states[j, i], states[j2, i], states[j2, i2], states[j, i2]
+            links = [np.vdot(a, b), np.vdot(b, c), np.vdot(c, d), np.vdot(d, a)]
+            weakest = min(weakest, *(abs(u) for u in links))
+            fluxes[j, i] = -np.angle(links[0] * links[1] * links[2] * links[3])
+    return fluxes, weakest
+
+
+class TestPlaquetteFluxGrid:
+    @pytest.mark.parametrize("closure, shape, dim", [
+        ("torus", (7, 9), 3), ("sphere", (6, 8), 4), ("open", (8, 5), 2),
+    ])
+    def test_each_plaquette_matches_a_direct_wilson_loop(self, closure, shape, dim):
+        rng = np.random.default_rng(32)
+        states = _states_near_one(rng, (shape[0] + 2, shape[1]), dim)
+        north, south, states = states[0, 0], states[-1, 0], states[1:-1]
+        poles = {"north": north, "south": south} if closure == "sphere" else {}
+        expected, weakest = _wilson_loops(states, closure, **poles)
+        assert weakest > 0.3
+        got = qg.plaquette_flux_grid(states, closure, **poles)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-14
+
+    @staticmethod
+    def _real_states(angles):
+        return np.stack([np.cos(angles), np.sin(angles)], axis=-1).astype(complex)
+
+    @pytest.mark.parametrize("closure", ["torus", "sphere", "open"])
+    @pytest.mark.parametrize("neighbor, expected", [
+        ((1, 3), "along mu from grid point (1, 3)"),
+        ((2, 2), "along nu from grid point (2, 2)"),
+    ])
+    def test_link_guard_names_the_weakest_link(self, closure, neighbor, expected):
+        angles = np.zeros((5, 6))
+        angles[2, 3] = 1.4
+        angles[neighbor] = -0.1  # cos(1.5): weaker than the other links of (2, 3)
+        angles[3, 3] = 0.1
+        poles = self._real_states(np.zeros(2)) if closure == "sphere" else ()
+        with pytest.raises(qg.StepError) as err:
+            qg.plaquette_flux_grid(self._real_states(angles), closure, *poles)
+        assert str(err.value) == f"link overlap 0.071 below 0.2 {expected}: grid too coarse"
+
+    def test_link_guard_names_a_pole(self):
+        angles = np.zeros((3, 5))
+        angles[0] = 0.01 * np.arange(5)
+        north, south = self._real_states(np.array([-1.5, 0.0]))
+        with pytest.raises(
+            qg.StepError, match=r"along mu from the north pole to grid point \(0, 4\):"
+        ):
+            qg.plaquette_flux_grid(self._real_states(angles), "sphere", north, south)
+
+
+def _offset_spin_model():
+    """Spin-1/2 in a unit field plus 0.8 (cos phi, sin phi, 0): at theta = 0
+    H still depends on phi, so the "pole" of a (theta, phi) sphere is a circle."""
+    return qg.model_spec("offset spin", 2, ("theta", "phi"), [
+        (SX, "sin(theta)*cos(phi) + 0.8*cos(phi)"),
+        (SY, "sin(theta)*sin(phi) + 0.8*sin(phi)"),
+        (SZ, "cos(theta)"),
+    ])
+
+
+class TestClosureCheck:
+    @pytest.mark.parametrize("periods", [1.6, 1.8, 1.9])
+    def test_torus_short_of_a_period_is_rejected(self, periods):
+        # the link method would still report an exactly quantized chern = -1
+        model = qg.two_band_lattice(1.0)
+        grid = qg.SurfaceGrid.torus(model, "kx", "ky", (24, 24),
+                                    mu_range=(0.0, periods * np.pi))
+        with pytest.raises(qg.InputError, match="not closed along 'kx'.*differ by"):
+            qg.berry_flux(model, 0, grid)
+
+    def test_half_period_torus_is_rejected_before_the_link_guard(self):
+        model = qg.two_band_lattice(1.0)
+        grid = qg.SurfaceGrid.torus(model, "kx", "ky", (24, 24), nu_range=(0.0, np.pi))
+        with pytest.raises(qg.InputError, match=r"along 'ky': H at lambda = \[0\.0, 0\.0\] "
+                                                r"and at lambda = \[0\.0, 3\.14159"):
+            qg.berry_flux(model, 0, grid)
+
+    @pytest.mark.parametrize("n", [12, 24, 48])
+    def test_sphere_whose_pole_depends_on_azimuth_is_rejected(self, n):
+        model = _offset_spin_model()
+        grid = qg.SurfaceGrid.sphere(model, "theta", "phi", (n, n))
+        with pytest.raises(qg.InputError, match="not closed at the north pole"):
+            qg.berry_flux(model, 0, grid)
+
+    def test_sphere_whose_azimuth_is_not_periodic_is_rejected(self):
+        model = qg.model_spec("half-angle spin", 2, ("theta", "phi"), [
+            (SX, "sin(theta)*cos(phi/2)"),
+            (SZ, "cos(theta)"),
+        ])
+        grid = qg.SurfaceGrid.sphere(model, "theta", "phi", (12, 12))
+        with pytest.raises(qg.InputError, match="not closed along 'phi'"):
+            qg.berry_flux(model, 0, grid)
+
+    def test_shifted_period_passes(self):
+        model = qg.two_band_lattice(1.0)
+        grid = qg.SurfaceGrid.torus(model, "kx", "ky", (12, 12),
+                                    mu_range=(-np.pi, np.pi), nu_range=(0.5, 0.5 + 2 * np.pi))
+        assert round(qg.berry_flux(model, 0, grid).chern) == -1
