@@ -36,6 +36,7 @@ from .numerics import (
 from .expr import (
     Dual,
     evaluate,
+    evaluate_gradient,
     evaluate_with_derivative,
     format_expression,
     parse_expression,
@@ -45,6 +46,7 @@ from .model import (
     ModelSpec,
     curve,
     hamiltonian_at,
+    hamiltonian_blocks,
     hamiltonian_derivative_at,
     load_model_spec,
     model_spec,
@@ -59,6 +61,9 @@ from .qgt import (
     berry_connection,
     derivative_matrices,
     derivative_states_from_neighbors,
+    level_blocks,
+    level_gap,
+    level_states,
     nonabelian_from_eigensystem,
     qgt_from_eigensystem,
     qgt_nonabelian,
@@ -98,14 +103,15 @@ __all__ = [
     "complex_matrix", "hermitian", "state_vector", "EigenSystem",
     "hermitian_eigensystem", "degeneracy_groups",
     # expressions
-    "Dual", "parse_expression", "evaluate", "evaluate_with_derivative",
+    "Dual", "parse_expression", "evaluate", "evaluate_with_derivative", "evaluate_gradient",
     "format_expression",
     # models
-    "ModelSpec", "model_spec", "parameter_point", "hamiltonian_at",
+    "ModelSpec", "model_spec", "parameter_point", "hamiltonian_blocks", "hamiltonian_at",
     "hamiltonian_derivative_at", "Curve", "curve", "spin_half",
     "two_band_lattice", "load_model_spec",
     # tensors
-    "QgtTensor", "NonAbelianQgt", "derivative_matrices",
+    "QgtTensor", "NonAbelianQgt", "level_gap", "level_blocks", "level_states",
+    "derivative_matrices",
     "qgt_from_eigensystem", "qgt_sum_over_states", "aligned_neighbor_states",
     "derivative_states_from_neighbors", "qgt_projector", "qgt_projector_fd",
     "qgt_overlap_fd", "nonabelian_from_eigensystem", "qgt_nonabelian",

@@ -21,7 +21,6 @@ round-trip exactly; rows are emitted in row-major parameter order.
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -32,21 +31,10 @@ from . import __version__
 from .dynamics import aa_consistency, adiabatic_diagnostic, evolve, schedule
 from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
-from .model import (
-    ModelSpec,
-    hamiltonian_at,
-    load_model_spec,
-    spin_half,
-    two_band_lattice,
-)
-from .numerics import hermitian_eigensystem, state_vector
-from .qgt import (
-    derivative_matrices,
-    qgt_from_eigensystem,
-    qgt_overlap_fd,
-    qgt_projector_fd,
-    qgt_sum_over_states,
-)
+from .model import ModelSpec, load_model_spec, spin_half, two_band_lattice
+from .numerics import state_vector
+from .qgt import (level_blocks, level_gap, level_states, qgt_overlap_fd, qgt_projector_fd,
+                  qgt_sum_over_states)
 
 COMMANDS = ("grid", "chern", "distance", "evolve", "check")
 
@@ -165,14 +153,20 @@ def _require(block: dict, key: str, command: str):
 
 
 def _number(block: dict, key: str, command: str, default=None, kind=float):
-    """block[key] as a finite ``kind``; required when there is no default."""
+    """block[key] as a finite ``kind``; required when there is no default.
+
+    An int must be given as an integral number, not as a bool.
+    """
     value = _require(block, key, command) if default is None else block.get(key, default)
     try:
         number = kind(value)
+        valid = np.isfinite(float(value)) and (
+            kind is not int or (not isinstance(value, bool) and number == float(value)))
     except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or not np.isfinite(number):
-        raise InputError(f"{command}: {key!r} must be a finite number, not {value!r}")
+        valid = False
+    if not valid:
+        what = "an integer" if kind is int else "a finite number"
+        raise InputError(f"{command}: {key!r} must be {what}, not {value!r}")
     return number
 
 
@@ -253,33 +247,29 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     if set(fixed) & set(axes):
         raise InputError("grid: a parameter cannot be both fixed and gridded")
 
-    swept = [p for p in model.parameters if p in axes]
+    swept = [model.parameters.index(p) for p in model.parameters if p in axes]
     values = []
-    for p in swept:
-        spec = axes[p]
+    for mu in swept:
+        spec = axes[model.parameters[mu]]
         if not (isinstance(spec, list) and len(spec) == 3
-                and all(isinstance(v, (int, float)) for v in spec) and spec[2] >= 1):
-            raise InputError(f"grid: axis {p!r} must be [lo, hi, n] with n >= 1")
+                and all(type(v) in (int, float) for v in spec)
+                and spec[2] >= 1 and float(spec[2]).is_integer()):
+            raise InputError(f"grid: axis {model.parameters[mu]!r} must be [lo, hi, n] "
+                             "with an integer n >= 1")
         values.append(np.linspace(float(spec[0]), float(spec[1]), int(spec[2])))
 
     k = model.n_parameters
-    swept_index = [model.parameters.index(p) for p in swept]
-    rows = []
     # row-major over the swept axes, in model parameter order
-    for combo in itertools.product(*values):
-        lam = base.copy()
-        lam[swept_index] = combo
-        es = hermitian_eigensystem(hamiltonian_at(model, lam))
-        try:
-            q = qgt_from_eigensystem(es, derivative_matrices(model, lam), level)
-        except NumericalError as exc:
-            raise NumericalError(f"at lambda = {lam.tolist()}: {exc}") from None
-        g, f = q.metric, q.curvature
-        row = list(lam)
-        row += [g[i, j] for i in range(k) for j in range(i, k)]
-        row += [f[i, j] for i in range(k) for j in range(i + 1, k)]
-        row.append(es.gap(level))
-        rows.append(tuple(row))
+    points = np.tile(base, (int(np.prod([v.size for v in values])), 1))
+    grid = np.meshgrid(*values, indexing="ij")
+    points[:, swept] = np.stack(grid, axis=-1).reshape(-1, len(swept))
+    (gi, gj), (fi, fj) = np.triu_indices(k), np.triu_indices(k, 1)
+    rows = []
+    for energies, _, q in level_blocks(model, points, level, tensors=True,
+                                       where=lambda i: f"lambda = {points[i].tolist()}"):
+        g, f = q.real, -2.0 * q.imag
+        rows.append(np.column_stack([g[:, gi, gj], f[:, fi, fj], level_gap(energies, level)]))
+    rows = np.column_stack([points, np.concatenate(rows)])
 
     columns = list(model.parameters)
     columns += [f"g_{i}{j}" for i in range(k) for j in range(i, k)]
@@ -352,11 +342,8 @@ def _run_distance(model, block, meta, out_path, fmt, written) -> None:
     path = path_spec(model, level, exprs, samples)
     length, angle = path_quantum_length(path)
 
-    endpoints = [
-        hermitian_eigensystem(hamiltonian_at(model, path.curve.values(s))).vectors[:, level]
-        for s in (0.0, 1.0)
-    ]
-    end_angle = fidelity_angle(endpoints[0], endpoints[1])
+    ends = level_states(model, path.curve.sample([0.0, 1.0])[0], level, lambda i: f"s = {i}")
+    end_angle = fidelity_angle(ends[0], ends[1])
 
     columns = ("length", "angle", "endpoint_fidelity_angle")
     _write_table(out_path, fmt, meta, columns, [(length, angle, end_angle)], written)
@@ -368,8 +355,9 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
     initial = _require(block, "initial", "evolve")
     if isinstance(initial, dict) and "level" in initial:
         default_level = _level(initial, "evolve: 'initial'", model)
-        es = hermitian_eigensystem(hamiltonian_at(model, sched.values(t0)))
-        psi0 = es.vectors[:, default_level]
+        _, vectors, _ = next(level_blocks(model, sched.sample([t0])[0], default_level,
+                                          where=lambda i: f"t = {t0:.9g}"))
+        psi0 = vectors[0, :, default_level]
     elif isinstance(initial, dict) and "amplitudes" in initial:
         amps = initial["amplitudes"]
         try:
@@ -379,7 +367,7 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
         default_level = None
     else:
         raise InputError("evolve: 'initial' needs 'level' or 'amplitudes'")
-    level = _number(block, "level", "evolve", kind=int) if "level" in block else default_level
+    level = _level(block, "evolve", model) if "level" in block else default_level
     if level is None:
         raise InputError("evolve: 'level' is required when starting from amplitudes")
 

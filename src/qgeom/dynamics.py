@@ -23,10 +23,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError, QgeomError, StepError
-from .model import Curve, ModelSpec, curve, hamiltonian_at
-from .numerics import hermitian_eigensystem, state_vector
-from .qgt import derivative_matrices, qgt_from_eigensystem
+from .errors import InputError, QgeomError, StepError
+from .model import Curve, ModelSpec, curve, hamiltonian_blocks
+from .numerics import state_vector
+from .qgt import level_blocks
 
 __all__ = [
     "schedule",
@@ -123,18 +123,16 @@ def evolve(
     if psi.size != model.dim:
         raise InputError(f"state dimension {psi.size} does not match model dim {model.dim}")
 
-    last_lam = None
-    last_h = None
+    times = t0 + dt * np.arange(n + 1)
+    # H at t0, then at each step's midpoint and right end, in step order
+    h_times = np.empty(2 * n + 1)
+    h_times[0] = t0
+    h_times[1::2] = times[:-1] + 0.5 * dt
+    h_times[2::2] = times[:-1] + dt
+    hamiltonians = (h for block, _ in hamiltonian_blocks(model, sched.sample(h_times)[0])
+                    for h in block)
 
-    def h_at(t: float) -> np.ndarray:
-        nonlocal last_lam, last_h
-        lam = sched.values(t)
-        if last_lam is not None and np.array_equal(lam, last_lam):
-            return last_h
-        last_lam, last_h = lam, hamiltonian_at(model, lam)
-        return last_h
-
-    h0 = h_at(t0)
+    h0 = next(hamiltonians)
     radius = _spectral_radius(h0)
     if dt * radius >= STABILITY_LIMIT:
         raise StepError(
@@ -143,7 +141,6 @@ def evolve(
         )
 
     dim = psi.size
-    times = t0 + dt * np.arange(n + 1)
     states = np.empty((n + 1, dim), dtype=complex)
     means = np.empty(n + 1)
     uncertainties = np.empty(n + 1)
@@ -170,9 +167,8 @@ def evolve(
 
     record(0, h_left)
     for k in range(n):
-        t = times[k]
-        h_mid = h_at(t + 0.5 * dt)
-        h_right = h_at(t + dt)
+        h_mid = next(hamiltonians)
+        h_right = next(hamiltonians)
         k1 = -1j * (h_left @ psi)
         k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
         k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
@@ -258,25 +254,21 @@ def adiabatic_diagnostic(
     """
     if sched.parameters != model.parameters:
         raise InputError("schedule was built for a different parameter list")
-    n_rec = traj.times.size
-    rate_pred = np.empty(n_rec)
-    ratio = np.empty(n_rec)
-    exact_zero = np.zeros(n_rec, dtype=bool)
-    leakage = np.empty(n_rec)
-    for k, t in enumerate(traj.times):
-        lam, lam_dot = sched.values_and_rates(t)
-        es = hermitian_eigensystem(hamiltonian_at(model, lam))
-        try:
-            g = qgt_from_eigensystem(es, derivative_matrices(model, lam), level).metric
-        except DegeneracyError as exc:
-            raise DegeneracyError(f"at t = {t:.9g}: {exc}") from None
-        rate_pred[k] = np.sqrt(max(float(lam_dot @ g @ lam_dot), 0.0))
-        leakage[k] = 1.0 - abs(np.vdot(es.vectors[:, level], traj.states[k])) ** 2
-        if rate_pred[k] == 0.0:
-            exact_zero[k] = True
-            ratio[k] = 0.0
-        else:
-            ratio[k] = traj.energy_uncertainty[k] / rate_pred[k]
+    lam, lam_dot = sched.sample(traj.times, rates=True)
+    rate_pred, leakage = np.empty(len(lam)), np.empty(len(lam))
+    start = 0
+    for _, vectors, q in level_blocks(model, lam, level, tensors=True,
+                                      where=lambda i: f"t = {traj.times[i]:.9g}"):
+        block, rate = slice(start, start + len(q)), lam_dot[start:start + len(q)]
+        speed_sq = (rate[:, None] @ q.real @ rate[:, :, None])[:, 0, 0]
+        rate_pred[block] = np.sqrt(np.maximum(speed_sq, 0.0))
+        # the strided column and np.hypot round as np.vdot and abs() do at one point
+        o = np.vecdot(vectors[:, :, level], traj.states[block])
+        leakage[block] = 1.0 - np.hypot(o.real, o.imag) ** 2
+        start += len(q)
+    exact_zero = rate_pred == 0.0
+    ratio = np.divide(traj.energy_uncertainty, rate_pred, out=np.zeros_like(rate_pred),
+                      where=~exact_zero)
     return AdiabaticReport(
         traj.times.copy(), traj.energy_uncertainty.copy(), rate_pred,
         ratio, exact_zero, np.clip(leakage, 0.0, None),

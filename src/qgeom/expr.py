@@ -15,13 +15,18 @@ abs.  Angles are radians.  Identifiers must be declared parameters.
 
 Derivatives are computed by first-order dual numbers (forward mode), exact
 to machine precision; domain errors raise instead of propagating NaN.
-ASTs are immutable; evaluation is pure and thread-safe.
+One walker serves one point and many: :func:`evaluate_gradient` runs it on
+arrays of N points with all k partials seeded at once (vector mode), the
+scalar functions on floats; checks act point by point.  ASTs are
+immutable; evaluation is pure and thread-safe.
 """
 
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import EvaluationError, InputError, ParseError
 
@@ -35,6 +40,7 @@ __all__ = [
     "parse_expression",
     "evaluate",
     "evaluate_with_derivative",
+    "evaluate_gradient",
     "format_expression",
     "parameters_used",
     "FUNCTION_NAMES",
@@ -75,10 +81,13 @@ FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 
 @dataclass(frozen=True)
 class Dual:
-    """First-order dual number: value plus directional derivative."""
+    """First-order dual number: value plus directional derivative.
 
-    value: float
-    deriv: float
+    Either a float each, or N point values and a (k, N) array of partials.
+    """
+
+    value: float | np.ndarray
+    deriv: float | np.ndarray
 
     def __add__(self, other):
         other = _as_dual(other)
@@ -104,8 +113,7 @@ class Dual:
 
     def __truediv__(self, other):
         other = _as_dual(other)
-        if other.value == 0.0:
-            raise EvaluationError("division by zero")
+        _check(other.value == 0.0, "division by zero")
         return Dual(
             self.value / other.value,
             (self.deriv * other.value - self.value * other.deriv)
@@ -120,71 +128,63 @@ class Dual:
 
 
 def _as_dual(x) -> Dual:
-    return x if isinstance(x, Dual) else Dual(float(x), 0.0)
+    # numpy floats: IEEE results (inf, nan) instead of Python's ZeroDivisionError
+    return x if isinstance(x, Dual) else Dual(np.float64(x), 0.0)
+
+
+def _check(bad, message: str, *values) -> None:
+    """Raise EvaluationError if ``bad`` holds anywhere, formatting ``values`` there."""
+    bad = np.asarray(bad)
+    if bad.any():
+        firsts = (float(np.broadcast_to(v, bad.shape)[bad][0]) for v in values)
+        raise EvaluationError(message.format(*firsts))
 
 
 def _pow(a: Dual, b: Dual) -> Dual:
     """a^b with the chain rule; domain checks instead of NaN."""
     av, bv = a.value, b.value
-    if b.deriv == 0.0:
-        # exponent independent of the direction: d(a^b) = b a^(b-1) a'
-        try:
-            value = math.pow(av, bv)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"invalid power {av!r} ^ {bv!r}") from exc
-        if a.deriv == 0.0:
-            return Dual(value, 0.0)
-        if av == 0.0:
-            if bv > 1.0:
-                return Dual(value, 0.0)
-            if bv == 1.0:
-                return Dual(value, a.deriv)
-            raise EvaluationError(f"derivative of 0 ^ {bv!r} is singular")
-        try:
-            slope = bv * math.pow(av, bv - 1.0)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(f"invalid power {av!r} ^ {bv!r}") from exc
-        return Dual(value, slope * a.deriv)
-    if av <= 0.0:
-        raise EvaluationError(
-            f"{av!r} ^ x with varying exponent needs a positive base"
-        )
-    value = math.pow(av, bv)
-    return Dual(value, value * (b.deriv * math.log(av) + bv * a.deriv / av))
+    varying = np.not_equal(b.deriv, 0.0)  # the exponent moves along the direction
+    _check(varying & (av <= 0.0), "{!r} ^ x with varying exponent needs a positive base", av)
+    value = np.power(av, bv)
+    # finite operands give a non-finite power only at a domain error or an overflow
+    operands = np.isfinite(av) & np.isfinite(bv)
+    _check(operands & ~np.isfinite(value), "invalid power {!r} ^ {!r}", av, bv)
+    # fixed exponent: d(a^b) = b a^(b-1) a'
+    moved = ~varying & (a.deriv != 0.0)
+    _check(moved & (av == 0.0) & (bv < 1.0), "derivative of 0 ^ {!r} is singular", bv)
+    slope = bv * np.power(av, bv - 1.0)
+    _check(moved & (av != 0.0) & operands & ~np.isfinite(slope), "invalid power {!r} ^ {!r}",
+           av, bv)
+    at_zero = np.where(bv > 1.0, 0.0, a.deriv)
+    fixed = np.where(a.deriv == 0.0, 0.0, np.where(av == 0.0, at_zero, slope * a.deriv))
+    moving = value * (b.deriv * np.log(av) + bv * a.deriv / av)
+    return Dual(value, np.where(varying, moving, fixed))
 
 
 def _apply_function(name: str, x: Dual) -> Dual:
     v, d = x.value, x.deriv
     if name == "sin":
-        return Dual(math.sin(v), math.cos(v) * d)
+        return Dual(np.sin(v), np.cos(v) * d)
     if name == "cos":
-        return Dual(math.cos(v), -math.sin(v) * d)
+        return Dual(np.cos(v), -np.sin(v) * d)
     if name == "tan":
-        t = math.tan(v)
+        t = np.tan(v)
         return Dual(t, (1.0 + t * t) * d)
     if name == "exp":
-        try:
-            e = math.exp(v)
-        except OverflowError as exc:
-            raise EvaluationError(f"exp({v!r}) overflows") from exc
+        e = np.exp(v)
+        _check(np.isinf(e) & np.isfinite(v), "exp({!r}) overflows", v)
         return Dual(e, e * d)
     if name == "log":
-        if v <= 0.0:
-            raise EvaluationError(f"log of non-positive value {v!r}")
-        return Dual(math.log(v), d / v)
+        _check(v <= 0.0, "log of non-positive value {!r}", v)
+        return Dual(np.log(v), d / v)
     if name == "sqrt":
-        if v < 0.0:
-            raise EvaluationError(f"sqrt of negative value {v!r}")
-        s = math.sqrt(v)
-        if d == 0.0:
-            return Dual(s, 0.0)
-        if v == 0.0:
-            raise EvaluationError("derivative of sqrt at 0 is singular")
-        return Dual(s, d / (2.0 * s))
+        _check(v < 0.0, "sqrt of negative value {!r}", v)
+        _check((d != 0.0) & (v == 0.0), "derivative of sqrt at 0 is singular")
+        s = np.sqrt(v)
+        return Dual(s, np.where(d == 0.0, 0.0, d / (2.0 * s)))
     if name == "abs":
         # subgradient 0 at the kink
-        sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
-        return Dual(abs(v), sign * d)
+        return Dual(np.abs(v), np.sign(v) * d)
     raise InputError(f"unknown function {name!r}")
 
 
@@ -319,9 +319,10 @@ def parse_expression(src: str, params) -> ExprNode:
 # evaluation
 
 
+@np.errstate(all="ignore")  # domain errors raise; nothing else warns
 def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
     if isinstance(node, Constant):
-        return Dual(node.value, 0.0)
+        return _as_dual(node.value)
     if isinstance(node, Parameter):
         try:
             return env[node.name]
@@ -350,8 +351,8 @@ def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
 
 def evaluate(ast: ExprNode, values: Mapping[str, float]) -> float:
     """Evaluate the tree in IEEE doubles; domain errors raise, never NaN."""
-    env = {k: Dual(float(v), 0.0) for k, v in values.items()}
-    result = _eval(ast, env).value
+    env = {k: _as_dual(v) for k, v in values.items()}
+    result = float(_eval(ast, env).value)
     if not math.isfinite(result):
         raise EvaluationError(f"expression evaluated to non-finite value {result!r}")
     return result
@@ -364,13 +365,35 @@ def evaluate_with_derivative(
 
     Seeds the named parameter with dual part 1 and all others with 0.
     """
+    env = {k: Dual(np.float64(v), float(k == direction)) for k, v in values.items()}
+    result = _eval(ast, env)
+    value, deriv = float(result.value), float(result.deriv)
+    if not math.isfinite(value) or not math.isfinite(deriv):
+        raise EvaluationError("expression or derivative evaluated to a non-finite value")
+    return value, deriv
+
+
+def evaluate_gradient(
+    ast: ExprNode, columns: Mapping[str, np.ndarray], directions: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values (N,) and partials (k, N) at N points, from one walk of the tree.
+
+    ``columns`` maps each parameter to a 1-D array of its N values; partial
+    row i is seeded with 1 on ``directions[i]``.  A domain error at any
+    point raises, naming a failing value but not the point.
+    """
+    columns = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
+    shape = np.broadcast_shapes(*(c.shape for c in columns.values()))
     env = {
-        k: Dual(float(v), 1.0 if k == direction else 0.0) for k, v in values.items()
+        name: Dual(c, np.array([float(d == name) for d in directions]).reshape(-1, 1))
+        for name, c in columns.items()
     }
     result = _eval(ast, env)
-    if not math.isfinite(result.value) or not math.isfinite(result.deriv):
+    value = np.broadcast_to(result.value, shape).copy()
+    partials = np.broadcast_to(result.deriv, (len(directions), *shape)).copy()
+    if not (np.isfinite(value).all() and np.isfinite(partials).all()):
         raise EvaluationError("expression or derivative evaluated to a non-finite value")
-    return result.value, result.deriv
+    return value, partials
 
 
 def parameters_used(ast: ExprNode) -> set[str]:

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError, StepError
-from .model import Curve, ModelSpec, curve, hamiltonian_at, parameter_point
-from .numerics import hermitian_eigensystem, state_vector
-from .qgt import derivative_matrices, qgt_from_eigensystem, qgt_sum_over_states
+from .errors import InputError, StepError
+from .model import Curve, ModelSpec, curve, hamiltonian_blocks, parameter_point
+from .numerics import state_vector
+from .qgt import level_blocks, level_states, qgt_sum_over_states
 
 __all__ = [
     "fidelity_angle",
@@ -77,13 +77,12 @@ def path_spec(model: ModelSpec, level: int, exprs, samples: int) -> PathSpec:
     return PathSpec(model, int(level), curve(model, exprs, "s"), int(samples))
 
 
-def _speed(path: PathSpec, s: float) -> float:
-    lam, rate = path.curve.values_and_rates(s)
-    try:
-        g = qgt_sum_over_states(path.model, lam, path.level).metric
-    except DegeneracyError as exc:
-        raise DegeneracyError(f"at s = {s:.6g}: {exc}") from None
-    return float(np.sqrt(max(rate @ g @ rate, 0.0)))
+def _speeds(path: PathSpec, svals: np.ndarray) -> np.ndarray:
+    """Metric speed sqrt(rate . g . rate) at every s, in one batch."""
+    lam, rate = path.curve.sample(svals, rates=True)
+    g = np.concatenate([q.real for _, _, q in level_blocks(
+        path.model, lam, path.level, tensors=True, where=lambda i: f"s = {svals[i]:.6g}")])
+    return np.sqrt(np.maximum((rate[:, None] @ g @ rate[:, :, None])[:, 0, 0], 0.0))
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -107,14 +106,14 @@ def path_quantum_length(path: PathSpec, refine_check: bool = True) -> tuple[floa
     """
     n = path.samples if path.samples % 2 == 1 else path.samples + 1
     svals = np.linspace(0.0, 1.0, n)
-    speeds = np.array([_speed(path, s) for s in svals])
+    speeds = _speeds(path, svals)
     length = _simpson(speeds, svals[1] - svals[0])
     if refine_check:
         n2 = 2 * n - 1
         svals2 = np.linspace(0.0, 1.0, n2)
         speeds2 = np.empty(n2)
         speeds2[::2] = speeds
-        speeds2[1::2] = [_speed(path, s) for s in svals2[1::2]]
+        speeds2[1::2] = _speeds(path, svals2[1::2])
         refined = _simpson(speeds2, svals2[1] - svals2[0])
         if abs(refined - length) > 1e-8 * max(1.0, abs(length)):
             warnings.warn(
@@ -134,10 +133,9 @@ def small_separation_check(model: ModelSpec, lam, delta, level: int) -> float:
     delta = np.asarray(delta, dtype=float).ravel()
     if delta.size != model.n_parameters:
         raise InputError(f"displacement has {delta.size} entries, expected {model.n_parameters}")
-    es = hermitian_eigensystem(hamiltonian_at(model, lam))
-    g = qgt_from_eigensystem(es, derivative_matrices(model, lam), level).metric
-    es2 = hermitian_eigensystem(hamiltonian_at(model, lam + delta))
-    overlap = abs(np.vdot(es.vectors[:, level], es2.vectors[:, level]))
+    g = qgt_sum_over_states(model, lam, level).metric
+    psi, chi = level_states(model, [lam, lam + delta], level)
+    overlap = abs(np.vdot(psi, chi))
     predicted = 1.0 - 0.5 * float(delta @ g @ delta)
     return abs(overlap - predicted)
 
@@ -247,20 +245,22 @@ class SurfaceGrid:
         return cls(mu, nu, np.linspace(*mu_range, n_mu), np.linspace(*nu_range, n_nu),
                    "open", cls._base(model, base), mu_range, nu_range)
 
-    def _at(self, mu_value: float, nu_value: float) -> np.ndarray:
-        lam = self.base.copy()
-        lam[self.mu] = mu_value
-        lam[self.nu] = nu_value
+    def _at(self, mu_values, nu_values) -> np.ndarray:
+        """Points (N, k) at broadcast pairs of mu and nu values, row-major."""
+        mu_values, nu_values = np.broadcast_arrays(mu_values, nu_values)
+        lam = np.tile(self.base, (mu_values.size, 1))
+        lam[:, self.mu] = mu_values.ravel()
+        lam[:, self.nu] = nu_values.ravel()
         return lam
 
     def point(self, j: int, i: int) -> np.ndarray:
-        return self._at(self.mu_values[j], self.nu_values[i])
+        return self._at(self.mu_values[j], self.nu_values[i])[0]
 
     def poles(self) -> dict[str, np.ndarray]:
         """The points of a sphere's "north" and "south" caps (none otherwise)."""
         if self.closure != "sphere":
             return {}
-        return {name: self._at(value, self.nu_values[0])
+        return {name: self._at(value, self.nu_values[0])[0]
                 for name, value in zip(("north", "south"), self.mu_range)}
 
     def check_closed(self, model: ModelSpec) -> None:
@@ -277,26 +277,33 @@ class SurfaceGrid:
             the two points and the mismatch.
         """
         mu_name, nu_name = model.parameters[self.mu], model.parameters[self.nu]
-        seams = []  # (where, lambda, lambda identified with it)
+        seams = []  # (where, points, the points identified with them)
         if self.closure in ("torus", "sphere"):
             lo, hi = self.nu_range
-            seams += [(f"along {nu_name!r}", self._at(m, lo), self._at(m, hi))
-                      for m in self.mu_values]
+            seams.append((f"along {nu_name!r}", self._at(self.mu_values, lo),
+                          self._at(self.mu_values, hi)))
         if self.closure == "torus":
             lo, hi = self.mu_range
-            seams += [(f"along {mu_name!r}", self._at(lo, n), self._at(hi, n))
-                      for n in self.nu_values]
+            seams.append((f"along {mu_name!r}", self._at(lo, self.nu_values),
+                          self._at(hi, self.nu_values)))
         for name, lam in self.poles().items():
-            seams += [(f"at the {name} pole", lam, self._at(lam[self.mu], n))
-                      for n in self.nu_values[1:]]
+            others = self.nu_values[1:]
+            seams.append((f"at the {name} pole",
+                          self._at(lam[self.mu], np.full_like(others, lam[self.nu])),
+                          self._at(lam[self.mu], others)))
         for where, a, b in seams:
-            ha, hb = hamiltonian_at(model, a), hamiltonian_at(model, b)
-            mismatch = float(np.abs(ha - hb).max())
-            if mismatch > 1e-9 * max(1.0, np.abs(ha).max(), np.abs(hb).max()):
-                raise InputError(
-                    f"surface is not closed {where}: H at lambda = {a.tolist()} and "
-                    f"at lambda = {b.tolist()} differ by {mismatch:.3e}"
-                )
+            start = 0
+            for (ha, _), (hb, _) in zip(hamiltonian_blocks(model, a), hamiltonian_blocks(model, b)):
+                mismatch = np.abs(ha - hb).max(axis=(1, 2))
+                scale = np.maximum(1.0, np.maximum(np.abs(ha), np.abs(hb)).max(axis=(1, 2)))
+                bad = np.flatnonzero(mismatch > 1e-9 * scale)
+                if bad.size:
+                    i = start + bad[0]
+                    raise InputError(
+                        f"surface is not closed {where}: H at lambda = {a[i].tolist()} and "
+                        f"at lambda = {b[i].tolist()} differ by {mismatch[bad[0]]:.3e}"
+                    )
+                start += len(ha)
 
 
 @dataclass(frozen=True)
@@ -387,23 +394,18 @@ def berry_flux(
     in sphere mode); a degeneracy raises and names the offending point.
     """
     grid.check_closed(model)
+    n_mu, n_nu = grid.mu_values.size, grid.nu_values.size
+    poles = grid.poles()
+    points = np.vstack([grid._at(grid.mu_values[:, None], grid.nu_values), *poles.values()])
 
-    def solved_state(lam, where: str) -> np.ndarray:
-        es = hermitian_eigensystem(hamiltonian_at(model, lam), degeneracy_tol)
-        if len(es.group_of(level)) > 1:
-            raise DegeneracyError(
-                f"level {level} is degenerate at {where}; flux is undefined there"
-            )
-        return es.vectors[:, level]
+    def where(i: int) -> str:
+        pole = f"{list(poles)[i - n_mu * n_nu]} pole, " if i >= n_mu * n_nu else ""
+        return f"{pole}lambda = {points[i].tolist()}"
 
-    states = np.empty((grid.mu_values.size, grid.nu_values.size, model.dim), dtype=complex)
-    for j, i in np.ndindex(states.shape[:2]):
-        lam = grid.point(j, i)
-        states[j, i] = solved_state(lam, f"lambda = {lam.tolist()}")
-    poles = {name: solved_state(lam, f"{name} pole, lambda = {lam.tolist()}")
-             for name, lam in grid.poles().items()}
-
-    fluxes = plaquette_flux_grid(states, grid.closure, min_link=min_link, **poles)
+    states = level_states(model, points, level, where, degeneracy_tol)
+    fluxes = plaquette_flux_grid(states[:n_mu * n_nu].reshape(n_mu, n_nu, model.dim),
+                                 grid.closure, min_link=min_link,
+                                 **dict(zip(poles, states[n_mu * n_nu:])))
     total = float(fluxes.sum())
     chern = total / (2.0 * np.pi)
     closed = grid.closure in ("torus", "sphere")

@@ -4,7 +4,9 @@ A model is a fixed list of Hermitian basis matrices paired with scalar
 coefficient expressions over named parameters.  This linear-in-coefficients
 form makes the parameter derivatives of H exact: differentiating the
 coefficients with dual numbers gives dH/dmu = sum_k (df_k/dmu) H_k with no
-finite differencing.
+finite differencing.  :func:`hamiltonian_blocks` walks each coefficient
+once for many points and yields H and dH in blocks of BLOCK_ENTRIES // dim^2
+points (memory stays bounded at large dim); per-point functions wrap it.
 
 Units: hbar = 1 throughout; energies set the inverse time scale.
 
@@ -40,6 +42,7 @@ __all__ = [
     "ModelSpec",
     "model_spec",
     "parameter_point",
+    "hamiltonian_blocks",
     "hamiltonian_at",
     "hamiltonian_derivative_at",
     "Curve",
@@ -52,6 +55,8 @@ __all__ = [
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+BLOCK_ENTRIES = 2**12  # complex entries of H in one block; bounds memory at large dim
 
 
 @dataclass(frozen=True)
@@ -137,35 +142,64 @@ def parameter_point(model: ModelSpec, values) -> np.ndarray:
     return lam
 
 
-def _binding(model: ModelSpec, lam: np.ndarray) -> dict[str, float]:
-    return dict(zip(model.parameters, lam.tolist()))
+def _evaluate_all(asts, names, points: np.ndarray, directions, label):
+    """Values (A, N) and partials (A, N, k) of A trees at the rows of ``points``.
+
+    A domain error is located after the batch, point by point, and raised
+    with the point-wise message after ``label(tree index, binding)``.
+    """
+    try:
+        pairs = [expr.evaluate_gradient(ast, dict(zip(names, points.T)), directions)
+                 for ast in asts]
+    except EvaluationError:
+        for row in points:
+            env = dict(zip(names, row.tolist()))
+            for k, ast in enumerate(asts):
+                try:
+                    expr.evaluate(ast, env)
+                    for direction in directions:
+                        expr.evaluate_with_derivative(ast, env, direction)
+                except EvaluationError as exc:
+                    raise EvaluationError(f"{label(k, env)}{exc}") from None
+        raise
+    values = np.array([np.broadcast_to(v, len(points)) for v, _ in pairs])
+    return values, np.array([p.T for _, p in pairs])
 
 
-def _term_sum(model: ModelSpec, lam: np.ndarray, coefficient) -> np.ndarray:
-    """sum_k coefficient(f_k) H_k at a validated point, re-symmetrized."""
-    env = _binding(model, lam)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for k, (matrix, ast) in enumerate(model.terms):
-        try:
-            out += coefficient(ast, env) * matrix
-        except EvaluationError as exc:
-            raise EvaluationError(
-                f"term {k} ({model.coeff_sources[k]!r}) at {env}: {exc}"
-            ) from None
-    return (out + out.conj().T) / 2
+def _assemble(model: ModelSpec, coefficients: np.ndarray) -> np.ndarray:
+    """sum_t coefficients[t, ...] H_t, re-symmetrized, shape (..., dim, dim)."""
+    out = np.zeros(coefficients.shape[1:] + (model.dim, model.dim), dtype=complex)
+    for c, (matrix, _) in zip(coefficients, model.terms):
+        out += c[..., None, None] * matrix
+    return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
+def hamiltonian_blocks(model: ModelSpec, points, directions=()):
+    """Yield (H, dH) for consecutive blocks of the (N, k) parameter ``points``.
+
+    H is (n, dim, dim) and dH/d(directions) is (n, len(directions), dim, dim),
+    or None without directions.  A domain error names the term and the first
+    point where it occurs.
+    """
+    lam = np.asarray(points, dtype=float)
+    if lam.ndim != 2 or lam.shape[1] != model.n_parameters or not np.isfinite(lam).all():
+        raise InputError(f"parameter points must be finite, of shape (N, "
+                         f"{model.n_parameters}); got shape {lam.shape}")
+    values, partials = _evaluate_all(
+        [ast for _, ast in model.terms], model.parameters, lam, directions,
+        lambda k, env: f"term {k} ({model.coeff_sources[k]!r}) at {env}: ",
+    )
+    step = max(1, BLOCK_ENTRIES // model.dim**2)
+    for lo in range(0, len(lam), step):
+        block = slice(lo, lo + step)
+        dh = _assemble(model, partials[:, block]) if directions else None
+        yield _assemble(model, values[:, block]), dh
 
 
 def hamiltonian_at(model: ModelSpec, lam) -> np.ndarray:
     """H(lambda) = sum_k f_k(lambda) H_k, re-symmetrized."""
-    return _term_sum(model, parameter_point(model, lam), expr.evaluate)
-
-
-def _derivative_at(model: ModelSpec, lam: np.ndarray, mu: int) -> np.ndarray:
-    """dH/dmu at a validated point and parameter index."""
-    direction = model.parameters[mu]
-    return _term_sum(
-        model, lam, lambda ast, env: expr.evaluate_with_derivative(ast, env, direction)[1]
-    )
+    (h, _), = hamiltonian_blocks(model, parameter_point(model, lam)[None])
+    return h[0]
 
 
 def hamiltonian_derivative_at(model: ModelSpec, lam, mu: int) -> np.ndarray:
@@ -173,7 +207,8 @@ def hamiltonian_derivative_at(model: ModelSpec, lam, mu: int) -> np.ndarray:
     lam = parameter_point(model, lam)
     if not 0 <= mu < model.n_parameters:
         raise InputError(f"parameter index {mu} out of range")
-    return _derivative_at(model, lam, mu)
+    (_, dh), = hamiltonian_blocks(model, lam[None], model.parameters[mu:mu + 1])
+    return dh[0, 0]
 
 
 @dataclass(frozen=True)
@@ -190,18 +225,20 @@ class Curve:
     coords: tuple[expr.ExprNode, ...]
     coord_sources: tuple[str, ...]
 
+    def sample(self, xs, rates: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+        """lambda(x) (N, k) at every x, and d lambda / dx (N, k) if ``rates``, else None."""
+        directions = (self.variable,) if rates else ()
+        lam, rate = _evaluate_all(self.coords, (self.variable,), np.reshape(xs, (-1, 1)),
+                                  directions, lambda k, env: "")
+        return lam.T, (rate[:, :, 0].T if rates else None)
+
     def values(self, x: float) -> np.ndarray:
-        return np.array([expr.evaluate(ast, {self.variable: x}) for ast in self.coords])
+        return self.sample([x])[0][0]
 
     def values_and_rates(self, x: float) -> tuple[np.ndarray, np.ndarray]:
         """lambda(x) and d lambda / dx, exact via dual numbers."""
-        k = len(self.coords)
-        lam, rate = np.empty(k), np.empty(k)
-        for i, ast in enumerate(self.coords):
-            lam[i], rate[i] = expr.evaluate_with_derivative(
-                ast, {self.variable: x}, self.variable
-            )
-        return lam, rate
+        lam, rate = self.sample([x], rates=True)
+        return lam[0], rate[0]
 
 
 def curve(model: ModelSpec, exprs: Mapping[str, str], variable: str) -> Curve:

@@ -125,9 +125,6 @@ class EigenSystem:
         e = self.energies[level]
         return float(min(abs(e - o) for o in others))
 
-    def spectral_range(self) -> float:
-        return float(self.energies[-1] - self.energies[0])
-
 
 def degeneracy_groups(energies, tol: float) -> tuple[tuple[int, ...], ...]:
     """Cluster ascending energies into maximal groups with consecutive gaps <= tol.
@@ -149,11 +146,14 @@ def degeneracy_groups(energies, tol: float) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def default_degeneracy_tol(energies) -> float:
-    """Scale-aware clustering tolerance: 1e-9 * max(1, spectral range)."""
+def default_degeneracy_tol(energies):
+    """Scale-aware clustering tolerance: 1e-9 * max(1, spectral range).
+
+    For a stack of ascending spectra (..., d), one tolerance per spectrum.
+    """
     e = np.asarray(energies, dtype=float)
-    spread = float(e[-1] - e[0]) if e.size else 0.0
-    return 1e-9 * max(1.0, spread)
+    spread = e[..., -1] - e[..., 0] if e.shape[-1] else 0.0
+    return 1e-9 * np.maximum(1.0, spread)
 
 
 def hermitian_eigensystem(h: np.ndarray, degeneracy_tol: float | None = None) -> EigenSystem:

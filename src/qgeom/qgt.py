@@ -25,7 +25,10 @@ Q = g - (i/2) F.  Note the spin-1/2 Bloch-sphere angular metric equals
 
 The non-Abelian variant generalizes the sum formula to a degenerate level:
 each tensor entry becomes a d x d block over the level's internal basis and
-transforms by conjugation under basis rotations.
+transforms by conjugation under basis rotations; the Abelian tensor is its
+group-of-one case.  Every route solves its points through one blocked core,
+:func:`level_blocks`: one ``eigh`` per block of H, a vectorised isolation
+test and the sum-over-states tensors of the whole block.
 """
 
 from dataclasses import dataclass
@@ -33,12 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError, StepError
-from .model import ModelSpec, _derivative_at, hamiltonian_at, parameter_point
-from .numerics import EigenSystem, hermitian_eigensystem
+from .model import ModelSpec, hamiltonian_at, hamiltonian_blocks, parameter_point
+from .numerics import (EigenSystem, default_degeneracy_tol, degeneracy_groups, hermitian,
+                       hermitian_eigensystem)
 
 __all__ = [
     "QgtTensor",
     "NonAbelianQgt",
+    "level_gap",
+    "level_blocks",
+    "level_states",
     "derivative_matrices",
     "qgt_from_eigensystem",
     "qgt_sum_over_states",
@@ -90,14 +97,6 @@ class QgtTensor:
         return -2.0 * self.matrix.imag
 
 
-def _as_qgt(matrix: np.ndarray, near_degenerate: bool, herm_tol: float) -> QgtTensor:
-    scale = max(1.0, float(np.abs(matrix).max()))
-    asym = float(np.abs(matrix - matrix.conj().T).max())
-    if asym > herm_tol * scale:
-        raise InputError(f"tensor is not Hermitian: max asymmetry {asym:.3e}")
-    return QgtTensor((matrix + matrix.conj().T) / 2, near_degenerate)
-
-
 @dataclass(frozen=True)
 class NonAbelianQgt:
     """QGT of a degenerate level: a d x d block for each (mu, nu).
@@ -119,25 +118,102 @@ class NonAbelianQgt:
         """Collapse to a scalar tensor (only valid for d = 1)."""
         if self.degeneracy != 1:
             raise InputError("level is degenerate; no scalar reduction")
-        return _as_qgt(self.blocks[:, :, 0, 0].copy(), False, 1e-10)
+        return QgtTensor(hermitian(self.blocks[:, :, 0, 0], asymmetry_tol=1e-10))
+
+
+# --------------------------------------------------------------------------
+# the blocked core
+
+
+def _sum_over_states(energies, vectors, dh, group) -> np.ndarray:
+    """[Q_mn]_ij = sum_{l outside group} <g_i|dH_m|l><l|dH_n|g_j> / (E0 - E_l)^2, shape
+    (n, k, k, g, g), from energies (n, d), vectors (n, d, d), dh (n, k, d, d)."""
+    group = list(group)
+    others = [j for j in range(energies.shape[-1]) if j not in group]
+    denom = (energies[:, group].mean(axis=1, keepdims=True) - energies[:, others]) ** 2
+    # a[:, m, l, i] = <l|dH_m|g_i>
+    a = vectors[:, None, :, others].conj().swapaxes(-1, -2) @ (dh @ vectors[:, None, :, group])
+    n, k, n_other, g = a.shape
+    a = a.swapaxes(-1, -2).reshape(n, k * g, n_other)
+    q = (a.conj() / denom[:, None, :]) @ a.swapaxes(-1, -2)
+    return q.reshape(n, k, g, k, g).swapaxes(2, 3)
+
+
+def _abelian(energies, vectors, dh, level: int) -> np.ndarray:
+    """Q (n, k, k) of an isolated level: the group-of-one case, Hermitian by construction."""
+    q = _sum_over_states(energies, vectors, dh, (level,))[..., 0, 0]
+    return (q + q.conj().swapaxes(-1, -2)) / 2
+
+
+def _degenerate(level: int, group) -> str:
+    return (f"level {level} is degenerate with levels {group}; "
+            "use qgt_nonabelian for the block tensor")
+
+
+def level_gap(energies, level: int) -> np.ndarray:
+    """Distance from ``level`` to the adjacent levels, per row of ascending energies."""
+    e = np.asarray(energies, dtype=float)
+    none = np.full(e.shape[:-1], np.inf)
+    below = e[..., level] - e[..., level - 1] if level > 0 else none
+    above = e[..., level + 1] - e[..., level] if level + 1 < e.shape[-1] else none
+    return np.minimum(below, above)
+
+
+def _near_degenerate(energies: np.ndarray, level: int) -> bool:
+    scale = max(1.0, float(energies[-1] - energies[0]))
+    return bool(level_gap(energies, level) < NEAR_DEGENERACY_FACTOR * scale)
+
+
+def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False,
+                 where=None, degeneracy_tol: float | None = None):
+    """Yield (energies (n, d), eigenvectors (n, d, d), Q (n, k, k) or None) per H block.
+
+    Q, the sum-over-states tensor of ``level``, comes with ``tensors``.  The
+    first point where the level is not isolated (as by
+    :func:`degeneracy_groups`) raises DegeneracyError, prefixed
+    "at {where(i)}: " when ``where`` is given.
+    """
+    if not 0 <= level < model.dim:
+        raise InputError(f"level {level} out of range 0..{model.dim - 1}")
+    if degeneracy_tol is not None and not degeneracy_tol > 0:
+        raise InputError("degeneracy_tol must be positive")
+    start = 0
+    for h, dh in hamiltonian_blocks(model, points, model.parameters if tensors else ()):
+        energies, vectors = np.linalg.eigh(h)
+        tol = np.broadcast_to(degeneracy_tol or default_degeneracy_tol(energies), len(h))
+        bad = np.flatnonzero(level_gap(energies, level) <= tol)
+        if bad.size:
+            i = bad[0]
+            group = next(g for g in degeneracy_groups(energies[i], tol[i]) if level in g)
+            label = f"at {where(start + i)}: " if where else ""
+            raise DegeneracyError(label + _degenerate(level, group))
+        yield energies, vectors, _abelian(energies, vectors, dh, level) if tensors else None
+        start += len(h)
+
+
+def level_states(model: ModelSpec, points, level: int, where=None,
+                 degeneracy_tol: float | None = None) -> np.ndarray:
+    """The ``level`` eigenstates (N, d) at the points, as by :func:`level_blocks`.
+
+    Each block's column is copied, so no block of eigenvectors outlives its turn.
+    """
+    return np.concatenate([v[:, :, level].copy() for _, v, _ in level_blocks(
+        model, points, level, where=where, degeneracy_tol=degeneracy_tol)])
 
 
 def derivative_matrices(model: ModelSpec, lam) -> list[np.ndarray]:
     """dH/dmu for every parameter, evaluated exactly."""
     lam = parameter_point(model, lam)
-    return [_derivative_at(model, lam, mu) for mu in range(model.n_parameters)]
+    (_, dh), = hamiltonian_blocks(model, lam[None], model.parameters)
+    return list(dh[0])
 
 
 def _check_isolated(es: EigenSystem, level: int) -> bool:
     """Reject degenerate levels; return the near-degeneracy flag."""
     group = es.group_of(level)
     if len(group) > 1:
-        raise DegeneracyError(
-            f"level {level} is degenerate with levels {group}; "
-            "use qgt_nonabelian for the block tensor"
-        )
-    scale = max(1.0, es.spectral_range())
-    return es.gap(level) < NEAR_DEGENERACY_FACTOR * scale
+        raise DegeneracyError(_degenerate(level, group))
+    return _near_degenerate(es.energies, level)
 
 
 def qgt_from_eigensystem(
@@ -151,15 +227,8 @@ def qgt_from_eigensystem(
     independent of every eigenvector phase.
     """
     near = _check_isolated(es, level)
-    k = len(dh_list)
-    v = es.vectors
-    psi = v[:, level]
-    others = [j for j in range(es.dim) if j != level]
-    # rows of a: a[m, j] = <j|dH_m|level>
-    a = np.array([(v[:, others].conj().T @ (dh @ psi)) for dh in dh_list])
-    denom = (es.energies[level] - es.energies[others]) ** 2
-    q = (a.conj() / denom) @ a.T if k else np.zeros((0, 0), dtype=complex)
-    return _as_qgt(q, near, 1e-10)
+    dh = np.reshape(dh_list, (1, -1, es.dim, es.dim))
+    return QgtTensor(_abelian(es.energies[None], es.vectors[None], dh, level)[0], near)
 
 
 def qgt_sum_over_states(
@@ -167,51 +236,54 @@ def qgt_sum_over_states(
 ) -> QgtTensor:
     """Reference QGT at a parameter point (see :func:`qgt_from_eigensystem`)."""
     lam = parameter_point(model, lam)
-    es = hermitian_eigensystem(hamiltonian_at(model, lam), degeneracy_tol)
-    return qgt_from_eigensystem(es, derivative_matrices(model, lam), level)
+    (energies, _, q), = level_blocks(model, lam[None], level, True,
+                                     degeneracy_tol=degeneracy_tol)
+    return QgtTensor(q[0], _near_degenerate(energies[0], level))
 
 
 # --------------------------------------------------------------------------
 # phase-aligned finite differences
 
 
-def _aligned_state(
-    model: ModelSpec, lam, level: int, center: np.ndarray, min_overlap: float
-) -> np.ndarray:
-    """The ``level`` eigenstate at ``lam``, phase-aligned to ``center``.
+def _aligned_states(
+    model: ModelSpec, lam: np.ndarray, level: int, steps: np.ndarray, min_overlap: float
+) -> tuple[EigenSystem, np.ndarray]:
+    """The eigensystem at ``lam`` and the ``level`` states at ``lam + steps``.
 
-    The state is rephased so its overlap with ``center`` is real and
-    positive.  An overlap modulus below ``min_overlap`` means the step from
-    the center is too large (or the level crossed another inside the step).
+    Each displaced state is rephased so its overlap with the centre state is
+    real and positive.  An overlap modulus below ``min_overlap`` means the
+    step is too large (or the level crossed another inside the step); the
+    first such step raises StepError.
     """
-    es = hermitian_eigensystem(hamiltonian_at(model, lam))
-    vec = es.vectors[:, level]
-    overlaps = np.abs(es.vectors.conj().T @ center)
-    if int(np.argmax(overlaps)) != level:
+    points = lam + np.vstack([np.zeros(lam.size), steps])
+    es, parts = None, []
+    for energies, vectors, _ in level_blocks(model, points, level):  # one block kept at a time
+        if es is None:  # the centre leads the first block
+            tol = default_degeneracy_tol(energies[0])
+            es = EigenSystem(energies[0], vectors[0], degeneracy_groups(energies[0], tol))
+        center = es.vectors[:, level]
+        parts.append((np.abs(center @ vectors.conj()).argmax(axis=1) != level,
+                      np.vecdot(vectors[:, :, level], center), vectors[:, :, level].copy()))
+    swapped, o, states = (np.concatenate(part)[1:] for part in zip(*parts))
+    modulus = np.hypot(o.real, o.imag)  # rounds like abs() of one complex number
+    bad = np.flatnonzero(swapped | (modulus < min_overlap))
+    if bad.size and swapped[bad[0]]:
         raise StepError(
             f"level ordering changed inside the step: level {level} at the "
             f"neighbor point no longer matches the center state"
         )
-    o = np.vdot(vec, center)  # <vec|center>
-    if abs(o) < min_overlap:
+    if bad.size:
         raise StepError(
-            f"neighbor overlap {abs(o):.3f} below {min_overlap}; reduce the step"
+            f"neighbor overlap {modulus[bad[0]]:.3f} below {min_overlap}; reduce the step"
         )
-    return vec * (o / abs(o))
+    return es, states * (o / modulus)[:, None]
 
 
-def _aligned_pairs(
-    model: ModelSpec, lam: np.ndarray, level: int, h: float, center: np.ndarray,
-    min_overlap: float,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _central_steps(k: int, h: float) -> np.ndarray:
+    """Rows +h e_0, -h e_0, +h e_1, -h e_1, ..."""
     if not h > 0:
         raise InputError("step h must be positive")
-    pairs = []
-    for step in h * np.eye(model.n_parameters):
-        plus, minus = (_aligned_state(model, lam + sign * step, level, center, min_overlap)
-                       for sign in (+1.0, -1.0))
-        pairs.append((plus, minus))
-    return pairs
+    return h * np.stack([np.eye(k), -np.eye(k)], axis=1).reshape(2 * k, k)
 
 
 def aligned_neighbor_states(
@@ -224,8 +296,9 @@ def aligned_neighbor_states(
     the simplest smooth gauge near the point.
     """
     lam = parameter_point(model, lam)
-    center = hermitian_eigensystem(hamiltonian_at(model, lam)).vectors[:, level]
-    return _aligned_pairs(model, lam, level, h, center, min_overlap)
+    steps = _central_steps(model.n_parameters, h)
+    _, states = _aligned_states(model, lam, level, steps, min_overlap)
+    return list(zip(states[0::2], states[1::2]))
 
 
 def derivative_states_from_neighbors(neighbors, h: float) -> np.ndarray:
@@ -248,7 +321,7 @@ def qgt_projector(es: EigenSystem, derivative_states, level: int) -> QgtTensor:
     gram = d.conj() @ d.T
     onto = d.conj() @ psi  # <d_m|psi>
     q = gram - np.outer(onto, onto.conj())
-    return _as_qgt(q, near, 1e-8)
+    return QgtTensor(hermitian(q, asymmetry_tol=1e-8), near)
 
 
 def qgt_projector_fd(
@@ -256,8 +329,9 @@ def qgt_projector_fd(
 ) -> QgtTensor:
     """Convenience wrapper: aligned neighbors -> derivatives -> projector QGT."""
     lam = parameter_point(model, lam)
-    es = hermitian_eigensystem(hamiltonian_at(model, lam))
-    neighbors = _aligned_pairs(model, lam, level, h, es.vectors[:, level], 0.5)
+    steps = _central_steps(model.n_parameters, h)
+    es, states = _aligned_states(model, lam, level, steps, 0.5)
+    neighbors = zip(states[0::2], states[1::2])
     return qgt_projector(es, derivative_states_from_neighbors(neighbors, h), level)
 
 
@@ -276,47 +350,30 @@ def qgt_overlap_fd(
     Requires every involved overlap modulus to exceed 0.9.
     """
     lam = parameter_point(model, lam)
-    if not h > 0:
-        raise InputError("step h must be positive")
-    es = hermitian_eigensystem(hamiltonian_at(model, lam))
-    near = _check_isolated(es, level)
-    center = es.vectors[:, level]
     k = model.n_parameters
+    basis, half = np.eye(k), 0.5 * h * np.eye(k)
+    planes = [(m, n) for m in range(k) for n in range(m + 1, k)]
+    # overlap decay along each axis, then each diagonal; then, per plane, the
+    # corners of the centered plaquette, counterclockwise in the (m, n) plane
+    diagonals = [s * h * (basis[m] + basis[n]) for m, n in planes for s in (1.0, -1.0)]
+    corners = [c for m, n in planes for c in (-half[m] - half[n], half[m] - half[n],
+                                               half[m] + half[n], -half[m] + half[n])]
+    steps = np.array([*_central_steps(k, h), *diagonals, *corners]).reshape(-1, k)
+    es, states = _aligned_states(model, lam, level, steps, 0.9)
+    near = _check_isolated(es, level)
 
-    def state(point):
-        return _aligned_state(model, point, level, center, min_overlap=0.9)
+    o = np.vecdot(states[:2 * (k + len(planes))], es.vectors[:, level])
+    moduli = np.hypot(o.real, o.imag)
+    decay = (2.0 - moduli[0::2] - moduli[1::2]) / h**2  # symmetrized 2(1 - |overlap|)
+    g = np.diag(decay[:k])
+    for (m, n), q_mn in zip(planes, decay[k:]):
+        g[m, n] = g[n, m] = (q_mn - g[m, m] - g[n, n]) / 2.0
 
-    def decay(delta):
-        # symmetrized 2(1 - |overlap|), one quadratic-form sample
-        plus = abs(np.vdot(state(lam + delta), center))
-        minus = abs(np.vdot(state(lam - delta), center))
-        return (2.0 - plus - minus)
-
-    basis = np.eye(k)
-    g = np.zeros((k, k))
-    for m in range(k):
-        g[m, m] = decay(h * basis[m]) / h**2
-    for m in range(k):
-        for n in range(m + 1, k):
-            q_mn = decay(h * (basis[m] + basis[n])) / h**2
-            g[m, n] = g[n, m] = (q_mn - g[m, m] - g[n, n]) / 2.0
-
+    loops = states[2 * (k + len(planes)):].reshape(len(planes), 4, model.dim)
+    phases = -np.angle(np.prod(np.vecdot(loops, np.roll(loops, -1, axis=1)), axis=1)) / h**2
     f = np.zeros((k, k))
-    for m in range(k):
-        for n in range(m + 1, k):
-            # centered plaquette, counterclockwise in the (m, n) plane
-            half_m, half_n = 0.5 * h * basis[m], 0.5 * h * basis[n]
-            corners = [
-                state(lam - half_m - half_n),
-                state(lam + half_m - half_n),
-                state(lam + half_m + half_n),
-                state(lam - half_m + half_n),
-            ]
-            loop = 1.0 + 0.0j
-            for a in range(4):
-                loop *= np.vdot(corners[a], corners[(a + 1) % 4])
-            f[m, n] = -np.angle(loop) / h**2
-            f[n, m] = -f[m, n]
+    for (m, n), phase in zip(planes, phases):
+        f[m, n], f[n, m] = phase, -phase
 
     return QgtTensor(g - 0.5j * f, near)
 
@@ -337,19 +394,8 @@ def nonabelian_from_eigensystem(es: EigenSystem, dh_list, group) -> NonAbelianQg
         raise InputError(
             f"{group} is not a maximal degeneracy cluster; clusters are {es.groups}"
         )
-    k = len(dh_list)
-    d = len(group)
-    v = es.vectors
-    others = [j for j in range(es.dim) if j not in group]
-    e0 = float(np.mean(es.energies[list(group)]))
-    denom = (e0 - es.energies[others]) ** 2
-    # a[m, l, i] = <l|dH_m|g_i>
-    a = np.array([(v[:, others].conj().T @ (dh @ v[:, group])) for dh in dh_list])
-    blocks = np.zeros((k, k, d, d), dtype=complex)
-    for m in range(k):
-        for n in range(k):
-            blocks[m, n] = (a[m].conj() / denom[:, None]).T @ a[n]
-    return NonAbelianQgt(blocks, group)
+    dh = np.reshape(dh_list, (1, -1, es.dim, es.dim))
+    return NonAbelianQgt(_sum_over_states(es.energies[None], es.vectors[None], dh, group)[0], group)
 
 
 def qgt_nonabelian(

@@ -401,3 +401,20 @@ class TestValidation:
         path.write_text("{oops")
         code, _, err = _run(capsys, "grid", "--config", str(path))
         assert code == 1 and "JSON" in err
+
+
+@pytest.mark.parametrize("command, block, needle", [
+    ("evolve", {**EVOLVE, "level": 1.7}, "evolve: level must be"),
+    ("evolve", {**EVOLVE, "level": True}, "evolve: level must be"),
+    ("distance", {"level": 1, "samples": 2.5, "path": {"theta": "s", "phi": "0.1"}},
+     "'samples' must be an integer"),
+    ("grid", {"level": 1, "axes": {"theta": [0.1, 1, 2.5]}}, "'theta'"),
+    ("grid", {"level": 1, "axes": {"theta": [0.1, 1, True]}}, "'theta'"),
+], ids=["evolve-level-fraction", "evolve-level-bool", "distance-samples-fraction",
+        "grid-count-fraction", "grid-count-bool"])
+def test_integer_config_value_must_be_integral(tmp_path, capsys, command, block, needle):
+    cfg = _write_config(tmp_path, {"model": SPIN, command: block})
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(out))
+    assert code == 1 and needle in err
+    assert not out.exists()
