@@ -15,14 +15,19 @@ overrides.  Exit codes: 0 success, 1 validation error, 2 numerical error
 (degeneracy, step failure); error text names the offending point or time.
 
 Outputs embed a header with the tool version, the config hash and the
-convention notes.  CSV floats carry 17 significant digits so values
-round-trip exactly; rows are emitted in row-major parameter order.
+convention notes.  Every table is handed to one writer as typed columns,
+one 1-D array each: a CSV column is formatted by its dtype (bool and
+integer columns as integers, booleans as 1/0; float columns with 17
+significant digits, so values round-trip exactly), many rows per ``%``
+operation, and JSON rows carry the same values as numbers and booleans.
+Rows are emitted in row-major parameter order.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -193,41 +198,30 @@ def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
 # output plumbing
 
 
-def _fmt_float(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+CHUNK_ROWS = 1024  # rows per % formatting call; bounds the Python values alive at once
 
 
-def _write_csv(path: Path, meta: dict, columns, rows, written: list[Path]) -> None:
+def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list[Path],
+                 data=lambda rows: rows) -> None:
+    """Write equal-length 1-D ``columns`` as CSV, or as JSON rows passed through ``data``.
+
+    A CSV column's format follows its dtype: bool and integer columns print
+    with ``%d`` (booleans as 1/0), float columns with ``%.17g``.
+    """
+    columns = [np.asarray(c) for c in columns]
+    written.append(path)
+    if fmt == "json":
+        records = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
+        path.write_text(json.dumps({"meta": meta, "data": data(records)}, indent=2) + "\n")
+        return
     lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(",".join(columns))
-    lines.extend(",".join(_fmt_float(v) for v in row) for row in rows)
-    written.append(path)
+    lines.append(",".join(names))
+    row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns)
+    for start in range(0, len(columns[0]), CHUNK_ROWS):
+        chunk = [c[start:start + CHUNK_ROWS].tolist() for c in columns]
+        lines.append("\n".join([row_fmt] * len(chunk[0]))
+                     % tuple(chain.from_iterable(zip(*chunk))))
     path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, meta: dict, data, written: list[Path]) -> None:
-    written.append(path)
-    path.write_text(json.dumps({"meta": meta, "data": data}, indent=2) + "\n")
-
-
-def _write_table(path, fmt, meta, columns, rows, written) -> None:
-    if fmt == "csv":
-        _write_csv(path, meta, columns, rows, written)
-    else:
-        data = [dict(zip(columns, (_json_value(v) for v in row))) for row in rows]
-        _write_json(path, meta, data, written)
-
-
-def _json_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
 
 
 # --------------------------------------------------------------------------
@@ -269,13 +263,13 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
                                        where=lambda i: f"lambda = {points[i].tolist()}"):
         g, f = q.real, -2.0 * q.imag
         rows.append(np.column_stack([g[:, gi, gj], f[:, fi, fj], level_gap(energies, level)]))
-    rows = np.column_stack([points, np.concatenate(rows)])
+    table = np.column_stack([points, np.concatenate(rows)])
 
-    columns = list(model.parameters)
-    columns += [f"g_{i}{j}" for i in range(k) for j in range(i, k)]
-    columns += [f"f_{i}{j}" for i in range(k) for j in range(i + 1, k)]
-    columns.append("min_gap")
-    _write_table(out_path, fmt, meta, columns, rows, written)
+    names = list(model.parameters)
+    names += [f"g_{i}{j}" for i in range(k) for j in range(i, k)]
+    names += [f"f_{i}{j}" for i in range(k) for j in range(i + 1, k)]
+    names.append("min_gap")
+    _write_table(out_path, fmt, meta, names, table.T, written)
 
 
 def _build_surface(model, surface) -> SurfaceGrid:
@@ -312,27 +306,16 @@ def _run_chern(model, block, meta, out_path, fmt, written) -> None:
     grid = _build_surface(model, _require(block, "surface", "chern"))
     result = berry_flux(model, level, grid)
 
-    summary_cols = (
-        "chern", "total_flux", "residue", "monopole_charge",
-        "max_abs_plaquette", "ambiguous",
-    )
-    summary = (
-        result.chern, result.total_flux, result.residue,
-        result.monopole_charge, float(np.abs(result.plaquette_fluxes).max()),
-        result.ambiguous,
-    )
-    plaq_path = out_path.with_name(out_path.name + ".plaquettes.csv")
-    plaq_rows = [
-        (j, i, result.plaquette_fluxes[j, i])
-        for j in range(result.plaquette_fluxes.shape[0])
-        for i in range(result.plaquette_fluxes.shape[1])
-    ]
-    _write_csv(plaq_path, meta, ("row", "col", "flux"), plaq_rows, written)
-    if fmt == "csv":
-        _write_csv(out_path, meta, summary_cols, [summary], written)
-    else:
-        _write_json(out_path, meta,
-                    dict(zip(summary_cols, (_json_value(v) for v in summary))), written)
+    fluxes = result.plaquette_fluxes
+    row, col = np.indices(fluxes.shape)
+    _write_table(out_path.with_name(out_path.name + ".plaquettes.csv"), "csv", meta,
+                 ("row", "col", "flux"), (row.ravel(), col.ravel(), fluxes.ravel()), written)
+    names = ("chern", "total_flux", "residue", "monopole_charge",
+             "max_abs_plaquette", "ambiguous")
+    summary = (result.chern, result.total_flux, result.residue,
+               result.monopole_charge, np.abs(fluxes).max(), result.ambiguous)
+    _write_table(out_path, fmt, meta, names, [[v] for v in summary], written,
+                 data=lambda rows: rows[0])
 
 
 def _run_distance(model, block, meta, out_path, fmt, written) -> None:
@@ -345,8 +328,8 @@ def _run_distance(model, block, meta, out_path, fmt, written) -> None:
     ends = level_states(model, path.curve.sample([0.0, 1.0])[0], level, lambda i: f"s = {i}")
     end_angle = fidelity_angle(ends[0], ends[1])
 
-    columns = ("length", "angle", "endpoint_fidelity_angle")
-    _write_table(out_path, fmt, meta, columns, [(length, angle, end_angle)], written)
+    names = ("length", "angle", "endpoint_fidelity_angle")
+    _write_table(out_path, fmt, meta, names, [[length], [angle], [end_angle]], written)
 
 
 def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
@@ -375,17 +358,11 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
     aa = aa_consistency(traj)
     adi = adiabatic_diagnostic(model, sched, level, traj)
 
-    columns = ("t", "energy_mean", "delta_e", "theta_rate_measured",
-               "theta_rate_aa", "ratio", "ratio_exact_zero", "leakage")
-    rows = [
-        (
-            traj.times[k], traj.energy_mean[k], traj.energy_uncertainty[k],
-            aa.rate_measured[k], aa.rate_aa[k], adi.ratio[k],
-            bool(adi.exact_zero[k]), adi.leakage[k],
-        )
-        for k in range(traj.n_steps)
-    ]
-    _write_table(out_path, fmt, meta, columns, rows, written)
+    names = ("t", "energy_mean", "delta_e", "theta_rate_measured",
+             "theta_rate_aa", "ratio", "ratio_exact_zero", "leakage")
+    columns = (traj.times, traj.energy_mean, traj.energy_uncertainty, aa.rate_measured,
+               aa.rate_aa, adi.ratio, adi.exact_zero, adi.leakage)
+    _write_table(out_path, fmt, meta, names, [c[:traj.n_steps] for c in columns], written)
 
 
 def _run_check(model, block, meta, out_path, fmt, written) -> None:
@@ -409,31 +386,20 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
     slope_fd = order(
         lambda hh: np.abs(qgt_overlap_fd(model, lam, level, hh).metric - q_sum.metric).max()
     )
-    meta = dict(meta)
-    meta["h"] = _fmt_float(h)
-    meta["order_base_h"] = _fmt_float(base_h)
-    meta["slope_projector"] = _fmt_float(slope_proj)
-    meta["slope_overlap_metric"] = _fmt_float(slope_fd)
+    meta = dict(meta, h="%.17g" % h, order_base_h="%.17g" % base_h,
+                slope_projector="%.17g" % slope_proj, slope_overlap_metric="%.17g" % slope_fd)
 
-    k = model.n_parameters
-    columns = ("mu", "nu", "q_sum_re", "q_sum_im", "dev_projector", "dev_overlap")
-    rows = [
-        (
-            m, n, q_sum.matrix[m, n].real, q_sum.matrix[m, n].imag,
-            abs(q_proj.matrix[m, n] - q_sum.matrix[m, n]),
-            abs(q_fd.matrix[m, n] - q_sum.matrix[m, n]),
-        )
-        for m in range(k)
-        for n in range(k)
-    ]
-    if fmt == "json":
-        data = {
-            "slopes": {"projector": slope_proj, "overlap_metric": slope_fd},
-            "entries": [dict(zip(columns, (_json_value(v) for v in row))) for row in rows],
-        }
-        _write_json(out_path, meta, data, written)
-    else:
-        _write_csv(out_path, meta, columns, rows, written)
+    q = q_sum.matrix
+    mu, nu = np.indices(q.shape)
+    dev_proj, dev_fd = q_proj.matrix - q, q_fd.matrix - q
+    names = ("mu", "nu", "q_sum_re", "q_sum_im", "dev_projector", "dev_overlap")
+    # np.hypot rounds as abs() of one complex does; np.abs of a complex array may not
+    columns = (mu, nu, q.real, q.imag, np.hypot(dev_proj.real, dev_proj.imag),
+               np.hypot(dev_fd.real, dev_fd.imag))
+    _write_table(out_path, fmt, meta, names, [c.ravel() for c in columns], written,
+                 data=lambda rows: {"slopes": {"projector": slope_proj,
+                                               "overlap_metric": slope_fd},
+                                    "entries": rows})
 
 
 if __name__ == "__main__":

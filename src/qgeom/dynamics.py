@@ -52,8 +52,8 @@ def schedule(model: ModelSpec, exprs: Mapping[str, str]) -> Curve:
 class Trajectory:
     """Uniformly sampled evolution record.
 
-    ``states`` are renormalized at recording time; ``norm_drift_max`` is the
-    largest raw deviation |norm - 1| seen while propagating.  ``step_angle``
+    ``states`` are the propagated states divided by their norms;
+    ``norm_drift_max`` is the largest raw deviation |norm - 1|.  ``step_angle``
     holds the ray angle between consecutive recorded states,
     2 arccos |<psi_k|psi_k+1>|.
     """
@@ -82,13 +82,19 @@ def energy_uncertainty(psi, h: np.ndarray) -> float:
     h = np.asarray(h, dtype=complex)
     if h.shape != (psi.size, psi.size):
         raise InputError(f"operator shape {h.shape} does not match state dim {psi.size}")
-    w = h @ psi
-    mean = float(np.vdot(psi, w).real)
-    mean_sq = float(np.vdot(w, w).real)
+    return float(_energy_moments(psi[None], (h @ psi)[None])[1][0])
+
+
+def _energy_moments(psi: np.ndarray, h_psi: np.ndarray):
+    """<H> and dE of each normalized row of ``psi``, given the rows H psi."""
+    mean = np.vecdot(psi, h_psi).real
+    mean_sq = np.vecdot(h_psi, h_psi).real
     var = mean_sq - mean * mean
-    if var < -1e-12 * max(1.0, abs(mean_sq)):
-        raise QgeomError(f"internal error: variance {var!r} is negative beyond rounding")
-    return float(np.sqrt(max(var, 0.0)))
+    negative = np.flatnonzero(var < -1e-12 * np.maximum(1.0, np.abs(mean_sq)))
+    if negative.size:
+        raise QgeomError(f"internal error: variance {float(var[negative[0]])!r} "
+                         "is negative beyond rounding")
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 def _spectral_radius(h: np.ndarray) -> float:
@@ -140,55 +146,61 @@ def evolve(
             f"use dt < {STABILITY_LIMIT / max(radius, 1e-300):.3g}"
         )
 
-    dim = psi.size
-    states = np.empty((n + 1, dim), dtype=complex)
-    means = np.empty(n + 1)
-    uncertainties = np.empty(n + 1)
-    check_every = max(1, n // 64)
-    warned = False
-    max_drift = 0.0
-    h_left = h0
+    # raw states and H psi per record; H_k psi_k is also step k's k1
+    psis = np.empty((n + 1, psi.size), dtype=complex)
+    h_psis = np.empty_like(psis)
+    norms = np.empty(n + 1)
+    checked = 0
 
-    def record(k: int, h: np.ndarray):
-        nonlocal max_drift
-        norm = float(np.linalg.norm(psi))
-        drift = abs(norm - 1.0)
-        max_drift = max(max_drift, drift)
-        if drift > MAX_NORM_DRIFT:
-            suggested = dt * (1e-8 / drift) ** 0.25
+    def check_drift(upto: int) -> None:
+        nonlocal checked
+        norms[checked:upto] = np.linalg.norm(psis[checked:upto], axis=1)
+        drift = np.abs(norms[checked:upto] - 1.0)
+        over = np.flatnonzero(drift > MAX_NORM_DRIFT)
+        if over.size:
+            first = drift[over[0]]
+            suggested = dt * (1e-8 / first) ** 0.25
             raise StepError(
-                f"norm drift {drift:.3e} at t = {times[k]:.9g} exceeds "
+                f"norm drift {first:.3e} at t = {times[checked + over[0]]:.9g} exceeds "
                 f"{MAX_NORM_DRIFT}; suggested dt ~ {suggested:.3g}"
             )
-        normalized = psi / norm
-        states[k] = normalized
-        means[k] = float(np.vdot(normalized, h @ normalized).real)
-        uncertainties[k] = energy_uncertainty(normalized, h)
+        checked = upto
 
-    record(0, h_left)
+    check_every = max(1, n // 64)
+    warned = False
+    h_left = h0
+    psis[0] = psi
     for k in range(n):
         h_mid = next(hamiltonians)
         h_right = next(hamiltonians)
-        k1 = -1j * (h_left @ psi)
+        h_psis[k] = h_left @ psi
+        k1 = -1j * h_psis[k]
         k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
         k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
         k4 = -1j * (h_right @ (psi + dt * k3))
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        psis[k + 1] = psi
         h_left = h_right
-        record(k + 1, h_left)
-        if not warned and (k % check_every == 0):
-            radius = _spectral_radius(h_left)
-            if dt * radius >= STABILITY_LIMIT:
-                warnings.warn(
-                    f"dt * spectral radius grew to {dt * radius:.3g} at "
-                    f"t = {times[k + 1]:.9g}; results past here are suspect",
-                    stacklevel=2,
-                )
-                warned = True
+        if k % check_every == 0:
+            check_drift(k + 2)
+            if not warned:
+                radius = _spectral_radius(h_left)
+                if dt * radius >= STABILITY_LIMIT:
+                    warnings.warn(
+                        f"dt * spectral radius grew to {dt * radius:.3g} at "
+                        f"t = {times[k + 1]:.9g}; results past here are suspect",
+                        stacklevel=2,
+                    )
+                    warned = True
+    h_psis[n] = h_left @ psi
+    check_drift(n + 1)
 
+    states = psis / norms[:, None]
+    means, uncertainties = _energy_moments(states, h_psis / norms[:, None])
     overlaps = np.abs(np.einsum("ki,ki->k", states[:-1].conj(), states[1:]))
     step_angle = 2.0 * np.arccos(np.clip(overlaps, 0.0, 1.0))
-    return Trajectory(times, states, means, uncertainties, step_angle, dt, max_drift)
+    return Trajectory(times, states, means, uncertainties, step_angle, dt,
+                      float(np.abs(norms - 1.0).max()))
 
 
 @dataclass(frozen=True)

@@ -350,6 +350,14 @@ def load_model_spec(path) -> ModelSpec:
 def _parse_complex_matrix(rows, dim: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise InputError(f"{where}: matrix must have {dim} rows")
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged nesting
+        pairs = np.empty(0)
+    if pairs.shape == (dim, dim, 2) and pairs.dtype.kind in "biuf":
+        # the [re, im] float pairs viewed as complex: exactly complex(re, im)
+        return pairs.astype(float).view(complex)[..., 0]
+    # the entry-by-entry walk names the first malformed entry
     out = np.zeros((dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:

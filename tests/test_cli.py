@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qgeom import cli
 from qgeom.cli import main
 
 
@@ -418,3 +419,51 @@ def test_integer_config_value_must_be_integral(tmp_path, capsys, command, block,
     code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(out))
     assert code == 1 and needle in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_matches_a_per_value_reference(tmp_path, fmt):
+    # more rows than one formatting chunk, so a chunk seam lies inside the table
+    n = 2 * cli.CHUNK_ROWS + 7
+    rng = np.random.default_rng(8)
+    special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1, 1e17]
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+    for start in (0, cli.CHUNK_ROWS - 4, n - len(special)):
+        values[start:start + len(special)] = special
+    columns = {
+        "flag": [bool(v) for v in rng.integers(0, 2, n)],
+        "np_flag": rng.integers(0, 2, n).astype(np.bool_),
+        "count": [int(v) for v in rng.integers(-10**15, 10**15, n)],
+        "np_count": rng.integers(-2**62, 2**62, n, dtype=np.int64),
+        "value": values,
+        "integral": rng.integers(-1000, 1000, n).astype(float),
+    }
+    names = list(columns)
+    meta = {"tool": "qgeom", "note": "a, b"}
+    rows = list(zip(*columns.values()))
+
+    def csv_value(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+
+    def json_value(v):
+        if isinstance(v, (bool, np.bool_)):
+            return bool(v)
+        if isinstance(v, (int, np.integer)):
+            return int(v)
+        return float(v)
+
+    if fmt == "csv":
+        lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(names)]
+        lines += [",".join(csv_value(v) for v in row) for row in rows]
+        expected = "\n".join(lines) + "\n"
+    else:
+        data = [dict(zip(names, map(json_value, row))) for row in rows]
+        expected = json.dumps({"meta": meta, "data": data}, indent=2) + "\n"
+    path, written = tmp_path / f"table.{fmt}", []
+    cli._write_table(path, fmt, meta, names, list(columns.values()), written)
+    assert written == [path]
+    assert path.read_text() == expected

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,19 @@ class TestEvolve:
         psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
         with pytest.raises(qg.StepError, match="suggested dt"):
             qg.evolve(spin_model, sched, psi0, 0.0, 60.0, 0.099)
+
+    def test_norm_drift_names_the_first_drifting_time(self):
+        # drift is checked every n // 64 steps; the error still names the
+        # first record past 1e-6 (record 1614, between two checks)
+        model = qg.model_spec(
+            "ramp", 2, ("x",),
+            [(np.array([[0, 1], [1, 0]], dtype=complex), "x")],
+        )
+        sched = qg.schedule(model, {"x": "1 + 0.5*t"})
+        message = ("norm drift 1.001e-06 at t = 16.14 exceeds 1e-06; "
+                   "suggested dt ~ 0.00316")
+        with pytest.raises(qg.StepError, match=f"^{re.escape(message)}$"):
+            qg.evolve(model, sched, [1.0, 0.0], 0.0, 40.0, 0.01)
 
     def test_growing_spectrum_warns_adaptively(self):
         model = qg.model_spec(

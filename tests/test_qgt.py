@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import qgeom as qg
-import qgeom.qgt as qgt_mod
 from conftest import (
     analytic_qgt_two_level,
     doubled_spin_half,
@@ -11,6 +10,21 @@ from conftest import (
     twisted_doubled_spin_half,
     upper_state,
 )
+
+
+def _rephase_eigh(monkeypatch, rng):
+    """Give every eigenvector from np.linalg.eigh a random phase; return the call log."""
+    calls = []
+    true_eigh = np.linalg.eigh
+
+    def rephased(h):
+        calls.append(np.shape(h))
+        energies, vectors = true_eigh(h)
+        shape = vectors.shape[:-2] + (1, vectors.shape[-1])
+        return energies, vectors * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+
+    monkeypatch.setattr(np.linalg, "eigh", rephased)
+    return calls
 
 
 def _random_angles(rng, n):
@@ -130,16 +144,9 @@ class TestProjectorMethod:
     def test_gauge_invariance_via_rephased_eigensolver(self, spin_model, monkeypatch):
         lam = [1.0, 0.5]
         reference = qg.qgt_projector_fd(spin_model, lam, 1, h=1e-4).matrix
-        rng = np.random.default_rng(23)
-        true_eigensystem = qgt_mod.hermitian_eigensystem
-
-        def rephased(h, tol=None):
-            es = true_eigensystem(h, tol)
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, es.dim))
-            return qg.EigenSystem(es.energies, es.vectors * phases, es.groups)
-
-        monkeypatch.setattr(qgt_mod, "hermitian_eigensystem", rephased)
+        calls = _rephase_eigh(monkeypatch, np.random.default_rng(23))
         q = qg.qgt_projector_fd(spin_model, lam, 1, h=1e-4).matrix
+        assert calls
         assert np.abs(q - reference).max() <= 1e-12
 
 
@@ -158,16 +165,9 @@ class TestOverlapMethod:
         h = 1e-3
         lam = [np.pi / 3, 0.3]
         reference = qg.qgt_overlap_fd(spin_model, lam, 1, h=h).matrix
-        rng = np.random.default_rng(24)
-        true_eigensystem = qgt_mod.hermitian_eigensystem
-
-        def rephased(matrix, tol=None):
-            es = true_eigensystem(matrix, tol)
-            phases = np.exp(1j * rng.uniform(0, 2 * np.pi, es.dim))
-            return qg.EigenSystem(es.energies, es.vectors * phases, es.groups)
-
-        monkeypatch.setattr(qgt_mod, "hermitian_eigensystem", rephased)
+        calls = _rephase_eigh(monkeypatch, np.random.default_rng(24))
         q = qg.qgt_overlap_fd(spin_model, lam, 1, h=h).matrix
+        assert calls
         assert np.abs(q - reference).max() <= 2e-15 / h**2
 
     def test_single_parameter_no_two_form(self):
