@@ -278,26 +278,17 @@ def _build_surface(model, surface) -> SurfaceGrid:
     closure = surface.get("closure", "sphere")
     shape = surface.get("shape", [24, 24])
     base = _point(model, surface.get("fixed", {}), "chern: surface 'fixed'")
+    first, second = (*model.parameters, None)[:2]  # a missing one is named in the error
     if closure == "sphere":
-        return SurfaceGrid.sphere(
-            model, surface.get("polar", model.parameters[0]),
-            surface.get("azimuth", model.parameters[1]), shape, base,
-        )
-    if closure == "torus":
-        return SurfaceGrid.torus(
-            model, surface.get("mu", model.parameters[0]),
-            surface.get("nu", model.parameters[1]), shape,
-            surface.get("mu_range", (0.0, 2 * np.pi)),
-            surface.get("nu_range", (0.0, 2 * np.pi)), base,
-        )
-    if closure == "open":
-        if "mu_range" not in surface or "nu_range" not in surface:
-            raise InputError("chern: open surfaces need mu_range and nu_range")
-        return SurfaceGrid.open_grid(
-            model, surface.get("mu", model.parameters[0]),
-            surface.get("nu", model.parameters[1]),
-            surface["mu_range"], surface["nu_range"], shape, base,
-        )
+        return SurfaceGrid.sphere(model, surface.get("polar", first),
+                                  surface.get("azimuth", second), shape, base)
+    if closure == "open" and not {"mu_range", "nu_range"} <= surface.keys():
+        raise InputError("chern: open surfaces need mu_range and nu_range")
+    if closure in ("torus", "open"):
+        build = SurfaceGrid.torus if closure == "torus" else SurfaceGrid.open_grid
+        return build(model, surface.get("mu", first), surface.get("nu", second), shape=shape,
+                     mu_range=surface.get("mu_range", (0.0, 2 * np.pi)),
+                     nu_range=surface.get("nu_range", (0.0, 2 * np.pi)), base=base)
     raise InputError(f"chern: unknown closure {closure!r}")
 
 

@@ -17,7 +17,7 @@ plaquettes whose edge along the pole is contracted to a point.
 That quantization holds on any grid that wraps, so it proves nothing by
 itself: :class:`SurfaceGrid` alone knows how its surface closes, and
 :func:`berry_flux` first checks, from H alone, that H agrees on the points
-the closure identifies.
+the closure identifies, and that a torus range is one period, not several.
 """
 
 import warnings
@@ -41,6 +41,9 @@ __all__ = [
     "plaquette_flux_grid",
     "berry_flux",
 ]
+
+PERIOD_PRIMES = (2, 3, 5, 7)  # a range of m periods repeats at 1/p of it for each prime p | m
+FLAT_PROBE = (np.sqrt(5.0) - 1.0) / 2.0  # an edge repeats at this fraction only if H is flat
 
 
 def fidelity_angle(psi, chi) -> float:
@@ -183,12 +186,6 @@ class SurfaceGrid:
         raise InputError(f"model {model.name!r} has no parameter {name_or_index!r}")
 
     @staticmethod
-    def _base(model: ModelSpec, base) -> np.ndarray:
-        if base is None:
-            return np.zeros(model.n_parameters)
-        return parameter_point(model, base)
-
-    @staticmethod
     def _pair(value, key: str, kind=float) -> tuple:
         try:
             a, b = value
@@ -197,53 +194,41 @@ class SurfaceGrid:
             raise InputError(f"grid {key!r} must be two numbers, not {value!r}") from None
 
     @classmethod
+    def _build(cls, model: ModelSpec, closure: str, mu, nu, shape, mu_range, nu_range, base):
+        """Validate the arguments every closure shares and lay out its grid values."""
+        shape = cls._pair(shape, "shape", int)
+        least = {"sphere": (2, 3), "torus": (3, 3), "open": (2, 2)}[closure]
+        if shape[0] < least[0] or shape[1] < least[1]:
+            raise InputError(f"{closure} grid needs shape >= {least}")
+        mu, nu = cls._resolve(model, mu), cls._resolve(model, nu)
+        if mu == nu:
+            raise InputError("grid directions must differ")
+        ranges = cls._pair(mu_range, "mu_range"), cls._pair(nu_range, "nu_range")
+        if closure == "open":
+            values = [np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, shape)]
+        else:  # a periodic direction starts on its seam; polar rows sit at cell centers
+            offsets = (0.5 if closure == "sphere" else 0.0, 0.0)
+            values = [lo + (np.arange(n) + offset) * (hi - lo) / n
+                      for (lo, hi), n, offset in zip(ranges, shape, offsets)]
+        base = np.zeros(model.n_parameters) if base is None else parameter_point(model, base)
+        return cls(mu, nu, *values, closure, base, *ranges)
+
+    @classmethod
     def sphere(cls, model: ModelSpec, polar, azimuth, shape=(24, 24), base=None):
         """Polar-capped sphere grid; rows sit at cell centers, off the poles."""
-        n_th, n_ph = cls._pair(shape, "shape", int)
-        if n_th < 2 or n_ph < 3:
-            raise InputError("sphere grid needs shape >= (2, 3)")
-        mu = cls._resolve(model, polar)
-        nu = cls._resolve(model, azimuth)
-        if mu == nu:
-            raise InputError("polar and azimuth must differ")
-        thetas = (np.arange(n_th) + 0.5) * np.pi / n_th
-        phis = np.arange(n_ph) * 2.0 * np.pi / n_ph
-        return cls(mu, nu, thetas, phis, "sphere", cls._base(model, base),
-                   (0.0, np.pi), (0.0, 2.0 * np.pi))
+        return cls._build(model, "sphere", polar, azimuth, shape, (0.0, np.pi),
+                          (0.0, 2 * np.pi), base)
 
     @classmethod
     def torus(cls, model: ModelSpec, mu, nu, shape=(24, 24),
               mu_range=(0.0, 2.0 * np.pi), nu_range=(0.0, 2.0 * np.pi), base=None):
         """Doubly periodic grid; both ranges are one full period."""
-        n_mu, n_nu = cls._pair(shape, "shape", int)
-        if n_mu < 3 or n_nu < 3:
-            raise InputError("torus grid needs shape >= (3, 3)")
-        mu = cls._resolve(model, mu)
-        nu = cls._resolve(model, nu)
-        if mu == nu:
-            raise InputError("grid directions must differ")
-        mu_range = cls._pair(mu_range, "mu_range")
-        nu_range = cls._pair(nu_range, "nu_range")
-        mu_vals = mu_range[0] + np.arange(n_mu) * (mu_range[1] - mu_range[0]) / n_mu
-        nu_vals = nu_range[0] + np.arange(n_nu) * (nu_range[1] - nu_range[0]) / n_nu
-        return cls(mu, nu, mu_vals, nu_vals, "torus", cls._base(model, base),
-                   mu_range, nu_range)
+        return cls._build(model, "torus", mu, nu, shape, mu_range, nu_range, base)
 
     @classmethod
-    def open_grid(cls, model: ModelSpec, mu, nu, mu_range, nu_range,
-                  shape=(24, 24), base=None):
+    def open_grid(cls, model: ModelSpec, mu, nu, mu_range, nu_range, shape=(24, 24), base=None):
         """Open rectangle with inclusive endpoints."""
-        n_mu, n_nu = cls._pair(shape, "shape", int)
-        if n_mu < 2 or n_nu < 2:
-            raise InputError("open grid needs shape >= (2, 2)")
-        mu = cls._resolve(model, mu)
-        nu = cls._resolve(model, nu)
-        if mu == nu:
-            raise InputError("grid directions must differ")
-        mu_range = cls._pair(mu_range, "mu_range")
-        nu_range = cls._pair(nu_range, "nu_range")
-        return cls(mu, nu, np.linspace(*mu_range, n_mu), np.linspace(*nu_range, n_nu),
-                   "open", cls._base(model, base), mu_range, nu_range)
+        return cls._build(model, "open", mu, nu, shape, mu_range, nu_range, base)
 
     def _at(self, mu_values, nu_values) -> np.ndarray:
         """Points (N, k) at broadcast pairs of mu and nu values, row-major."""
@@ -268,13 +253,17 @@ class SurfaceGrid:
 
         A periodic direction needs H on its first edge to equal H one period
         further; a pole needs H to be the same at every azimuth of the grid.
+        A torus range must be one period, not several: H on the first edge
+        must not repeat at 1/p of it for p in PERIOD_PRIMES, unless H does
+        not depend on that direction.
 
         Raises
         ------
         InputError
             On a mismatch above 1e-9 * max(1, max|H|), max|H| being the
             largest entry of the two H compared; names the direction or pole,
-            the two points and the mismatch.
+            the two points and the mismatch.  On a torus range of several
+            periods; names the direction and p.
         """
         mu_name, nu_name = model.parameters[self.mu], model.parameters[self.nu]
         seams = []  # (where, points, the points identified with them)
@@ -294,9 +283,8 @@ class SurfaceGrid:
         for where, a, b in seams:
             start = 0
             for (ha, _), (hb, _) in zip(hamiltonian_blocks(model, a), hamiltonian_blocks(model, b)):
-                mismatch = np.abs(ha - hb).max(axis=(1, 2))
-                scale = np.maximum(1.0, np.maximum(np.abs(ha), np.abs(hb)).max(axis=(1, 2)))
-                bad = np.flatnonzero(mismatch > 1e-9 * scale)
+                mismatch, bad = _mismatch(ha, hb)
+                bad = np.flatnonzero(bad)
                 if bad.size:
                     i = start + bad[0]
                     raise InputError(
@@ -304,6 +292,27 @@ class SurfaceGrid:
                         f"at lambda = {b[i].tolist()} differ by {mismatch[bad[0]]:.3e}"
                     )
                 start += len(ha)
+        if self.closure != "torus":
+            return
+        for name, (lo, hi), along_mu in ((mu_name, self.mu_range, True),
+                                         (nu_name, self.nu_range, False)):
+            xs = np.array([lo, lo + (hi - lo) * FLAT_PROBE,
+                           *(lo + (hi - lo) / p for p in PERIOD_PRIMES)])[:, None]
+            edges = self._at(xs, self.nu_values) if along_mu else self._at(self.mu_values, xs)
+            h = np.split(np.concatenate([b for b, _ in hamiltonian_blocks(model, edges)]), len(xs))
+            same = [not _mismatch(h[0], hx)[1].any() for hx in h[1:]]
+            p = next((p for p, repeats in zip(PERIOD_PRIMES, same[1:]) if repeats), None)
+            if p and not same[0]:  # a direction H does not depend on has no flux however covered
+                raise InputError(
+                    f"surface covers its period more than once along {name!r}: H on the edge "
+                    f"at {name} = {lo!r} repeats at 1/{p} of the range; use one period")
+
+
+def _mismatch(ha: np.ndarray, hb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point max|Ha - Hb|, and whether it exceeds 1e-9 * max(1, max|H|)."""
+    mismatch = np.abs(ha - hb).max(axis=(1, 2))
+    scale = np.maximum(1.0, np.maximum(np.abs(ha), np.abs(hb)).max(axis=(1, 2)))
+    return mismatch, mismatch > 1e-9 * scale
 
 
 @dataclass(frozen=True)

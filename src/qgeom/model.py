@@ -7,6 +7,8 @@ coefficients with dual numbers gives dH/dmu = sum_k (df_k/dmu) H_k with no
 finite differencing.  :func:`hamiltonian_blocks` walks each coefficient
 once for many points and yields H and dH in blocks of BLOCK_ENTRIES // dim^2
 points (memory stays bounded at large dim); per-point functions wrap it.
+Each H and dH is a single exact sum over the term stack, Hermitian as
+stored by construction because every term is.
 
 Units: hbar = 1 throughout; energies set the inverse time scale.
 
@@ -166,12 +168,16 @@ def _evaluate_all(asts, names, points: np.ndarray, directions, label):
     return values, np.array([p.T for _, p in pairs])
 
 
-def _assemble(model: ModelSpec, coefficients: np.ndarray) -> np.ndarray:
-    """sum_t coefficients[t, ...] H_t, re-symmetrized, shape (..., dim, dim)."""
-    out = np.zeros(coefficients.shape[1:] + (model.dim, model.dim), dtype=complex)
-    for c, (matrix, _) in zip(coefficients, model.terms):
-        out += c[..., None, None] * matrix
-    return (out + out.conj().swapaxes(-1, -2)) / 2
+def _assemble(terms: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_t coefficients[t, ...] terms[t], shape (..., dim, dim), as one real einsum.
+
+    It adds in term-loop order, so H is Hermitian bit for bit; BLAS would reorder
+    the sums.  The C-ordered buffer keeps the complex view valid for any layout.
+    """
+    shape = coefficients.shape[1:]
+    floats = terms.reshape(len(terms), -1).view(float)
+    out = np.einsum("t...,tj->...j", coefficients, floats, out=np.empty(shape + floats.shape[1:]))
+    return out.view(complex).reshape(shape + terms.shape[1:])
 
 
 def hamiltonian_blocks(model: ModelSpec, points, directions=()):
@@ -189,15 +195,16 @@ def hamiltonian_blocks(model: ModelSpec, points, directions=()):
         [ast for _, ast in model.terms], model.parameters, lam, directions,
         lambda k, env: f"term {k} ({model.coeff_sources[k]!r}) at {env}: ",
     )
+    terms = np.array([matrix for matrix, _ in model.terms])
     step = max(1, BLOCK_ENTRIES // model.dim**2)
     for lo in range(0, len(lam), step):
         block = slice(lo, lo + step)
-        dh = _assemble(model, partials[:, block]) if directions else None
-        yield _assemble(model, values[:, block]), dh
+        dh = _assemble(terms, partials[:, block]) if directions else None
+        yield _assemble(terms, values[:, block]), dh
 
 
 def hamiltonian_at(model: ModelSpec, lam) -> np.ndarray:
-    """H(lambda) = sum_k f_k(lambda) H_k, re-symmetrized."""
+    """H(lambda) = sum_k f_k(lambda) H_k, Hermitian as stored because the H_k are."""
     (h, _), = hamiltonian_blocks(model, parameter_point(model, lam)[None])
     return h[0]
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError, StepError
-from .model import ModelSpec, hamiltonian_at, hamiltonian_blocks, parameter_point
+from .model import ModelSpec, hamiltonian_blocks, parameter_point
 from .numerics import (EigenSystem, default_degeneracy_tol, degeneracy_groups, hermitian,
                        hermitian_eigensystem)
 
@@ -403,8 +403,8 @@ def qgt_nonabelian(
 ) -> NonAbelianQgt:
     """Non-Abelian QGT of a degenerate level at a parameter point."""
     lam = parameter_point(model, lam)
-    es = hermitian_eigensystem(hamiltonian_at(model, lam), degeneracy_tol)
-    return nonabelian_from_eigensystem(es, derivative_matrices(model, lam), group)
+    (h, dh), = hamiltonian_blocks(model, lam[None], model.parameters)
+    return nonabelian_from_eigensystem(hermitian_eigensystem(h[0], degeneracy_tol), dh[0], group)
 
 
 # --------------------------------------------------------------------------

@@ -114,6 +114,60 @@ class TestBlocks:
             assert np.array_equal(vectors[i], es.vectors)
 
 
+def _term_loop(terms, coefficients):
+    """sum_t coefficients[t] terms[t] one term at a time, then (H + H^dagger) / 2."""
+    out = np.zeros(coefficients.shape[1:] + terms.shape[1:], dtype=complex)
+    for c, matrix in zip(coefficients, terms):
+        out += c[..., None, None] * matrix
+    return (out + out.conj().swapaxes(-1, -2)) / 2
+
+
+def _assert_same_bits(got, want):
+    got, want = got.view(float), want.view(float)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _hermitian_terms(rng, n_terms, dim):
+    """Exactly Hermitian terms with entries of mixed scale, some exactly zero."""
+    shape = (n_terms, dim, dim, 2)
+    raw = rng.normal(size=shape) * 10.0 ** rng.uniform(-150, 0, shape)
+    raw[rng.random(raw.shape) < 0.2] = 0.0
+    return np.array([qg.hermitian(m) for m in raw.view(complex)[..., 0]])
+
+
+# +-0, subnormals and wide exponents; |H| stays far from overflow
+COEFFICIENTS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim=st.sampled_from([1, 2, 3, 64]), n_terms=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_assembly_matches_a_term_by_term_loop(dim, n_terms, seed, data):
+    # each coefficient is a bare parameter, so the points are the coefficients
+    terms = _hermitian_terms(np.random.default_rng(seed), n_terms, dim)
+    names = "abcdefgh"[:n_terms]
+    model = qg.model_spec("terms", dim, names, list(zip(terms, names)))
+    row = st.lists(COEFFICIENTS, min_size=n_terms, max_size=n_terms)
+    points = np.array(data.draw(st.lists(row, min_size=1, max_size=5)))
+    h, dh = (np.concatenate(part) for part in
+             zip(*qg.hamiltonian_blocks(model, points, model.parameters)))
+    partials = np.broadcast_to(np.eye(n_terms)[:, None], (n_terms, len(points), n_terms))
+    _assert_same_bits(h, _term_loop(terms, points.T))
+    _assert_same_bits(dh, _term_loop(terms, partials))
+    for m in (h, dh):
+        assert np.array_equal(m, m.conj().swapaxes(-1, -2))
+
+
+def test_assembly_reads_f_ordered_coefficients():
+    rng = np.random.default_rng(8)
+    terms = _hermitian_terms(rng, 5, 3)
+    exponents = rng.integers(-300, 300, (5, 7, 2))
+    coefficients = np.asfortranarray(rng.normal(size=(5, 7, 2)) * 10.0**exponents)
+    got = model_mod._assemble(terms, coefficients)
+    assert got.shape == (7, 2, 3, 3)
+    _assert_same_bits(got, _term_loop(terms, coefficients))
+
+
 class TestErrorsNameTheFirstFailingPoint:
     """First failures placed past the first block (1024 points at dim 2)."""
 

@@ -263,6 +263,28 @@ def test_chern_on_a_torus_that_does_not_close_is_a_validation_error(tmp_path, ca
     assert not out.exists()
 
 
+def test_chern_on_a_torus_over_two_periods_is_a_validation_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "model": {"builtin": "two_band_lattice", "mass": 1.0},
+        "chern": {"level": 0, "surface": {"closure": "torus", "shape": [24, 24],
+                                          "nu_range": [0.0, 4 * np.pi]}},
+    })
+    out = tmp_path / "chern.csv"
+    code, _, err = _run(capsys, "chern", "--config", str(cfg), "--output", str(out))
+    assert code == 1 and "more than once along 'ky'" in err and "1/2 of the range" in err
+    assert not out.exists()
+
+
+def test_chern_on_a_one_parameter_model_is_a_validation_error(tmp_path, capsys):
+    model = tmp_path / "one.json"
+    model.write_text(json.dumps({"name": "one", "dim": 2, "parameters": ["x"], "terms": [
+        {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "coeff": "x"}]}))
+    cfg = _write_config(tmp_path, {"model": str(model), "chern": {"level": 0, "surface": {}}})
+    code, _, err = _run(capsys, "chern", "--config", str(cfg),
+                        "--output", str(tmp_path / "chern.csv"))
+    assert code == 1 and "has no parameter None" in err
+
+
 class TestDistanceCommand:
     def test_meridian_angle(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {

@@ -371,6 +371,24 @@ class TestClosureCheck:
         with pytest.raises(qg.InputError, match="not closed along 'kx'.*differ by"):
             qg.berry_flux(model, 0, grid)
 
+    @pytest.mark.parametrize("periods", [2, 3])
+    @pytest.mark.parametrize("key, name", [("mu_range", "kx"), ("nu_range", "ky")])
+    def test_torus_over_several_periods_is_rejected(self, periods, key, name):
+        # the link method would report chern = -periods with residue 0 and no warning
+        model = qg.two_band_lattice(1.0)
+        grid = qg.SurfaceGrid.torus(model, "kx", "ky", (24, 24),
+                                    **{key: (0.0, periods * 2 * np.pi)})
+        with pytest.raises(qg.InputError, match=f"more than once along '{name}'.*"
+                                                f"1/{periods} of the range"):
+            qg.berry_flux(model, 0, grid)
+
+    def test_flat_direction_may_span_several_periods(self):
+        model = qg.model_spec("flat in c", 2, ("kx", "ky", "c"), [
+            (SX, "sin(kx)"), (SY, "sin(ky)"), (SZ, "1 + cos(kx) + cos(ky)")])
+        grid = qg.SurfaceGrid.torus(model, "kx", "c", (12, 12), nu_range=(0.0, 4 * np.pi),
+                                    base=[0.0, 0.3, 0.0])
+        assert abs(qg.berry_flux(model, 0, grid).chern) < 1e-9
+
     def test_half_period_torus_is_rejected_before_the_link_guard(self):
         model = qg.two_band_lattice(1.0)
         grid = qg.SurfaceGrid.torus(model, "kx", "ky", (24, 24), nu_range=(0.0, np.pi))
