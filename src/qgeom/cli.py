@@ -245,12 +245,16 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     values = []
     for mu in swept:
         spec = axes[model.parameters[mu]]
-        if not (isinstance(spec, list) and len(spec) == 3
-                and all(type(v) in (int, float) for v in spec)
-                and spec[2] >= 1 and float(spec[2]).is_integer()):
+        try:
+            lo, hi, n = map(float, spec)
+            valid = (isinstance(spec, list) and all(type(v) in (int, float) for v in spec)
+                     and n >= 1 and n.is_integer())
+        except (TypeError, ValueError, OverflowError):  # not three numbers that fit a float
+            valid = False
+        if not valid:
             raise InputError(f"grid: axis {model.parameters[mu]!r} must be [lo, hi, n] "
                              "with an integer n >= 1")
-        values.append(np.linspace(float(spec[0]), float(spec[1]), int(spec[2])))
+        values.append(np.linspace(lo, hi, int(n)))
 
     k = model.n_parameters
     # row-major over the swept axes, in model parameter order
@@ -336,7 +340,7 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
         amps = initial["amplitudes"]
         try:
             psi0 = state_vector([complex(a[0], a[1]) for a in amps])
-        except (TypeError, IndexError):
+        except (TypeError, IndexError, OverflowError):
             raise InputError("evolve: 'amplitudes' must be a list of [re, im] pairs") from None
         default_level = None
     else:

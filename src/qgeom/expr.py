@@ -16,12 +16,11 @@ abs.  Angles are radians.  Identifiers must be declared parameters.
 Derivatives are computed by first-order dual numbers (forward mode), exact
 to machine precision; domain errors raise instead of propagating NaN.
 One walker serves one point and many: :func:`evaluate_gradient` runs it on
-arrays of N points with all k partials seeded at once (vector mode), the
-scalar functions on floats; checks act point by point.  ASTs are
+arrays of N points with all k partials seeded at once (vector mode), and the
+scalar functions are its one-row calls; checks act point by point.  ASTs are
 immutable; evaluation is pure and thread-safe.
 """
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -351,11 +350,7 @@ def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
 
 def evaluate(ast: ExprNode, values: Mapping[str, float]) -> float:
     """Evaluate the tree in IEEE doubles; domain errors raise, never NaN."""
-    env = {k: _as_dual(v) for k, v in values.items()}
-    result = float(_eval(ast, env).value)
-    if not math.isfinite(result):
-        raise EvaluationError(f"expression evaluated to non-finite value {result!r}")
-    return result
+    return evaluate_gradient(ast, {k: [v] for k, v in values.items()}, ())[0].item()
 
 
 def evaluate_with_derivative(
@@ -365,12 +360,8 @@ def evaluate_with_derivative(
 
     Seeds the named parameter with dual part 1 and all others with 0.
     """
-    env = {k: Dual(np.float64(v), float(k == direction)) for k, v in values.items()}
-    result = _eval(ast, env)
-    value, deriv = float(result.value), float(result.deriv)
-    if not math.isfinite(value) or not math.isfinite(deriv):
-        raise EvaluationError("expression or derivative evaluated to a non-finite value")
-    return value, deriv
+    value, partials = evaluate_gradient(ast, {k: [v] for k, v in values.items()}, (direction,))
+    return value.item(), partials.item()
 
 
 def evaluate_gradient(
@@ -380,7 +371,8 @@ def evaluate_gradient(
 
     ``columns`` maps each parameter to a 1-D array of its N values; partial
     row i is seeded with 1 on ``directions[i]``.  A domain error at any
-    point raises, naming a failing value but not the point.
+    point raises, naming a failing value but not the point; a non-finite
+    value is named before a non-finite partial.
     """
     columns = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
     shape = np.broadcast_shapes(*(c.shape for c in columns.values()))
@@ -392,6 +384,7 @@ def evaluate_gradient(
     value = np.broadcast_to(result.value, shape).copy()
     partials = np.broadcast_to(result.deriv, (len(directions), *shape)).copy()
     if not (np.isfinite(value).all() and np.isfinite(partials).all()):
+        _check(~np.isfinite(value), "expression evaluated to non-finite value {!r}", value)
         raise EvaluationError("expression or derivative evaluated to a non-finite value")
     return value, partials
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InputError, StepError
 from .model import Curve, ModelSpec, curve, hamiltonian_blocks, parameter_point
 from .numerics import state_vector
-from .qgt import level_blocks, level_states, qgt_sum_over_states
+from .qgt import level_blocks, level_states
 
 __all__ = [
     "fidelity_angle",
@@ -136,8 +136,9 @@ def small_separation_check(model: ModelSpec, lam, delta, level: int) -> float:
     delta = np.asarray(delta, dtype=float).ravel()
     if delta.size != model.n_parameters:
         raise InputError(f"displacement has {delta.size} entries, expected {model.n_parameters}")
-    g = qgt_sum_over_states(model, lam, level).metric
-    psi, chi = level_states(model, [lam, lam + delta], level)
+    blocks = list(level_blocks(model, [lam, lam + delta], level, tensors=True))
+    psi, chi = np.concatenate([vectors[:, :, level] for _, vectors, _ in blocks])
+    g = blocks[0][2][0].real  # at lam, which leads the first block
     overlap = abs(np.vdot(psi, chi))
     predicted = 1.0 - 0.5 * float(delta @ g @ delta)
     return abs(overlap - predicted)
@@ -389,13 +390,8 @@ def plaquette_flux_grid(
     return -np.angle(u_mu[:, :-1] * u_nu[1:] * u_mu[:, 1:].conj() * u_nu[:-1].conj())
 
 
-def berry_flux(
-    model: ModelSpec,
-    level: int,
-    grid: SurfaceGrid,
-    degeneracy_tol: float | None = None,
-    min_link: float = 0.2,
-) -> FluxResult:
+def berry_flux(model: ModelSpec, level: int, grid: SurfaceGrid,
+               min_link: float = 0.2) -> FluxResult:
     """Berry flux of one band over a surface grid, by link variables.
 
     The grid's closure is checked first (:meth:`SurfaceGrid.check_closed`).
@@ -411,7 +407,7 @@ def berry_flux(
         pole = f"{list(poles)[i - n_mu * n_nu]} pole, " if i >= n_mu * n_nu else ""
         return f"{pole}lambda = {points[i].tolist()}"
 
-    states = level_states(model, points, level, where, degeneracy_tol)
+    states = level_states(model, points, level, where)
     fluxes = plaquette_flux_grid(states[:n_mu * n_nu].reshape(n_mu, n_nu, model.dim),
                                  grid.closure, min_link=min_link,
                                  **dict(zip(poles, states[n_mu * n_nu:])))

@@ -147,8 +147,9 @@ def parameter_point(model: ModelSpec, values) -> np.ndarray:
 def _evaluate_all(asts, names, points: np.ndarray, directions, label):
     """Values (A, N) and partials (A, N, k) of A trees at the rows of ``points``.
 
-    A domain error is located after the batch, point by point, and raised
-    with the point-wise message after ``label(tree index, binding)``.
+    A domain error is located after the batch, point by point (each tree's
+    values, then its partials one direction at a time), and raised with the
+    point-wise message after ``label(tree index, binding)``.
     """
     try:
         pairs = [expr.evaluate_gradient(ast, dict(zip(names, points.T)), directions)
@@ -158,9 +159,8 @@ def _evaluate_all(asts, names, points: np.ndarray, directions, label):
             env = dict(zip(names, row.tolist()))
             for k, ast in enumerate(asts):
                 try:
-                    expr.evaluate(ast, env)
-                    for direction in directions:
-                        expr.evaluate_with_derivative(ast, env, direction)
+                    for seeds in [(), *zip(directions)]:  # values, then each direction
+                        expr.evaluate_gradient(ast, dict(zip(names, row[:, None])), seeds)
                 except EvaluationError as exc:
                     raise EvaluationError(f"{label(k, env)}{exc}") from None
         raise
@@ -378,5 +378,8 @@ def _parse_complex_matrix(rows, dim: int, where: str) -> np.ndarray:
                 raise InputError(
                     f"{where}: entry ({i},{j}) must be a 2-array [re, im]"
                 )
-            out[i, j] = complex(entry[0], entry[1])
+            try:
+                out[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise InputError(f"{where}: entry ({i},{j}) is too large for a float") from None
     return out

@@ -118,12 +118,8 @@ class EigenSystem:
 
     def gap(self, level: int) -> float:
         """Distance from ``level`` to the nearest energy outside its cluster."""
-        group = self.group_of(level)
-        others = [e for i, e in enumerate(self.energies) if i not in group]
-        if not others:
-            return np.inf
-        e = self.energies[level]
-        return float(min(abs(e - o) for o in others))
+        others = np.delete(self.energies, self.group_of(level))
+        return float(np.abs(others - self.energies[level]).min(initial=np.inf))
 
 
 def degeneracy_groups(energies, tol: float) -> tuple[tuple[int, ...], ...]:
@@ -134,16 +130,8 @@ def degeneracy_groups(energies, tol: float) -> tuple[tuple[int, ...], ...]:
     e = np.asarray(energies, dtype=float)
     if e.size == 0:
         return ()
-    groups = []
-    current = [0]
-    for i in range(1, e.size):
-        if e[i] - e[i - 1] <= tol:
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    groups.append(tuple(current))
-    return tuple(groups)
+    cuts = np.flatnonzero(~(np.diff(e) <= tol)) + 1  # a NaN gap splits too
+    return tuple(tuple(g.tolist()) for g in np.split(np.arange(e.size), cuts))
 
 
 def default_degeneracy_tol(energies):

@@ -156,7 +156,7 @@ def level_gap(energies, level: int) -> np.ndarray:
     none = np.full(e.shape[:-1], np.inf)
     below = e[..., level] - e[..., level - 1] if level > 0 else none
     above = e[..., level + 1] - e[..., level] if level + 1 < e.shape[-1] else none
-    return np.minimum(below, above)
+    return np.fmin(below, above)  # a NaN gap is no neighbour, as in degeneracy_groups
 
 
 def _near_degenerate(energies: np.ndarray, level: int) -> bool:
@@ -164,23 +164,20 @@ def _near_degenerate(energies: np.ndarray, level: int) -> bool:
     return bool(level_gap(energies, level) < NEAR_DEGENERACY_FACTOR * scale)
 
 
-def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False,
-                 where=None, degeneracy_tol: float | None = None):
+def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False, where=None):
     """Yield (energies (n, d), eigenvectors (n, d, d), Q (n, k, k) or None) per H block.
 
     Q, the sum-over-states tensor of ``level``, comes with ``tensors``.  The
-    first point where the level is not isolated (as by
-    :func:`degeneracy_groups`) raises DegeneracyError, prefixed
+    first point where the level is not isolated (as by :func:`degeneracy_groups`
+    with :func:`default_degeneracy_tol`) raises DegeneracyError, prefixed
     "at {where(i)}: " when ``where`` is given.
     """
     if not 0 <= level < model.dim:
         raise InputError(f"level {level} out of range 0..{model.dim - 1}")
-    if degeneracy_tol is not None and not degeneracy_tol > 0:
-        raise InputError("degeneracy_tol must be positive")
     start = 0
     for h, dh in hamiltonian_blocks(model, points, model.parameters if tensors else ()):
         energies, vectors = np.linalg.eigh(h)
-        tol = np.broadcast_to(degeneracy_tol or default_degeneracy_tol(energies), len(h))
+        tol = default_degeneracy_tol(energies)
         bad = np.flatnonzero(level_gap(energies, level) <= tol)
         if bad.size:
             i = bad[0]
@@ -191,14 +188,13 @@ def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False,
         start += len(h)
 
 
-def level_states(model: ModelSpec, points, level: int, where=None,
-                 degeneracy_tol: float | None = None) -> np.ndarray:
+def level_states(model: ModelSpec, points, level: int, where=None) -> np.ndarray:
     """The ``level`` eigenstates (N, d) at the points, as by :func:`level_blocks`.
 
     Each block's column is copied, so no block of eigenvectors outlives its turn.
     """
-    return np.concatenate([v[:, :, level].copy() for _, v, _ in level_blocks(
-        model, points, level, where=where, degeneracy_tol=degeneracy_tol)])
+    return np.concatenate([v[:, :, level].copy()
+                           for _, v, _ in level_blocks(model, points, level, where=where)])
 
 
 def derivative_matrices(model: ModelSpec, lam) -> list[np.ndarray]:
@@ -231,13 +227,10 @@ def qgt_from_eigensystem(
     return QgtTensor(_abelian(es.energies[None], es.vectors[None], dh, level)[0], near)
 
 
-def qgt_sum_over_states(
-    model: ModelSpec, lam, level: int, degeneracy_tol: float | None = None
-) -> QgtTensor:
+def qgt_sum_over_states(model: ModelSpec, lam, level: int) -> QgtTensor:
     """Reference QGT at a parameter point (see :func:`qgt_from_eigensystem`)."""
     lam = parameter_point(model, lam)
-    (energies, _, q), = level_blocks(model, lam[None], level, True,
-                                     degeneracy_tol=degeneracy_tol)
+    (energies, _, q), = level_blocks(model, lam[None], level, True)
     return QgtTensor(q[0], _near_degenerate(energies[0], level))
 
 
@@ -246,12 +239,12 @@ def qgt_sum_over_states(
 
 
 def _aligned_states(
-    model: ModelSpec, lam: np.ndarray, level: int, steps: np.ndarray, min_overlap: float
+    model: ModelSpec, lam: np.ndarray, level: int, steps: np.ndarray, floor: float
 ) -> tuple[EigenSystem, np.ndarray]:
     """The eigensystem at ``lam`` and the ``level`` states at ``lam + steps``.
 
     Each displaced state is rephased so its overlap with the centre state is
-    real and positive.  An overlap modulus below ``min_overlap`` means the
+    real and positive.  An overlap modulus below ``floor`` means the
     step is too large (or the level crossed another inside the step); the
     first such step raises StepError.
     """
@@ -266,7 +259,7 @@ def _aligned_states(
                       np.vecdot(vectors[:, :, level], center), vectors[:, :, level].copy()))
     swapped, o, states = (np.concatenate(part)[1:] for part in zip(*parts))
     modulus = np.hypot(o.real, o.imag)  # rounds like abs() of one complex number
-    bad = np.flatnonzero(swapped | (modulus < min_overlap))
+    bad = np.flatnonzero(swapped | (modulus < floor))
     if bad.size and swapped[bad[0]]:
         raise StepError(
             f"level ordering changed inside the step: level {level} at the "
@@ -274,7 +267,7 @@ def _aligned_states(
         )
     if bad.size:
         raise StepError(
-            f"neighbor overlap {modulus[bad[0]]:.3f} below {min_overlap}; reduce the step"
+            f"neighbor overlap {modulus[bad[0]]:.3f} below {floor}; reduce the step"
         )
     return es, states * (o / modulus)[:, None]
 
@@ -286,18 +279,18 @@ def _central_steps(k: int, h: float) -> np.ndarray:
     return h * np.stack([np.eye(k), -np.eye(k)], axis=1).reshape(2 * k, k)
 
 
-def aligned_neighbor_states(
-    model: ModelSpec, lam, level: int, h: float, min_overlap: float = 0.5
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def aligned_neighbor_states(model: ModelSpec, lam, level: int,
+                            h: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenstates of ``level`` at lambda +- h e_mu, phase-aligned to the center.
 
     Returns one (plus, minus) pair per parameter.  Alignment rephases each
     neighbor so its overlap with the center state is real positive, which is
-    the simplest smooth gauge near the point.
+    the simplest smooth gauge near the point.  An overlap below 0.5 raises
+    StepError.
     """
     lam = parameter_point(model, lam)
     steps = _central_steps(model.n_parameters, h)
-    _, states = _aligned_states(model, lam, level, steps, min_overlap)
+    _, states = _aligned_states(model, lam, level, steps, 0.5)
     return list(zip(states[0::2], states[1::2]))
 
 
@@ -360,7 +353,7 @@ def qgt_overlap_fd(
                                                half[m] + half[n], -half[m] + half[n])]
     steps = np.array([*_central_steps(k, h), *diagonals, *corners]).reshape(-1, k)
     es, states = _aligned_states(model, lam, level, steps, 0.9)
-    near = _check_isolated(es, level)
+    near = _near_degenerate(es.energies, level)
 
     o = np.vecdot(states[:2 * (k + len(planes))], es.vectors[:, level])
     moduli = np.hypot(o.real, o.imag)
@@ -398,26 +391,18 @@ def nonabelian_from_eigensystem(es: EigenSystem, dh_list, group) -> NonAbelianQg
     return NonAbelianQgt(_sum_over_states(es.energies[None], es.vectors[None], dh, group)[0], group)
 
 
-def qgt_nonabelian(
-    model: ModelSpec, lam, group, degeneracy_tol: float | None = None
-) -> NonAbelianQgt:
+def qgt_nonabelian(model: ModelSpec, lam, group) -> NonAbelianQgt:
     """Non-Abelian QGT of a degenerate level at a parameter point."""
     lam = parameter_point(model, lam)
     (h, dh), = hamiltonian_blocks(model, lam[None], model.parameters)
-    return nonabelian_from_eigensystem(hermitian_eigensystem(h[0], degeneracy_tol), dh[0], group)
+    return nonabelian_from_eigensystem(hermitian_eigensystem(h[0]), dh[0], group)
 
 
 # --------------------------------------------------------------------------
 # diagnostics
 
 
-def berry_connection(
-    es: EigenSystem,
-    neighbors,
-    level: int,
-    h: float,
-    imag_tol: float | None = None,
-) -> np.ndarray:
+def berry_connection(es: EigenSystem, neighbors, level: int, h: float) -> np.ndarray:
     """Berry connection i <psi|d_mu psi> from central differences.
 
     This is a gauge-DEPENDENT diagnostic: its value reflects the phase
@@ -426,19 +411,18 @@ def berry_connection(
     directions by construction.
 
     The analytic connection is purely real; the finite-difference residue in
-    the imaginary part (O(h^2)) is truncated when below ``imag_tol``
-    (default max(1e-10, 10 h^2)) and raises otherwise.
+    the imaginary part (O(h^2)) is truncated when below max(1e-10, 10 h^2)
+    and raises otherwise.
     """
     psi = es.vectors[:, level]
-    if imag_tol is None:
-        imag_tol = max(1e-10, 10.0 * h * h)
+    limit = max(1e-10, 10.0 * h * h)
     beta = np.empty(len(neighbors))
     for mu, (plus, minus) in enumerate(neighbors):
         value = 1j * (np.vdot(psi, plus) - np.vdot(psi, minus)) / (2.0 * h)
-        if abs(value.imag) > imag_tol:
+        if abs(value.imag) > limit:
             raise InputError(
                 f"connection component {mu} has imaginary residue "
-                f"{value.imag:.3e} > {imag_tol:.3e}; are the neighbor states normalized?"
+                f"{value.imag:.3e} > {limit:.3e}; are the neighbor states normalized?"
             )
         beta[mu] = value.real
     return beta

@@ -182,6 +182,22 @@ class TestErrorsNameTheFirstFailingPoint:
             list(qg.level_blocks(model, points, 0, tensors=True))
         assert str(err.value).startswith(f"term 0 ('log(0.7 - x)') at {env}: log of ")
 
+    @pytest.mark.parametrize("coeff, x, y, message", [
+        # one walk with both partials would stop at "derivative of sqrt at 0 is singular"
+        ("sqrt(x) + log(x - 1)", 0.0, 0.0, "log of non-positive value -1.0"),
+        ("x*x*x", 1e150, 0.0, "expression evaluated to non-finite value inf"),
+        # one walk with both partials would stop at the base check of the y partial
+        ("x^y", 0.0, 0.0, "derivative of 0 ^ 0.0 is singular"),
+    ])
+    def test_values_then_each_partial_are_named(self, coeff, x, y, message):
+        model = qg.model_spec("edge", 2, ("x", "y"), [(SZ, coeff), (SX, "1 + y")])
+        points = np.tile([2.0, 0.5], (1100, 1))
+        points[1050] = x, y
+        env = {"x": x, "y": y}
+        with pytest.raises(qg.EvaluationError) as err:
+            list(qg.level_blocks(model, points, 0, tensors=True))
+        assert str(err.value) == f"term 0 ({coeff!r}) at {env}: {message}"
+
     def test_degeneracy_on_a_grid(self):
         x = np.linspace(-0.5, 0.5, 41)
         y = np.linspace(-0.6, 0.6, 61)

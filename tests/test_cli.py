@@ -251,6 +251,27 @@ def test_malformed_config_value_is_a_validation_error(
     assert code == 1 and needle in err
 
 
+HUGE = 10**400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("model, command, block, needle", [
+    ("model.json", "grid", {"level": 0, "axes": {"x": [0, 1, 3]}}, "term 0: entry (0,1)"),
+    (SPIN, "grid", {"level": 0, "axes": {"theta": [0, 1, HUGE]}}, "axis 'theta'"),
+    (SPIN, "grid", {"level": 0, "axes": {"theta": [HUGE, 1, 3]}}, "axis 'theta'"),
+    (SPIN, "evolve", {**EVOLVE, "initial": {"amplitudes": [[HUGE, 0], [0, 0]]}},
+     "'amplitudes'"),
+], ids=["model-matrix-entry", "grid-axis-count", "grid-axis-start", "evolve-amplitude"])
+def test_oversized_integer_is_a_validation_error(tmp_path, capsys, model, command, block, needle):
+    _write_config(tmp_path, {"name": "m", "dim": 2, "parameters": ["x"], "terms": [
+        {"matrix": [[[0, 0], [HUGE, 0]], [[HUGE, 0], [0, 0]]], "coeff": "x"}]}, "model.json")
+    if model == "model.json":
+        model = str(tmp_path / model)
+    cfg = _write_config(tmp_path, {"model": model, command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and needle in err
+
+
 def test_chern_on_a_torus_that_does_not_close_is_a_validation_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "model": {"builtin": "two_band_lattice", "mass": 1.0},

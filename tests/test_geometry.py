@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qgeom as qg
-from conftest import SX, SY, SZ, bloch_overlap, upper_state
+from conftest import SX, SY, SZ, bloch_overlap, random_trig_model, upper_state
 
 
 class TestFidelityAngle:
@@ -128,6 +128,15 @@ class TestSmallSeparation:
         )
         got = qg.small_separation_check(spin_model, lam, delta, 1)
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_one_point_per_block(self):
+        # at dim 48 every H block holds one point, so lam and lam + delta solve apart
+        model = random_trig_model(np.random.default_rng(4), 48)
+        lam, delta = np.array([0.4, 1.1, -0.3]), np.array([3e-3, -2e-3, 1e-3])
+        g = qg.qgt_sum_over_states(model, lam, 7).metric
+        psi, chi = qg.level_states(model, [lam, lam + delta], 7)
+        expected = abs(abs(np.vdot(psi, chi)) - (1.0 - 0.5 * delta @ g @ delta))
+        assert qg.small_separation_check(model, lam, delta, 7) == expected
 
     def test_cubic_scaling_in_mixed_direction(self, spin_model):
         lam = [np.pi / 3, 0.7]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qgeom as qg
 from conftest import SX, SZ, random_hermitian
@@ -122,3 +124,31 @@ class TestDegeneracyGroups:
     def test_chained_clusters_are_maximal(self):
         # consecutive gaps all below tol chain into one cluster
         assert qg.degeneracy_groups([0.0, 1e-9, 2e-9, 1.0], 1e-8) == ((0, 1, 2), (3,))
+
+
+def _groups_by_loop(energies, tol):
+    """Consecutive-gap clustering, one level at a time."""
+    groups = []
+    for i, e in enumerate(energies):
+        if groups and e - energies[i - 1] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return tuple(tuple(g) for g in groups)
+
+
+# few distinct values, so repeats and gaps near each tolerance are common
+_spectra = st.lists(st.sampled_from([-1.0, 0.0, 1e-9, 3e-9, 1e-8, 0.5, 1.0]), max_size=9)
+
+
+@given(energies=_spectra.map(sorted), tol=st.sampled_from([1e-9, 2e-9, 1e-8, 0.6]))
+@example(energies=[], tol=1e-9)
+@example(energies=[0.0, np.nan, 1.0], tol=1e-9)
+@example(energies=[0.0, 0.0, np.nan, 1.0, 1.0], tol=1e-9)
+def test_one_isolation_rule(energies, tol):
+    """Grouping and the vectorised gap test decide a level's isolation alike."""
+    groups = qg.degeneracy_groups(energies, tol)
+    assert groups == _groups_by_loop(energies, tol)
+    for level in range(len(energies)):
+        group = next(g for g in groups if level in g)
+        assert (len(group) > 1) == bool(qg.level_gap(energies, level) <= tol)
