@@ -371,8 +371,11 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
     q_fd = qgt_overlap_fd(model, lam, level, h)
 
     def order(make_error):
+        # the order is undefined unless every error is positive and finite
         hs = np.array([base_h, base_h / 2, base_h / 4])
         errs = np.array([make_error(hh) for hh in hs])
+        if not (np.isfinite(errs) & (errs > 0)).all():
+            return None
         return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
     slope_proj = order(
@@ -381,8 +384,10 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
     slope_fd = order(
         lambda hh: np.abs(qgt_overlap_fd(model, lam, level, hh).metric - q_sum.metric).max()
     )
+    slopes = {"projector": slope_proj, "overlap_metric": slope_fd}
     meta = dict(meta, h="%.17g" % h, order_base_h="%.17g" % base_h,
-                slope_projector="%.17g" % slope_proj, slope_overlap_metric="%.17g" % slope_fd)
+                **{f"slope_{name}": "undefined" if slope is None else "%.17g" % slope
+                   for name, slope in slopes.items()})
 
     q = q_sum.matrix
     mu, nu = np.indices(q.shape)
@@ -392,9 +397,7 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
     columns = (mu, nu, q.real, q.imag, np.hypot(dev_proj.real, dev_proj.imag),
                np.hypot(dev_fd.real, dev_fd.imag))
     _write_table(out_path, fmt, meta, names, [c.ravel() for c in columns], written,
-                 data=lambda rows: {"slopes": {"projector": slope_proj,
-                                               "overlap_metric": slope_fd},
-                                    "entries": rows})
+                 data=lambda rows: {"slopes": slopes, "entries": rows})
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ Diagnostics:
   of the level.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -41,6 +42,11 @@ __all__ = [
 
 MAX_NORM_DRIFT = 1e-6
 STABILITY_LIMIT = 0.1  # dt * spectral radius must stay below this
+# Up to this dim, evolve steps by RK4 step maps: three batched matrix products
+# per block, one matrix-vector product per step.  Above it the per-step loop is
+# faster.  Whole evolve calls of 2,000 steps, BLAS on one thread, maps / loop:
+# d = 8 25 / 56 ms, d = 16 65 / 76 ms, d = 24 105 / 93 ms.
+STEP_MAP_MAX_DIM = 8
 
 
 def schedule(model: ModelSpec, exprs: Mapping[str, str]) -> Curve:
@@ -97,8 +103,18 @@ def _energy_moments(psi: np.ndarray, h_psi: np.ndarray):
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
-def _spectral_radius(h: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(h)).max())
+def _spectral_radii(hs) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)
+
+
+def _step_maps(hs: np.ndarray, steps: int, dt: float) -> np.ndarray:
+    """RK4 step maps M_k (psi_k+1 = M_k psi_k) from H at each step's left, mid and right."""
+    a, b, c = ((-1j * dt) * hs[i:i + 2 * steps:2] for i in range(3))
+    k2 = b + 0.5 * (b @ a)
+    k3 = b + 0.5 * (b @ k2)
+    maps = (a + 2.0 * k2 + 2.0 * k3 + (c + c @ k3)) / 6.0
+    maps += np.eye(hs.shape[-1])
+    return maps
 
 
 def evolve(
@@ -135,18 +151,17 @@ def evolve(
     h_times[0] = t0
     h_times[1::2] = times[:-1] + 0.5 * dt
     h_times[2::2] = times[:-1] + dt
-    hamiltonians = (h for block, _ in hamiltonian_blocks(model, sched.sample(h_times)[0])
-                    for h in block)
+    blocks = (block for block, _ in hamiltonian_blocks(model, sched.sample(h_times)[0]))
 
-    h0 = next(hamiltonians)
-    radius = _spectral_radius(h0)
+    first_block = next(blocks)
+    radius = _spectral_radii(first_block[0])
     if dt * radius >= STABILITY_LIMIT:
         raise StepError(
             f"dt * spectral radius = {dt * radius:.3g} >= {STABILITY_LIMIT}; "
             f"use dt < {STABILITY_LIMIT / max(radius, 1e-300):.3g}"
         )
 
-    # raw states and H psi per record; H_k psi_k is also step k's k1
+    # raw states and H psi per record; in the loop H_k psi_k is also step k's k1
     psis = np.empty((n + 1, psi.size), dtype=complex)
     h_psis = np.empty_like(psis)
     norms = np.empty(n + 1)
@@ -168,31 +183,55 @@ def evolve(
 
     check_every = max(1, n // 64)
     warned = False
-    h_left = h0
+
+    def at_mark(k: int, radius) -> None:
+        # after step k: drift up to record k + 1, and the radius of H(t_k+1)
+        nonlocal warned
+        check_drift(k + 2)
+        if not warned and dt * radius >= STABILITY_LIMIT:
+            warnings.warn(
+                f"dt * spectral radius grew to {dt * radius:.3g} at "
+                f"t = {times[k + 1]:.9g}; results past here are suspect",
+                stacklevel=3,
+            )
+            warned = True
+
+    use_maps = model.dim <= STEP_MAP_MAX_DIM
     psis[0] = psi
-    for k in range(n):
-        h_mid = next(hamiltonians)
-        h_right = next(hamiltonians)
-        h_psis[k] = h_left @ psi
-        k1 = -1j * h_psis[k]
-        k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
-        k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
-        k4 = -1j * (h_right @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        psis[k + 1] = psi
-        h_left = h_right
-        if k % check_every == 0:
-            check_drift(k + 2)
-            if not warned:
-                radius = _spectral_radius(h_left)
-                if dt * radius >= STABILITY_LIMIT:
-                    warnings.warn(
-                        f"dt * spectral radius grew to {dt * radius:.3g} at "
-                        f"t = {times[k + 1]:.9g}; results past here are suspect",
-                        stacklevel=2,
-                    )
-                    warned = True
-    h_psis[n] = h_left @ psi
+    k0 = 0  # first step whose left-end H is carry[0]
+    carry = first_block[:0]
+    for block in itertools.chain([first_block], blocks):
+        # step k0 + j takes H from hs[2j], hs[2j + 1] and hs[2j + 2]; only the
+        # maps need them stacked, the loop indexes views and copies no H
+        hs = np.concatenate((carry, block)) if use_maps else [*carry, *block]
+        steps = (len(hs) - 1) // 2
+        marks = range(-k0 % check_every, steps, check_every)
+        radii = iter(_spectral_radii(np.array([hs[2 * j + 2] for j in marks]))
+                     if len(marks) and not warned else ())
+        if use_maps:
+            maps = _step_maps(hs, steps, dt)
+            for j in range(steps):
+                k = k0 + j
+                psis[k + 1] = maps[j] @ psis[k]
+                if k % check_every == 0:
+                    at_mark(k, next(radii, None))
+            h_psis[k0:k0 + steps] = (hs[0:2 * steps:2] @ psis[k0:k0 + steps, :, None])[:, :, 0]
+        else:
+            for j in range(steps):
+                k = k0 + j
+                h_mid, h_right = hs[2 * j + 1], hs[2 * j + 2]
+                h_psis[k] = hs[2 * j] @ psi
+                k1 = -1j * h_psis[k]
+                k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
+                k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
+                k4 = -1j * (h_right @ (psi + dt * k3))
+                psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                psis[k + 1] = psi
+                if k % check_every == 0:
+                    at_mark(k, next(radii, None))
+        carry = hs[2 * steps:]
+        k0 += steps
+    h_psis[n] = carry[0] @ psis[n]
     check_drift(n + 1)
 
     states = psis / norms[:, None]

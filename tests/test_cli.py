@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,37 @@ class TestCheckCommand:
         for entry in doc["data"]["entries"]:
             assert entry["dev_projector"] <= 1e-6
             assert entry["dev_overlap"] <= 1e-6
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_slope_undefined_when_an_error_is_zero(self, tmp_path, capsys, fmt):
+        # every overlap-route metric error is exactly 0 at the origin, so its
+        # order cannot be fitted: no NaN, no warning
+        model = tmp_path / "cubic.json"
+        model.write_text(json.dumps({
+            "name": "cubic", "dim": 2, "parameters": ["x", "y"],
+            "terms": [{"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "coeff": "x*x*x"},
+                      {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "coeff": "1 + y"}],
+        }))
+        cfg = _write_config(tmp_path, {
+            "model": str(model), "check": {"level": 0, "point": {"x": 0, "y": 0}},
+        })
+        out = tmp_path / f"check.{fmt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(capsys, "check", "--config", str(cfg),
+                                "--output", str(out), "--format", fmt)
+        assert code == 0, err
+        text = out.read_text()
+        if fmt == "csv":
+            assert "# slope_overlap_metric: undefined\n" in text
+            return
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["data"]["slopes"]["overlap_metric"] is None
+        assert doc["meta"]["slope_overlap_metric"] == "undefined"
 
 
 class TestValidation:

@@ -1,10 +1,20 @@
+import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import qgeom as qg
-from conftest import SZ, rabi_state, rabi_tracking_state
+import qgeom.dynamics as dynamics
+import qgeom.model as model_mod
+from conftest import SX, SZ, rabi_state, rabi_tracking_state, random_trig_model
+
+
+@pytest.fixture
+def loop_path(monkeypatch):
+    """Propagate by the per-step loop whatever the model's dim."""
+    monkeypatch.setattr(dynamics, "STEP_MAP_MAX_DIM", 0)
 
 
 def _static_schedule(model, theta="0", phi="0"):
@@ -137,6 +147,88 @@ class TestEvolve:
             qg.schedule(spin_model, {"theta": "t"})
         with pytest.raises(qg.InputError):
             qg.schedule(spin_model, {"theta": "t", "phi": "t", "x": "t"})
+
+
+class TestLoopPath:
+    """The per-step loop passes the step maps' propagation tests unchanged."""
+
+    def test_fourth_order_convergence(self, loop_path, spin_model):
+        TestEvolve.test_fourth_order_convergence(self, spin_model)
+
+    def test_norm_drift_aborts_with_suggestion(self, loop_path, spin_model):
+        TestEvolve.test_norm_drift_aborts_with_suggestion(self, spin_model)
+
+    def test_norm_drift_names_the_first_drifting_time(self, loop_path):
+        TestEvolve.test_norm_drift_names_the_first_drifting_time(self)
+
+    def test_growing_spectrum_warns_adaptively(self, loop_path):
+        TestEvolve.test_growing_spectrum_warns_adaptively(self)
+
+
+def _driven(model):
+    exprs = {p: f"{0.3 + 0.1 * k!r} + 0.2*sin({1.0 + 0.3 * k!r}*t)"
+             for k, p in enumerate(model.parameters)}
+    return qg.schedule(model, exprs)
+
+
+def _evolve_steps(model, steps, dt=0.01):
+    psi0 = np.arange(1, model.dim + 1) + 0.5j
+    return qg.evolve(model, _driven(model), psi0 / np.linalg.norm(psi0), 0.0, steps * dt, dt)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_step_maps_agree_with_the_loop(monkeypatch, spin_model, dim):
+    model = spin_model if dim == 2 else random_trig_model(np.random.default_rng(8), 8)
+    maps = _evolve_steps(model, 500, dt=0.005)
+    monkeypatch.setattr(dynamics, "STEP_MAP_MAX_DIM", 0)
+    loop = _evolve_steps(model, 500, dt=0.005)
+    assert np.abs(maps.states - loop.states).max() <= 1e-12
+    assert np.abs(maps.energy_mean - loop.energy_mean).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [8, 9])
+def test_step_maps_only_up_to_the_cap(monkeypatch, dim):
+    built, step_maps = [], dynamics._step_maps
+
+    def spy(*args):
+        built.append(args)
+        return step_maps(*args)
+
+    monkeypatch.setattr(dynamics, "_step_maps", spy)
+    _evolve_steps(random_trig_model(np.random.default_rng(dim), dim), 20, dt=0.002)
+    assert bool(built) == (dim <= dynamics.STEP_MAP_MAX_DIM)
+
+
+@pytest.mark.parametrize("path", ["maps", "loop"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_seams_do_not_change_the_trajectory(monkeypatch, path, dim):
+    # blocks of 1, 2, 3, 5 and 7 H put step seams at every offset; the d = 2
+    # ramp's spectrum grows past the stability limit, so its warning is
+    # compared too
+    if path == "loop":
+        monkeypatch.setattr(dynamics, "STEP_MAP_MAX_DIM", 0)
+    if dim == 2:
+        model = qg.model_spec("ramp", 2, ("x",), [(SZ, "x"), (0.3 * SX, "1")])
+        sched = qg.schedule(model, {"x": "1 + 8*t"})
+    else:
+        model = random_trig_model(np.random.default_rng(3), 3)
+        sched = _driven(model)
+    psi0 = qg.state_vector(np.arange(1, dim + 1) + 0.5j)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = qg.evolve(model, sched, psi0, 0.0, 1.3, 0.01)
+        return traj, [str(w.message) for w in caught]
+
+    reference, reference_warnings = run()
+    assert len(reference_warnings) == (dim == 2)
+    for per_block in (1, 2, 3, 5, 7):
+        monkeypatch.setattr(model_mod, "BLOCK_ENTRIES", per_block * dim**2)
+        traj, caught = run()
+        assert caught == reference_warnings
+        for field in dataclasses.fields(traj):
+            assert np.array_equal(getattr(traj, field.name), getattr(reference, field.name))
 
 
 class TestAaConsistency:
