@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InputError, StepError
 from .model import Curve, ModelSpec, curve, hamiltonian_blocks, parameter_point
 from .numerics import state_vector
-from .qgt import level_blocks, level_states
+from .qgt import level_blocks, level_states, qgt_sum_over_states
 
 __all__ = [
     "fidelity_angle",
@@ -136,9 +136,8 @@ def small_separation_check(model: ModelSpec, lam, delta, level: int) -> float:
     delta = np.asarray(delta, dtype=float).ravel()
     if delta.size != model.n_parameters:
         raise InputError(f"displacement has {delta.size} entries, expected {model.n_parameters}")
-    blocks = list(level_blocks(model, [lam, lam + delta], level, tensors=True))
-    psi, chi = np.concatenate([vectors[:, :, level] for _, vectors, _ in blocks])
-    g = blocks[0][2][0].real  # at lam, which leads the first block
+    psi, chi = level_states(model, [lam, lam + delta], level)
+    g = qgt_sum_over_states(model, lam, level).metric
     overlap = abs(np.vdot(psi, chi))
     predicted = 1.0 - 0.5 * float(delta @ g @ delta)
     return abs(overlap - predicted)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 __all__ = [
     "complex_matrix",
@@ -21,8 +21,11 @@ __all__ = [
     "state_vector",
     "EigenSystem",
     "hermitian_eigensystem",
+    "level_eigenvectors",
     "degeneracy_groups",
 ]
+
+STATE_SOLVES = 3  # shifted solves per state before level_eigenvectors gives up
 
 
 def complex_matrix(entries) -> np.ndarray:
@@ -171,3 +174,43 @@ def hermitian_eigensystem(h: np.ndarray, degeneracy_tol: float | None = None) ->
     energies, vectors = np.linalg.eigh(m)
     tol = degeneracy_tol if degeneracy_tol is not None else default_degeneracy_tol(energies)
     return EigenSystem(energies, vectors, degeneracy_groups(energies, tol))
+
+
+def level_eigenvectors(h, energies, level: int, where) -> np.ndarray:
+    """Unit eigenvectors (n, d) of an isolated ``level`` of Hermitian H (n, d, d).
+
+    Inverse iteration from ``energies`` (``eigvalsh``): x solves (H - s) x = b with
+    s = E - 2 eps max(1, range, |E|), until ||(H - s) x - rho x|| <= d eps max(1, range),
+    rho = x^dag (H - s) x, with s + rho nearest E (then the gap bounds the angle
+    to the eigenvector).  Failing rows are solved again, up to STATE_SOLVES
+    solves; then NumericalError names the first by ``where(row)``.
+    """
+    n, d = energies.shape
+    eps = np.finfo(float).eps
+    e, scale = energies[:, level], np.maximum(1.0, energies[:, -1] - energies[:, 0])
+    offset, bound = 2 * eps * np.maximum(scale, np.abs(e)), d * eps * scale
+    sigma, a = e - offset, np.array(h, dtype=complex)
+    a.reshape(n, d * d)[:, ::d + 1] -= sigma[:, None]
+    states, residual, rows = np.empty((n, d), dtype=complex), np.full(n, np.inf), np.arange(n)
+    x = np.exp(1j * np.arange(1, d + 1))[None, :, None]  # broadcast over the stack
+    for _ in range(STATE_SOLVES):
+        try:
+            y = np.linalg.solve(a, x)
+        except np.linalg.LinAlgError:  # exact zero pivots: step those shifts down once more
+            hit = np.linalg.slogdet(a)[0] == 0
+            sigma[rows[hit]] -= offset[rows[hit]]
+            a.reshape(len(rows), d * d)[hit, ::d + 1] += offset[rows[hit], None]
+            continue
+        x = y / np.sqrt(np.vecdot(y, y, axis=1).real)[:, None]
+        ax = a @ x
+        rho = np.vecdot(x, ax, axis=1)  # (m, 1)
+        residual[rows] = np.linalg.norm((ax - rho[:, None] * x)[..., 0], axis=1)
+        nearest = np.abs(energies[rows] - (sigma[rows, None] + rho.real)).argmin(axis=1) == level
+        done = nearest & (residual[rows] <= bound[rows])
+        states[rows[done]] = x[done, :, 0]
+        x, a, rows = x[~done], a[~done], rows[~done]
+        if not rows.size:
+            return states
+    i = rows[0]
+    raise NumericalError(f"at {where(i)}: the level {level} state did not converge in "
+                         f"{STATE_SOLVES} solves (residual {residual[i]:.3e} > {bound[i]:.3e})")

@@ -28,7 +28,9 @@ each tensor entry becomes a d x d block over the level's internal basis and
 transforms by conjugation under basis rotations; the Abelian tensor is its
 group-of-one case.  Every route solves its points through one blocked core,
 :func:`level_blocks`: one ``eigh`` per block of H, a vectorised isolation
-test and the sum-over-states tensors of the whole block.
+test and the sum-over-states tensors of the whole block.  States alone come
+from :func:`level_states`: from ``STATE_SOLVE_MIN_DIM`` up by ``eigvalsh`` and a
+shifted solve per point, under the same isolation test.
 """
 
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import DegeneracyError, InputError, StepError
 from .model import ModelSpec, hamiltonian_blocks, parameter_point
 from .numerics import (EigenSystem, default_degeneracy_tol, degeneracy_groups, hermitian,
-                       hermitian_eigensystem)
+                       hermitian_eigensystem, level_eigenvectors)
 
 __all__ = [
     "QgtTensor",
@@ -61,6 +63,7 @@ __all__ = [
 
 NEAR_DEGENERACY_FACTOR = 1e-6  # warn when gap < factor * spectral scale
 DEFAULT_FD_STEP = 1e-4
+STATE_SOLVE_MIN_DIM = 6  # per point, solve/eigh: 1.5 at d = 2, 1.15 at 5, 0.97 at 6, 0.8 at 64
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,25 @@ def _near_degenerate(energies: np.ndarray, level: int) -> bool:
     return bool(level_gap(energies, level) < NEAR_DEGENERACY_FACTOR * scale)
 
 
+def _solved_blocks(model: ModelSpec, points, level: int, where, directions, vectors: bool):
+    """(index of its first point, H, dH, energies, eigenvectors or None) per H block,
+    under the one isolation rule of :func:`level_blocks` and :func:`level_states`."""
+    if not 0 <= level < model.dim:
+        raise InputError(f"level {level} out of range 0..{model.dim - 1}")
+    start = 0
+    for h, dh in hamiltonian_blocks(model, points, directions):
+        energies, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+        tol = default_degeneracy_tol(energies)
+        bad = np.flatnonzero(level_gap(energies, level) <= tol)
+        if bad.size:
+            i = bad[0]
+            group = next(g for g in degeneracy_groups(energies[i], tol[i]) if level in g)
+            label = f"at {where(start + i)}: " if where else ""
+            raise DegeneracyError(label + _degenerate(level, group))
+        yield start, h, dh, energies, v
+        start += len(h)
+
+
 def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False, where=None):
     """Yield (energies (n, d), eigenvectors (n, d, d), Q (n, k, k) or None) per H block.
 
@@ -172,29 +194,25 @@ def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False, wh
     with :func:`default_degeneracy_tol`) raises DegeneracyError, prefixed
     "at {where(i)}: " when ``where`` is given.
     """
-    if not 0 <= level < model.dim:
-        raise InputError(f"level {level} out of range 0..{model.dim - 1}")
-    start = 0
-    for h, dh in hamiltonian_blocks(model, points, model.parameters if tensors else ()):
-        energies, vectors = np.linalg.eigh(h)
-        tol = default_degeneracy_tol(energies)
-        bad = np.flatnonzero(level_gap(energies, level) <= tol)
-        if bad.size:
-            i = bad[0]
-            group = next(g for g in degeneracy_groups(energies[i], tol[i]) if level in g)
-            label = f"at {where(start + i)}: " if where else ""
-            raise DegeneracyError(label + _degenerate(level, group))
-        yield energies, vectors, _abelian(energies, vectors, dh, level) if tensors else None
-        start += len(h)
+    directions = model.parameters if tensors else ()
+    for _, _, dh, e, v in _solved_blocks(model, points, level, where, directions, True):
+        yield e, v, _abelian(e, v, dh, level) if tensors else None
 
 
 def level_states(model: ModelSpec, points, level: int, where=None) -> np.ndarray:
-    """The ``level`` eigenstates (N, d) at the points, as by :func:`level_blocks`.
+    """Unit ``level`` eigenstates (N, d) at the points, each in an arbitrary phase.
 
-    Each block's column is copied, so no block of eigenvectors outlives its turn.
+    Isolation is checked as by :func:`level_blocks`.  Below ``STATE_SOLVE_MIN_DIM``
+    the states are ``eigh``'s columns; from it up they come from ``eigvalsh`` and
+    :func:`~qgeom.numerics.level_eigenvectors`, which raises NumericalError
+    naming the point where a state does not converge.
     """
-    return np.concatenate([v[:, :, level].copy()
-                           for _, v, _ in level_blocks(model, points, level, where=where)])
+    solve = model.dim >= STATE_SOLVE_MIN_DIM
+    label = where or (lambda i: f"point {i}")
+    return np.concatenate([
+        level_eigenvectors(h, e, level, lambda i: label(start + i)) if solve
+        else v[:, :, level].copy()  # copied, so no block of eigenvectors outlives its turn
+        for start, h, _, e, v in _solved_blocks(model, points, level, where, (), not solve)])
 
 
 def derivative_matrices(model: ModelSpec, lam) -> list[np.ndarray]:

@@ -156,3 +156,9 @@ def random_trig_model(rng, dim, n_params=3, n_terms=4):
 @pytest.fixture
 def spin_model():
     return qg.spin_half(1.0)
+
+
+@pytest.fixture
+def state_route(monkeypatch):
+    """level_states takes eigvalsh and the shifted solve at every dim."""
+    monkeypatch.setattr(qg.qgt, "STATE_SOLVE_MIN_DIM", 1)

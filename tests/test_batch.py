@@ -242,3 +242,33 @@ def test_results_do_not_depend_on_eigenvector_phases(monkeypatch, spin_model):
     monkeypatch.setattr(np.linalg, "eigh", rephased)
     for got, want, tol in zip(results(), reference, (1e-15, 1e-12, 2e-15 / 1e-6, 1e-14)):
         assert np.abs(got - want).max() <= tol
+
+
+@pytest.mark.parametrize("route", ["eigh", "solve"])
+def test_flux_does_not_depend_on_state_phases(monkeypatch, request, spin_model, route):
+    # the eigh route rephases every eigenvector; the solve route rephases
+    # every right-hand side handed to np.linalg.solve, the start vector included
+    if route == "solve":
+        request.getfixturevalue("state_route")
+    grid = qg.SurfaceGrid.sphere(spin_model, "theta", "phi", (12, 12))
+    reference = qg.berry_flux(spin_model, 1, grid).plaquette_fluxes
+    rng = np.random.default_rng(32)
+    calls = {"eigh": 0, "solve": 0}
+    true_eigh, true_solve = np.linalg.eigh, np.linalg.solve
+
+    def phases(shape):
+        return np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
+
+    def eigh(h):
+        calls["eigh"] += 1
+        energies, vectors = true_eigh(h)
+        return energies, vectors * phases(vectors.shape[:-2] + (1, vectors.shape[-1]))
+
+    def solve(a, b):
+        calls["solve"] += 1
+        return true_solve(a, b * phases((len(a), 1, 1)))
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert np.abs(qg.berry_flux(spin_model, 1, grid).plaquette_fluxes - reference).max() <= 1e-14
+    assert (calls["eigh"] > 0, calls["solve"] > 0) == (route == "eigh", route == "solve")

@@ -113,6 +113,23 @@ class TestEvolve:
         with pytest.raises(qg.StepError, match="suggested dt"):
             qg.evolve(spin_model, sched, psi0, 0.0, 60.0, 0.099)
 
+    def test_norm_drift_aborts_early_in_a_long_span(self, monkeypatch, spin_model):
+        # the drift passes 1e-6 within a few hundred of 60,606 steps, so the run
+        # stops at the next check (step 946) with H for under 2,000 of its
+        # 121,213 times assembled, not after every block of the span
+        consumed, blocks = [], dynamics.hamiltonian_blocks
+
+        def counted(*args):
+            for block in blocks(*args):
+                consumed.append(len(block[0]))
+                yield block
+
+        monkeypatch.setattr(dynamics, "hamiltonian_blocks", counted)
+        psi0 = np.array([1.0, 1.0]) / np.sqrt(2)
+        with pytest.raises(qg.StepError, match="suggested dt"):
+            qg.evolve(spin_model, _static_schedule(spin_model), psi0, 0.0, 6000.0, 0.099)
+        assert 0 < sum(consumed) <= 2 * 1024
+
     def test_norm_drift_names_the_first_drifting_time(self):
         # drift is checked every n // 64 steps; the error still names the
         # first record past 1e-6 (record 1614, between two checks)
@@ -160,6 +177,9 @@ class TestLoopPath:
 
     def test_norm_drift_names_the_first_drifting_time(self, loop_path):
         TestEvolve.test_norm_drift_names_the_first_drifting_time(self)
+
+    def test_norm_drift_aborts_early_in_a_long_span(self, loop_path, monkeypatch, spin_model):
+        TestEvolve.test_norm_drift_aborts_early_in_a_long_span(self, monkeypatch, spin_model)
 
     def test_growing_spectrum_warns_adaptively(self, loop_path):
         TestEvolve.test_growing_spectrum_warns_adaptively(self)

@@ -7,6 +7,7 @@ as the mass keeps away from the gap closings at 0 and +-2.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,3 +86,15 @@ def test_flux_is_additive_when_an_open_grid_is_split(theta0, width, phi0, shape,
     halves[0][axis], halves[1][axis] = axes[axis][:j + 1], axes[axis][j:]
     whole, parts = flux(*axes), flux(*halves[0]) + flux(*halves[1])
     assert abs(whole - parts) <= 1e-12 * max(1.0, abs(whole))
+
+
+@pytest.mark.parametrize("prop", [
+    test_chern_is_invariant_under_a_torus_origin_shift,
+    test_chern_is_invariant_under_grid_refinement,
+    test_chern_is_invariant_under_a_unitary_change_of_basis,
+    test_flux_is_additive_when_an_open_grid_is_split,
+], ids=lambda prop: prop.__name__.removeprefix("test_"))
+def test_properties_hold_on_the_state_route(state_route, prop):
+    # the properties above run where level_states takes eigh's column (dim 2);
+    # here every dim takes eigvalsh and the shifted solve
+    prop()
