@@ -6,7 +6,9 @@ form makes the parameter derivatives of H exact: differentiating the
 coefficients with dual numbers gives dH/dmu = sum_k (df_k/dmu) H_k with no
 finite differencing.  :func:`hamiltonian_blocks` walks each coefficient
 once for many points and yields H and dH in blocks of BLOCK_ENTRIES // dim^2
-points (memory stays bounded at large dim); per-point functions wrap it.
+points, at most BLOCK_POINTS (memory stays bounded at large dim, and at dim 64
+a block still holds four points to share its per-block work); per-point
+functions wrap it.
 Each H and dH is a single exact sum over the term stack, Hermitian as
 stored by construction because every term is.
 
@@ -58,7 +60,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-BLOCK_ENTRIES = 2**12  # complex entries of H in one block; bounds memory at large dim
+BLOCK_ENTRIES = 2**14  # complex entries of H in one block: 4 points at dim 64, bounded memory
+BLOCK_POINTS = 1024  # cap on the points in one block; larger ones were no faster at dim 2
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ def hamiltonian_blocks(model: ModelSpec, points, directions=()):
         lambda k, env: f"term {k} ({model.coeff_sources[k]!r}) at {env}: ",
     )
     terms = np.array([matrix for matrix, _ in model.terms])
-    step = max(1, BLOCK_ENTRIES // model.dim**2)
+    step = min(BLOCK_POINTS, max(1, BLOCK_ENTRIES // model.dim**2))
     for lo in range(0, len(lam), step):
         block = slice(lo, lo + step)
         dh = _assemble(terms, partials[:, block]) if directions else None

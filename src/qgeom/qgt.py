@@ -209,10 +209,11 @@ def level_states(model: ModelSpec, points, level: int, where=None) -> np.ndarray
     """
     solve = model.dim >= STATE_SOLVE_MIN_DIM
     label = where or (lambda i: f"point {i}")
-    return np.concatenate([
+    parts = [
         level_eigenvectors(h, e, level, lambda i: label(start + i)) if solve
         else v[:, :, level].copy()  # copied, so no block of eigenvectors outlives its turn
-        for start, h, _, e, v in _solved_blocks(model, points, level, where, (), not solve)])
+        for start, h, _, e, v in _solved_blocks(model, points, level, where, (), not solve)]
+    return np.concatenate(parts) if parts else np.empty((0, model.dim), complex)
 
 
 def derivative_matrices(model: ModelSpec, lam) -> list[np.ndarray]:

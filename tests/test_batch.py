@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qgeom as qg
 import qgeom.model as model_mod
 
-from conftest import SX, SZ
+from conftest import SX, SZ, random_trig_model
 
 PARAMS = ("a", "b", "c")
 
@@ -82,6 +82,39 @@ class TestBlocks:
         points = np.column_stack([np.linspace(0.1, 1.0, 2500), np.zeros(2500)])
         sizes = [len(h) for h, _ in qg.hamiltonian_blocks(_pinch_model(), points)]
         assert sizes == [1024, 1024, 452]  # 2^12 complex entries / (2 x 2)
+
+    def test_a_dim_64_block_holds_four_points(self):
+        model = qg.model_spec("wide", 64, ("x",), [(np.eye(64), "x")])
+        points = np.linspace(0.1, 1.0, 10)[:, None]
+        assert [len(h) for h, _ in qg.hamiltonian_blocks(model, points)] == [4, 4, 2]
+
+    def test_a_dim_3_block_is_capped_in_points(self):
+        model = qg.model_spec("narrow", 3, ("x",), [(np.eye(3), "x")])
+        points = np.linspace(0.1, 1.0, 2500)[:, None]
+        sizes = [len(h) for h, _ in qg.hamiltonian_blocks(model, points)]
+        assert sizes == [1024, 1024, 452]  # the entry budget alone would give 1820
+
+    def test_a_patched_entry_budget_sets_the_points_at_dim_64(self, monkeypatch):
+        monkeypatch.setattr(model_mod, "BLOCK_ENTRIES", 3 * 64**2)
+        model = qg.model_spec("wide", 64, ("x",), [(np.eye(64), "x")])
+        points = np.linspace(0.1, 1.0, 10)[:, None]
+        assert [len(h) for h, _ in qg.hamiltonian_blocks(model, points)] == [3, 3, 3, 1]
+
+    @pytest.mark.parametrize("dim", [48, 64])
+    def test_large_dim_results_do_not_depend_on_the_block_size(self, monkeypatch, dim):
+        model = random_trig_model(np.random.default_rng(60 + dim), dim)
+        points = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(10, 3))
+
+        def solve():
+            blocks = [np.concatenate(part) for part in
+                      zip(*qg.level_blocks(model, points, 1, tensors=True))]
+            return blocks + [qg.level_states(model, points, 1)]
+
+        default = solve()  # 7 points per block at dim 48, 4 at dim 64
+        for per_block in (1, 3):
+            monkeypatch.setattr(model_mod, "BLOCK_ENTRIES", per_block * dim**2)
+            for a, b in zip(solve(), default, strict=True):
+                assert np.array_equal(a, b)
 
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch):
         model = qg.two_band_lattice(1.0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,39 @@ class TestThreeParameterCrossMethods:
         assert np.abs(q.matrix - q.matrix.conj().T).max() <= 1e-12
         assert np.linalg.eigvalsh(q.metric).min() >= -1e-10
         assert np.abs(q.curvature + q.curvature.T).max() == 0.0
+
+
+def _pulled_back(model, a):
+    """The model with lambda = A u written into every coefficient string."""
+    names = tuple(f"u{j}" for j in range(a.shape[1]))
+
+    def linear(match):
+        row = a[int(match.group(1))]
+        return "(" + " + ".join(f"{float(c)!r}*{u}" for c, u in zip(row, names)) + ")"
+
+    return qg.model_spec("pulled back", model.dim, names, [
+        (matrix, re.sub(r"\bp(\d+)\b", linear, src))
+        for (matrix, _), src in zip(model.terms, model.coeff_sources)])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 48])
+def test_q_transforms_as_a_tensor(dim):
+    # Q'(u) = A^T Q(A u) A for lambda = A u; the finite-difference routes,
+    # which see states only and never dH, must give the same pulled-back tensor
+    rng = np.random.default_rng(70 + dim)
+    model = random_trig_model(rng, dim)
+    a = rng.uniform(-1.0, 1.0, (3, 2))
+    u = rng.uniform(-1.0, 1.0, (10, 2))  # 7 points per block at dim 48
+    pulled = _pulled_back(model, a)
+    q = np.concatenate([q for *_, q in qg.level_blocks(model, u @ a.T, 1, tensors=True)])
+    q_u = np.concatenate([q for *_, q in qg.level_blocks(pulled, u, 1, tensors=True)])
+    want = a.T @ q @ a
+    scale = np.abs(q).max()
+    assert np.abs(q_u - want).max() <= 1e-12 * scale
+    projected = np.array([qg.qgt_projector_fd(pulled, point, 1).matrix for point in u])
+    assert np.abs(projected - want).max() <= 1e-5 * scale  # O(h^2) at h = 1e-4
+    overlaps = np.array([qg.qgt_overlap_fd(pulled, point, 1, h=1e-3).matrix for point in u])
+    assert np.abs(overlaps - want).max() <= 1e-3 * scale  # O(h^2) at h = 1e-3
 
 
 class TestNonAbelian:

@@ -157,6 +157,14 @@ def test_degeneracy_is_reported_as_by_level_blocks(monkeypatch, state_route, lab
     assert str(states.value) == str(blocks.value) == ("at x = 0: " if labelled else "") + message
 
 
+@pytest.mark.parametrize("route", ["eigh", "solve"])
+def test_no_points_give_no_states(request, route):
+    if route == "solve":
+        request.getfixturevalue("state_route")
+    states = qg.level_states(qg.spin_half(1.0), np.empty((0, 2)), 0)
+    assert states.shape == (0, 2) and states.dtype == complex
+
+
 def test_an_unconverged_state_names_its_point(monkeypatch, state_route):
     # an orthogonal start needs a third solve; with two the first point fails
     monkeypatch.setattr(numerics, "STATE_SOLVES", 2)
