@@ -206,22 +206,27 @@ def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list
     """Write equal-length 1-D ``columns`` as CSV, or as JSON rows passed through ``data``.
 
     A CSV column's format follows its dtype: bool and integer columns print
-    with ``%d`` (booleans as 1/0), float columns with ``%.17g``.
+    with ``%d`` (booleans as 1/0), float columns with ``%.17g``.  An
+    unwritable path is an InputError; a path joins ``written`` once open.
     """
     columns = [np.asarray(c) for c in columns]
-    written.append(path)
     if fmt == "json":
         records = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
-        path.write_text(json.dumps({"meta": meta, "data": data(records)}, indent=2) + "\n")
-        return
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append(",".join(names))
-    row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns)
-    for start in range(0, len(columns[0]), CHUNK_ROWS):
-        chunk = [c[start:start + CHUNK_ROWS].tolist() for c in columns]
-        lines.append("\n".join([row_fmt] * len(chunk[0]))
-                     % tuple(chain.from_iterable(zip(*chunk))))
-    path.write_text("\n".join(lines) + "\n")
+        lines = [json.dumps({"meta": meta, "data": data(records)}, indent=2)]
+    else:
+        lines = [f"# {k}: {v}" for k, v in meta.items()]
+        lines.append(",".join(names))
+        row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns)
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            chunk = [c[start:start + CHUNK_ROWS].tolist() for c in columns]
+            lines.append("\n".join([row_fmt] * len(chunk[0]))
+                         % tuple(chain.from_iterable(zip(*chunk))))
+    try:
+        with path.open("w") as out:
+            written.append(path)
+            out.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # --------------------------------------------------------------------------

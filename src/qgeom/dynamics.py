@@ -17,7 +17,6 @@ Diagnostics:
   of the level.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -107,6 +106,17 @@ def _spectral_radii(hs) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)
 
 
+def _check_drift(psis: np.ndarray, times: np.ndarray, dt: float) -> None:
+    """Raise StepError naming the first record whose norm is off 1 by more than MAX_NORM_DRIFT."""
+    drift = np.abs(np.sqrt(np.vecdot(psis, psis).real) - 1.0)
+    over = np.flatnonzero(~(drift <= MAX_NORM_DRIFT))  # a NaN norm counts as drift
+    if over.size:
+        first = drift[over[0]]
+        suggested = dt * (1e-8 / first) ** 0.25
+        raise StepError(f"norm drift {first:.3e} at t = {times[over[0]]:.9g} exceeds "
+                        f"{MAX_NORM_DRIFT}; suggested dt ~ {suggested:.3g}")
+
+
 def _step_maps(hs: np.ndarray, steps: int, dt: float) -> np.ndarray:
     """RK4 step maps M_k (psi_k+1 = M_k psi_k) from H at each step's left, mid and right."""
     a, b, c = ((-1j * dt) * hs[i:i + 2 * steps:2] for i in range(3))
@@ -151,88 +161,57 @@ def evolve(
     h_times[0] = t0
     h_times[1::2] = times[:-1] + 0.5 * dt
     h_times[2::2] = times[:-1] + dt
-    blocks = (block for block, _ in hamiltonian_blocks(model, sched.sample(h_times)[0]))
-
-    first_block = next(blocks)
-    radius = _spectral_radii(first_block[0])
-    if dt * radius >= STABILITY_LIMIT:
-        raise StepError(
-            f"dt * spectral radius = {dt * radius:.3g} >= {STABILITY_LIMIT}; "
-            f"use dt < {STABILITY_LIMIT / max(radius, 1e-300):.3g}"
-        )
 
     # raw states and H psi per record; in the loop H_k psi_k is also step k's k1
     psis = np.empty((n + 1, psi.size), dtype=complex)
     h_psis = np.empty_like(psis)
-    norms = np.empty(n + 1)
-    checked = 0
-
-    def check_drift(upto: int) -> None:
-        nonlocal checked
-        norms[checked:upto] = np.linalg.norm(psis[checked:upto], axis=1)
-        drift = np.abs(norms[checked:upto] - 1.0)
-        over = np.flatnonzero(drift > MAX_NORM_DRIFT)
-        if over.size:
-            first = drift[over[0]]
-            suggested = dt * (1e-8 / first) ** 0.25
-            raise StepError(
-                f"norm drift {first:.3e} at t = {times[checked + over[0]]:.9g} exceeds "
-                f"{MAX_NORM_DRIFT}; suggested dt ~ {suggested:.3g}"
-            )
-        checked = upto
-
-    check_every = max(1, n // 64)
-    warned = False
-
-    def at_mark(k: int, radius) -> None:
-        # after step k: drift up to record k + 1, and the radius of H(t_k+1)
-        nonlocal warned
-        check_drift(k + 2)
-        if not warned and dt * radius >= STABILITY_LIMIT:
-            warnings.warn(
-                f"dt * spectral radius grew to {dt * radius:.3g} at "
-                f"t = {times[k + 1]:.9g}; results past here are suspect",
-                stacklevel=3,
-            )
-            warned = True
-
-    use_maps = model.dim <= STEP_MAP_MAX_DIM
     psis[0] = psi
+    use_maps = model.dim <= STEP_MAP_MAX_DIM
+    check_every = max(1, n // 64)  # growth marks: H(t_k+1) after the steps k = 0 mod this
+    warned = False
     k0 = 0  # first step whose left-end H is carry[0]
-    carry = first_block[:0]
-    for block in itertools.chain([first_block], blocks):
-        # step k0 + j takes H from hs[2j], hs[2j + 1] and hs[2j + 2]; only the
-        # maps need them stacked, the loop indexes views and copies no H
-        hs = np.concatenate((carry, block)) if use_maps else [*carry, *block]
-        steps = (len(hs) - 1) // 2
-        marks = range(-k0 % check_every, steps, check_every)
-        radii = iter(_spectral_radii(np.array([hs[2 * j + 2] for j in marks]))
-                     if len(marks) and not warned else ())
-        if use_maps:
-            maps = _step_maps(hs, steps, dt)
-            for j in range(steps):
-                k = k0 + j
-                psis[k + 1] = maps[j] @ psis[k]
-                if k % check_every == 0:
-                    at_mark(k, next(radii, None))
-            h_psis[k0:k0 + steps] = (hs[0:2 * steps:2] @ psis[k0:k0 + steps, :, None])[:, :, 0]
-        else:
-            for j in range(steps):
-                k = k0 + j
-                h_mid, h_right = hs[2 * j + 1], hs[2 * j + 2]
-                h_psis[k] = hs[2 * j] @ psi
-                k1 = -1j * h_psis[k]
-                k2 = -1j * (h_mid @ (psi + 0.5 * dt * k1))
-                k3 = -1j * (h_mid @ (psi + 0.5 * dt * k2))
-                k4 = -1j * (h_right @ (psi + dt * k3))
-                psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                psis[k + 1] = psi
-                if k % check_every == 0:
-                    at_mark(k, next(radii, None))
-        carry = hs[2 * steps:]
-        k0 += steps
+    carry = np.empty((0, model.dim, model.dim), dtype=complex)
+    # a blow-up overflows before its block ends; the drift check names its first record
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, _ in hamiltonian_blocks(model, sched.sample(h_times)[0]):
+            # step k0 + j takes H from hs[2j], hs[2j + 1] and hs[2j + 2]; only the
+            # maps need them stacked, the loop indexes views and copies no H
+            hs = np.concatenate((carry, block)) if use_maps else [*carry, *block]
+            if k0 == 0 and dt * (radius := _spectral_radii(hs[0])) >= STABILITY_LIMIT:
+                raise StepError(f"dt * spectral radius = {dt * radius:.3g} >= {STABILITY_LIMIT}; "
+                                f"use dt < {STABILITY_LIMIT / max(radius, 1e-300):.3g}")
+            steps = (len(hs) - 1) // 2
+            if use_maps:
+                maps = _step_maps(hs, steps, dt)
+                for j in range(steps):
+                    psis[k0 + j + 1] = maps[j] @ psis[k0 + j]
+                h_psis[k0:k0 + steps] = (hs[0:2 * steps:2] @ psis[k0:k0 + steps, :, None])[:, :, 0]
+            else:
+                psi = psis[k0]
+                for j in range(steps):
+                    h_psis[k0 + j] = hs[2 * j] @ psi
+                    k1 = -1j * h_psis[k0 + j]
+                    k2 = -1j * (hs[2 * j + 1] @ (psi + 0.5 * dt * k1))
+                    k3 = -1j * (hs[2 * j + 1] @ (psi + 0.5 * dt * k2))
+                    k4 = -1j * (hs[2 * j + 2] @ (psi + dt * k3))
+                    psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    psis[k0 + j + 1] = psi
+            new = slice(k0 + 1, k0 + steps + 1)
+            _check_drift(psis[new], times[new], dt)
+            marks = range(-k0 % check_every, steps, check_every)
+            if len(marks) and not warned:
+                radii = _spectral_radii(np.array([hs[2 * j + 2] for j in marks]))
+                over = np.flatnonzero(dt * radii >= STABILITY_LIMIT)
+                if over.size:
+                    k = k0 + marks[over[0]]  # the first mark past the limit, after step k
+                    warnings.warn(f"dt * spectral radius grew to {dt * radii[over[0]]:.3g} at "
+                                  f"t = {times[k + 1]:.9g}; results past here are suspect",
+                                  stacklevel=2)
+                    warned = True
+            carry = hs[2 * steps:]
+            k0 += steps
     h_psis[n] = carry[0] @ psis[n]
-    check_drift(n + 1)
+    norms = np.linalg.norm(psis, axis=1)
 
     states = psis / norms[:, None]
     means, uncertainties = _energy_moments(states, h_psis / norms[:, None])

@@ -242,17 +242,17 @@ class _Parser:
         return node
 
     def expr(self) -> ExprNode:
-        node = self.term()
-        while (tok := self.peek()) is not None and tok[1] in ("+", "-"):
-            self.next()
-            node = BinaryOp(tok[1], node, self.term())
-        return node
+        return self.binary(("+", "-"), self.term)
 
     def term(self) -> ExprNode:
-        node = self.unary()
-        while (tok := self.peek()) is not None and tok[1] in ("*", "/"):
+        return self.binary(("*", "/"), self.unary)
+
+    def binary(self, ops, operand) -> ExprNode:
+        # a left-associative chain of operands joined by the operators ops
+        node = operand()
+        while (tok := self.peek()) is not None and tok[1] in ops:
             self.next()
-            node = BinaryOp(tok[1], node, self.unary())
+            node = BinaryOp(tok[1], node, operand())
         return node
 
     def unary(self) -> ExprNode:
@@ -279,26 +279,21 @@ class _Parser:
         if kind == "num":
             return Constant(float(text))
         if kind == "name":
-            nxt = self.peek()
-            if nxt is not None and nxt[1] == "(":
-                if text not in FUNCTION_NAMES:
-                    raise ParseError(f"unknown function {text!r}", pos)
-                self.next()  # consume '('
-                arg = self.expr()
-                closing = self.next()
-                if closing is None or closing[1] != ")":
-                    raise ParseError("unbalanced parentheses: expected ')'", self.offset())
-                return UnaryOp(text, arg)
-            if text not in self.params:
-                raise ParseError(f"unknown identifier {text!r}", pos)
-            return Parameter(text)
-        if text == "(":
-            node = self.expr()
-            closing = self.next()
-            if closing is None or closing[1] != ")":
-                raise ParseError("unbalanced parentheses: expected ')'", self.offset())
-            return node
-        raise ParseError(f"empty operand before {text!r}", pos)
+            if (nxt := self.peek()) is None or nxt[1] != "(":
+                if text not in self.params:
+                    raise ParseError(f"unknown identifier {text!r}", pos)
+                return Parameter(text)
+            if text not in FUNCTION_NAMES:
+                raise ParseError(f"unknown function {text!r}", pos)
+            self.next()  # consume '('
+        elif text != "(":
+            raise ParseError(f"empty operand before {text!r}", pos)
+        # a function call or a parenthesized expression: both end at ')'
+        node = self.expr()
+        closing = self.next()
+        if closing is None or closing[1] != ")":
+            raise ParseError("unbalanced parentheses: expected ')'", self.offset())
+        return UnaryOp(text, node) if kind == "name" else node
 
 
 def parse_expression(src: str, params) -> ExprNode:

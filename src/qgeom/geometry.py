@@ -322,8 +322,9 @@ class FluxResult:
     ``plaquette_fluxes`` rows follow the grid; in sphere mode row 0 and the
     last row are the polar caps, so the shape is (n_theta + 1, n_phi).
     ``chern`` is total/(2 pi) and ``residue`` its distance to the nearest
-    integer (meaningful for closed surfaces).  ``ambiguous`` is set when some plaquette phase reached pi,
-    where the branch of the flux is undetermined; refine the grid.
+    integer (meaningful for closed surfaces).  ``ambiguous`` is always False:
+    a plaquette phase that reaches pi, where the branch of the flux is
+    undetermined, raises StepError instead.
     """
 
     plaquette_fluxes: np.ndarray
@@ -395,7 +396,9 @@ def berry_flux(model: ModelSpec, level: int, grid: SurfaceGrid,
 
     The grid's closure is checked first (:meth:`SurfaceGrid.check_closed`).
     The level must be non-degenerate at every grid point (and at the poles
-    in sphere mode); a degeneracy raises and names the offending point.
+    in sphere mode); a degeneracy raises and names the offending point.  A
+    plaquette flux of magnitude pi (within 1e-9) raises StepError naming
+    the plaquette's row and column in ``plaquette_fluxes``.
     """
     grid.check_closed(model)
     n_mu, n_nu = grid.mu_values.size, grid.nu_values.size
@@ -412,18 +415,15 @@ def berry_flux(model: ModelSpec, level: int, grid: SurfaceGrid,
                                  **dict(zip(poles, states[n_mu * n_nu:])))
     total = float(fluxes.sum())
     chern = total / (2.0 * np.pi)
-    closed = grid.closure in ("torus", "sphere")
-    ambiguous = bool(np.abs(fluxes).max() >= np.pi - 1e-9)
-    if ambiguous:
-        warnings.warn(
-            "a plaquette flux reached magnitude pi; its branch is ambiguous, "
-            "refine the grid", stacklevel=2,
-        )
+    j, i = np.unravel_index(np.abs(fluxes).argmax(), fluxes.shape)
+    if abs(fluxes[j, i]) >= np.pi - 1e-9:
+        raise StepError(f"plaquette ({j}, {i}) flux {fluxes[j, i]:.17g} reached magnitude pi, "
+                        "where its branch is ambiguous: grid too coarse")
     return FluxResult(
         plaquette_fluxes=fluxes,
         total_flux=total,
         chern=chern,
         residue=abs(chern - round(chern)),
-        ambiguous=ambiguous,
-        closed=closed,
+        ambiguous=False,
+        closed=grid.closure in ("torus", "sphere"),
     )

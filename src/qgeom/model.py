@@ -99,7 +99,7 @@ def model_spec(name: str, dim: int, parameters, terms) -> ModelSpec:
     Parameters
     ----------
     terms : iterable of (matrix, coefficient)
-        The coefficient may be an expression string or an already-parsed AST.
+        The coefficient is an expression string over ``parameters``.
     """
     params = tuple(str(p) for p in parameters)
     if len(set(params)) != len(params):
@@ -117,20 +117,11 @@ def model_spec(name: str, dim: int, parameters, terms) -> ModelSpec:
             raise InputError(
                 f"term {k}: matrix is {h.shape[0]}x{h.shape[0]}, expected {dim}x{dim}"
             )
-        if isinstance(coeff, str):
-            src = coeff
-            try:
-                ast = expr.parse_expression(coeff, params)
-            except expr.ParseError as exc:
-                raise InputError(f"term {k}: {exc}") from None
-        else:
-            ast = coeff
-            src = expr.format_expression(ast)
-            unknown = expr.parameters_used(ast) - set(params)
-            if unknown:
-                raise InputError(f"term {k}: undeclared parameters {sorted(unknown)}")
-        built.append((h, ast))
-        sources.append(src)
+        try:
+            built.append((h, expr.parse_expression(coeff, params)))
+        except expr.ParseError as exc:
+            raise InputError(f"term {k}: {exc}") from None
+        sources.append(coeff)
     return ModelSpec(str(name), int(dim), params, tuple(built), tuple(sources))
 
 

@@ -199,7 +199,9 @@ class TestFixedParameters:
     ("chern", {"level": 1, "surface": {"closure": "sphere", "fixed": {"phi": None}}}, "'phi'"),
     ("check", {"level": 1, "point": [1.0, 0.3]}, "check: 'point'"),
     ("check", {"level": 1, "point": {"theta": "abc", "phi": 0.3}}, "'theta'"),
-], ids=["grid-list", "grid-value", "chern-number", "chern-value", "check-list", "check-value"])
+    ("check", {"level": 1, "point": {"psi": 1.0}}, "check: 'point': unknown parameter 'psi'"),
+], ids=["grid-list", "grid-value", "chern-number", "chern-value", "check-list", "check-value",
+        "check-unknown-name"])
 def test_malformed_parameter_mapping_is_a_validation_error(
     tmp_path, capsys, command, block, needle
 ):
@@ -240,9 +242,22 @@ EVOLVE = {"schedule": {"theta": "1.0", "phi": "t"}, "t0": 0.0, "t1": 0.1, "dt": 
     (SPIN, "check", {"level": True, "point": {"theta": 1.0}}, "check: level must be"),
     (SPIN, "distance", {"level": 1, "path": {"theta": 3, "phi": "s"}},
      "'theta': expression must be a string, not int"),
+    (SPIN, "grid", {"level": 1}, "grid block needs 'axes'"),
+    (SPIN, "grid", {"level": 1, "axes": [[0, 1, 2]]}, "grid: 'axes' must map parameter names"),
+    (SPIN, "grid", {"level": 1, "axes": {"psi": [0, 1, 2]}}, "grid: unknown parameters ['psi']"),
+    (SPIN, "chern", {"level": 1, "surface": [24, 24]}, "chern: 'surface' must be an object"),
+    (SPIN, "chern", {"level": 1, "surface": {"closure": "open", "mu_range": [0, 1]}},
+     "chern: open surfaces need mu_range and nu_range"),
+    (SPIN, "chern", {"level": 1, "surface": {"closure": "cube"}},
+     "chern: unknown closure 'cube'"),
+    (SPIN, "evolve", {**EVOLVE, "initial": {}}, "evolve: 'initial' needs 'level' or 'amplitudes'"),
+    (SPIN, "evolve", {**EVOLVE, "initial": {"amplitudes": [[1, 0], [0, 0]]}},
+     "evolve: 'level' is required when starting from amplitudes"),
 ], ids=["evolve-t0", "evolve-t0-nan", "evolve-initial-level", "grid-axis",
         "distance-samples", "builtin-field", "chern-shape", "chern-polar-index",
-        "chern-nu-list", "check-level-bool", "distance-path-number"])
+        "chern-nu-list", "check-level-bool", "distance-path-number", "grid-no-axes",
+        "grid-axes-list", "grid-unknown-axis", "chern-surface-list", "chern-open-no-ranges",
+        "chern-unknown-closure", "evolve-initial-empty", "evolve-amplitudes-no-level"])
 def test_malformed_config_value_is_a_validation_error(
     tmp_path, capsys, model, command, block, needle
 ):
@@ -271,6 +286,71 @@ def test_oversized_integer_is_a_validation_error(tmp_path, capsys, model, comman
     code, _, err = _run(capsys, command, "--config", str(cfg),
                         "--output", str(tmp_path / "out.csv"))
     assert code == 1 and needle in err
+
+
+GRID = {"level": 1, "axes": {"theta": [0, 1, 2]}}
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ([{"model": SPIN, "grid": GRID}], "config top level must be an object"),
+    ({"model": SPIN, "grid": [GRID]}, "config block 'grid' must be an object"),
+    ({"model": SPIN, "grid": GRID, "format": "xml"}, "unknown output format 'xml'"),
+    ({"grid": GRID}, "config needs 'model'"),
+], ids=["top-level-list", "block-list", "unknown-format", "no-model"])
+def test_malformed_config_document_is_a_validation_error(tmp_path, capsys, doc, needle):
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out))
+    assert code == 1 and needle in err
+    assert not out.exists()
+
+
+def test_output_in_a_missing_directory_is_a_validation_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    cfg = _write_config(tmp_path, {"model": SPIN, "grid": GRID, "output": str(out)})
+    code, _, err = _run(capsys, "grid", "--config", str(cfg))
+    assert code == 1
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
+def test_unwritable_chern_summary_removes_the_plaquette_file(tmp_path, capsys):
+    out = tmp_path / "summary"
+    out.mkdir()
+    cfg = _write_config(tmp_path, {
+        "model": SPIN, "chern": {"level": 1, "surface": {"closure": "sphere", "shape": [8, 8]}},
+    })
+    code, _, err = _run(capsys, "chern", "--config", str(cfg), "--output", str(out))
+    assert code == 1 and f"cannot write {out}: Is a directory" in err
+    assert sorted(tmp_path.iterdir()) == sorted([cfg, out]) and out.is_dir()
+
+
+def test_a_file_the_run_could_not_open_is_not_removed(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    cfg = _write_config(tmp_path, {"model": SPIN, "grid": GRID})
+    opened = cli.Path.open
+
+    def refuse(path, *args, **kwargs):
+        if path == out:
+            raise PermissionError(13, "Permission denied")
+        return opened(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Path, "open", refuse)
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out))
+    monkeypatch.undo()
+    assert code == 1 and f"cannot write {out}: Permission denied" in err
+    assert out.read_text() == "kept\n"
+
+
+def test_ambiguous_plaquette_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "model": {"builtin": "two_band_lattice", "mass": 1.0},
+        "chern": {"level": 0, "surface": {"closure": "torus", "shape": [3, 3]}},
+    })
+    out = tmp_path / "chern.csv"
+    code, _, err = _run(capsys, "chern", "--config", str(cfg), "--output", str(out))
+    assert code == 2 and "plaquette (1, 1)" in err and err.endswith("grid too coarse\n")
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_chern_on_a_torus_that_does_not_close_is_a_validation_error(tmp_path, capsys):

@@ -114,8 +114,8 @@ class TestEvolve:
             qg.evolve(spin_model, sched, psi0, 0.0, 60.0, 0.099)
 
     def test_norm_drift_aborts_early_in_a_long_span(self, monkeypatch, spin_model):
-        # the drift passes 1e-6 within a few hundred of 60,606 steps, so the run
-        # stops at the next check (step 946) with H for under 2,000 of its
+        # the drift passes 1e-6 at record 154 of 60,606, so the run stops at the
+        # end of the first block of steps (511) with H for 1,024 of its
         # 121,213 times assembled, not after every block of the span
         consumed, blocks = [], dynamics.hamiltonian_blocks
 
@@ -131,8 +131,8 @@ class TestEvolve:
         assert 0 < sum(consumed) <= 2 * 1024
 
     def test_norm_drift_names_the_first_drifting_time(self):
-        # drift is checked every n // 64 steps; the error still names the
-        # first record past 1e-6 (record 1614, between two checks)
+        # drift is checked once per block of steps (511 at d = 2); the error
+        # still names the first record past 1e-6 (record 1614, inside block 4)
         model = qg.model_spec(
             "ramp", 2, ("x",),
             [(np.array([[0, 1], [1, 0]], dtype=complex), "x")],
@@ -142,6 +142,18 @@ class TestEvolve:
                    "suggested dt ~ 0.00316")
         with pytest.raises(qg.StepError, match=f"^{re.escape(message)}$"):
             qg.evolve(model, sched, [1.0, 0.0], 0.0, 40.0, 0.01)
+
+    def test_blow_up_inside_a_block_raises_only_the_drift_error(self):
+        # the cubic ramp outruns the step: the norm passes 1e-6 at t = 0.56 and
+        # overflows before the run's one block of 500 steps ends; neither the
+        # overflow nor that block's growth warning reaches the caller
+        model = qg.model_spec("ramp", 2, ("x",), [(SZ, "x"), (SX, "1")])
+        sched = qg.schedule(model, {"x": "1 + 100*t*t*t"})
+        message = "norm drift 1.021e-06 at t = 0.56 exceeds 1e-06; suggested dt ~ 0.00315"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qg.StepError, match=f"^{re.escape(message)}$"):
+                qg.evolve(model, sched, [1.0, 0.0], 0.0, 5.0, 0.01)
 
     def test_growing_spectrum_warns_adaptively(self):
         model = qg.model_spec(
@@ -183,6 +195,9 @@ class TestLoopPath:
 
     def test_growing_spectrum_warns_adaptively(self, loop_path):
         TestEvolve.test_growing_spectrum_warns_adaptively(self)
+
+    def test_blow_up_inside_a_block_raises_only_the_drift_error(self, loop_path):
+        TestEvolve.test_blow_up_inside_a_block_raises_only_the_drift_error(self)
 
 
 def _driven(model):

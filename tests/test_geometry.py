@@ -233,6 +233,15 @@ class TestBerryFluxTorus:
         with pytest.raises(qg.DegeneracyError, match="3.14"):
             qg.berry_flux(model, 0, grid)
 
+    def test_plaquette_at_pi_is_a_step_error(self):
+        # on a 3x3 torus plaquette (1, 1) holds exactly -pi, whose branch is
+        # undetermined, so the total is not a trustworthy Chern number
+        model = qg.two_band_lattice(1.0)
+        grid = qg.SurfaceGrid.torus(model, "kx", "ky", (3, 3))
+        with pytest.raises(qg.StepError, match=r"^plaquette \(1, 1\) flux -3\.14159265358979"
+                                               r"\d* reached magnitude pi.*: grid too coarse$"):
+            qg.berry_flux(model, 0, grid)
+
 
 class TestOpenSurface:
     def test_open_patch_matches_curvature_integral(self, spin_model):
@@ -358,6 +367,14 @@ class TestPlaquetteFluxGrid:
             qg.StepError, match=r"along mu from the north pole to grid point \(0, 4\):"
         ):
             qg.plaquette_flux_grid(self._real_states(angles), "sphere", north, south)
+
+    @pytest.mark.parametrize("closure, poles, message", [
+        ("cube", (), "unknown closure 'cube'"),
+        ("sphere", (np.array([1.0, 0.0]),), "sphere closure needs both pole states"),
+    ], ids=["unknown-closure", "sphere-one-pole"])
+    def test_bad_closure_is_an_input_error(self, closure, poles, message):
+        with pytest.raises(qg.InputError, match=f"^{message}$"):
+            qg.plaquette_flux_grid(self._real_states(np.zeros((3, 4))), closure, *poles)
 
 
 def _offset_spin_model():
