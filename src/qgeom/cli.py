@@ -37,7 +37,7 @@ from .dynamics import aa_consistency, adiabatic_diagnostic, evolve, schedule
 from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
 from .model import ModelSpec, load_model_spec, spin_half, two_band_lattice
-from .numerics import state_vector
+from .numerics import real_number, state_vector
 from .qgt import (level_blocks, level_gap, level_states, qgt_overlap_fd, qgt_projector_fd,
                   qgt_sum_over_states)
 
@@ -158,21 +158,9 @@ def _require(block: dict, key: str, command: str):
 
 
 def _number(block: dict, key: str, command: str, default=None, kind=float):
-    """block[key] as a finite ``kind``; required when there is no default.
-
-    An int must be given as an integral number, not as a bool.
-    """
+    """block[key] read by ``real_number``; required when there is no default."""
     value = _require(block, key, command) if default is None else block.get(key, default)
-    try:
-        number = kind(value)
-        valid = np.isfinite(float(value)) and (
-            kind is not int or (not isinstance(value, bool) and number == float(value)))
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        what = "an integer" if kind is int else "a finite number"
-        raise InputError(f"{command}: {key!r} must be {what}, not {value!r}")
-    return number
+    return real_number(value, f"{command}: {key!r}", kind)
 
 
 def _level(block: dict, command: str, model: ModelSpec) -> int:
@@ -249,17 +237,14 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     swept = [model.parameters.index(p) for p in model.parameters if p in axes]
     values = []
     for mu in swept:
-        spec = axes[model.parameters[mu]]
-        try:
-            lo, hi, n = map(float, spec)
-            valid = (isinstance(spec, list) and all(type(v) in (int, float) for v in spec)
-                     and n >= 1 and n.is_integer())
-        except (TypeError, ValueError, OverflowError):  # not three numbers that fit a float
-            valid = False
-        if not valid:
-            raise InputError(f"grid: axis {model.parameters[mu]!r} must be [lo, hi, n] "
-                             "with an integer n >= 1")
-        values.append(np.linspace(lo, hi, int(n)))
+        what, spec = f"grid: axis {model.parameters[mu]!r}", axes[model.parameters[mu]]
+        if not isinstance(spec, list) or len(spec) != 3:
+            raise InputError(f"{what} must be [lo, hi, n]")
+        lo, hi = real_number(spec[0], what), real_number(spec[1], what)
+        n = real_number(spec[2], f"{what} count", int)
+        if n < 1:
+            raise InputError(f"{what} count must be at least 1, not {n}")
+        values.append(np.linspace(lo, hi, n))
 
     k = model.n_parameters
     # row-major over the swept axes, in model parameter order
@@ -343,10 +328,10 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
         psi0 = vectors[0, :, default_level]
     elif isinstance(initial, dict) and "amplitudes" in initial:
         amps = initial["amplitudes"]
-        try:
-            psi0 = state_vector([complex(a[0], a[1]) for a in amps])
-        except (TypeError, IndexError, OverflowError):
-            raise InputError("evolve: 'amplitudes' must be a list of [re, im] pairs") from None
+        if not isinstance(amps, list) or not all(isinstance(a, list) and len(a) == 2 for a in amps):
+            raise InputError("evolve: 'amplitudes' must be a list of [re, im] pairs")
+        psi0 = state_vector([complex(*(real_number(x, "evolve: 'amplitudes'") for x in a))
+                             for a in amps])
         default_level = None
     else:
         raise InputError("evolve: 'initial' needs 'level' or 'amplitudes'")

@@ -106,15 +106,19 @@ def _spectral_radii(hs) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)
 
 
-def _check_drift(psis: np.ndarray, times: np.ndarray, dt: float) -> None:
-    """Raise StepError naming the first record whose norm is off 1 by more than MAX_NORM_DRIFT."""
+def _check_drift(psis: np.ndarray, times: np.ndarray, dt: float, hs) -> None:
+    """Raise StepError naming the first record whose norm is off 1 by more than MAX_NORM_DRIFT.
+
+    ``hs[k]`` is H at record k.  A non-finite norm gets the stability bound of H there.
+    """
     drift = np.abs(np.sqrt(np.vecdot(psis, psis).real) - 1.0)
     over = np.flatnonzero(~(drift <= MAX_NORM_DRIFT))  # a NaN norm counts as drift
     if over.size:
-        first = drift[over[0]]
-        suggested = dt * (1e-8 / first) ** 0.25
-        raise StepError(f"norm drift {first:.3e} at t = {times[over[0]]:.9g} exceeds "
-                        f"{MAX_NORM_DRIFT}; suggested dt ~ {suggested:.3g}")
+        k, first = over[0], drift[over[0]]
+        suggested = (f"~ {dt * (1e-8 / first) ** 0.25:.3g}" if np.isfinite(first) else
+                     f"< {STABILITY_LIMIT / max(_spectral_radii(hs[k]), 1e-300):.3g}")
+        raise StepError(f"norm drift {first:.3e} at t = {times[k]:.9g} exceeds "
+                        f"{MAX_NORM_DRIFT}; suggested dt {suggested}")
 
 
 def _step_maps(hs: np.ndarray, steps: int, dt: float) -> np.ndarray:
@@ -197,7 +201,7 @@ def evolve(
                     psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     psis[k0 + j + 1] = psi
             new = slice(k0 + 1, k0 + steps + 1)
-            _check_drift(psis[new], times[new], dt)
+            _check_drift(psis[new], times[new], dt, hs[2::2])
             marks = range(-k0 % check_every, steps, check_every)
             if len(marks) and not warned:
                 radii = _spectral_radii(np.array([hs[2 * j + 2] for j in marks]))

@@ -7,6 +7,11 @@ computation* (degeneracies, finite-difference steps that are too large,
 expression domain errors at a particular point).
 """
 
+__all__ = [
+    "QgeomError", "InputError", "ParseError", "NumericalError",
+    "EvaluationError", "DegeneracyError", "StepError",
+]
+
 
 class QgeomError(Exception):
     """Base class for every error raised by this package."""

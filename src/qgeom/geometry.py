@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InputError, StepError
 from .model import Curve, ModelSpec, curve, hamiltonian_blocks, parameter_point
-from .numerics import state_vector
+from .numerics import real_number, state_vector
 from .qgt import level_blocks, level_states, qgt_sum_over_states
 
 __all__ = [
@@ -177,21 +177,23 @@ class SurfaceGrid:
     nu_range: tuple[float, float]
 
     @staticmethod
-    def _resolve(model: ModelSpec, name_or_index) -> int:
+    def _resolve(model: ModelSpec, name_or_index, key: str) -> int:
         if isinstance(name_or_index, str) and name_or_index in model.parameters:
             return model.parameters.index(name_or_index)
-        if (isinstance(name_or_index, (int, np.integer))
-                and 0 <= name_or_index < model.n_parameters):
-            return int(name_or_index)
-        raise InputError(f"model {model.name!r} has no parameter {name_or_index!r}")
+        try:  # otherwise an integral index in range
+            if 0 <= (index := real_number(name_or_index, key, int)) < model.n_parameters:
+                return index
+        except InputError:
+            pass
+        raise InputError(f"grid {key!r}: model {model.name!r} has no parameter {name_or_index!r}")
 
     @staticmethod
     def _pair(value, key: str, kind=float) -> tuple:
         try:
             a, b = value
-            return kind(a), kind(b)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, ValueError):
             raise InputError(f"grid {key!r} must be two numbers, not {value!r}") from None
+        return real_number(a, f"grid {key!r}", kind), real_number(b, f"grid {key!r}", kind)
 
     @classmethod
     def _build(cls, model: ModelSpec, closure: str, mu, nu, shape, mu_range, nu_range, base):
@@ -200,7 +202,8 @@ class SurfaceGrid:
         least = {"sphere": (2, 3), "torus": (3, 3), "open": (2, 2)}[closure]
         if shape[0] < least[0] or shape[1] < least[1]:
             raise InputError(f"{closure} grid needs shape >= {least}")
-        mu, nu = cls._resolve(model, mu), cls._resolve(model, nu)
+        keys = ("polar", "azimuth") if closure == "sphere" else ("mu", "nu")
+        mu, nu = (cls._resolve(model, p, key) for p, key in zip((mu, nu), keys))
         if mu == nu:
             raise InputError("grid directions must differ")
         ranges = cls._pair(mu_range, "mu_range"), cls._pair(nu_range, "nu_range")

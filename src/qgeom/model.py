@@ -40,7 +40,7 @@ import numpy as np
 
 from . import expr
 from .errors import EvaluationError, InputError
-from .numerics import hermitian
+from .numerics import hermitian, real_number
 
 __all__ = [
     "ModelSpec",
@@ -320,12 +320,10 @@ def load_model_spec(path) -> ModelSpec:
     for field in ("name", "dim", "parameters", "terms"):
         if field not in raw:
             raise InputError(f"model file {path}: missing field {field!r}")
-    name = raw["name"]
-    dim = raw["dim"]
-    params = raw["parameters"]
+    name, params = raw["name"], raw["parameters"]
     if not isinstance(name, str):
         raise InputError(f"model file {path}: 'name' must be a string")
-    if not isinstance(dim, int) or dim < 1:
+    if (dim := real_number(raw["dim"], f"model file {path}: 'dim'", int)) < 1:
         raise InputError(f"model file {path}: 'dim' must be a positive integer")
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
         raise InputError(f"model file {path}: 'parameters' must be a list of strings")

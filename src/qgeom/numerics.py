@@ -23,6 +23,7 @@ __all__ = [
     "hermitian_eigensystem",
     "level_eigenvectors",
     "degeneracy_groups",
+    "real_number",
 ]
 
 STATE_SOLVES = 3  # shifted solves per state before level_eigenvectors gives up
@@ -71,6 +72,25 @@ def hermitian(entries, asymmetry_tol: float | None = None) -> np.ndarray:
                 f"(tolerance {asymmetry_tol * scale:.3e})"
             )
     return (m + m.conj().T) / 2
+
+
+def real_number(value, what: str, kind=float):
+    """``value`` as a finite ``kind`` (float or int): the one test of what counts as a number.
+
+    Only a Python or numpy int or float is accepted, never a bool or a
+    string; with ``kind=int`` it must also be integral.  The InputError
+    names the value by ``what``.
+    """
+    try:
+        valid = (isinstance(value, (int, float, np.integer, np.floating))
+                 and not isinstance(value, bool) and np.isfinite(float(value))
+                 and (kind is not int or float(value).is_integer()))
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        expected = "an integer" if kind is int else "a finite number"
+        raise InputError(f"{what} must be {expected}, not {value!r}")
+    return kind(value)
 
 
 def state_vector(amplitudes) -> np.ndarray:

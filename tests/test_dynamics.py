@@ -388,3 +388,16 @@ class TestAdiabaticDiagnostic:
         traj = qg.evolve(model, sched, [1.0, 0.0], 0.0, 1.0, 0.01)
         with pytest.raises(qg.DegeneracyError, match="t = 1"):
             qg.adiabatic_diagnostic(model, sched, 0, traj)
+
+
+@pytest.mark.parametrize("max_dim", [8, 0], ids=["step-maps", "step-loop"])
+def test_non_finite_drift_suggests_the_stability_bound(monkeypatch, max_dim):
+    # exp(35000 t) outruns dt = 0.01 in one step and the norm is no longer
+    # finite; the suggestion is then 0.1 / spectral radius of H at that record
+    monkeypatch.setattr(dynamics, "STEP_MAP_MAX_DIM", max_dim)
+    model = qg.model_spec("ramp", 2, ("x",), [(SZ, "x")])
+    sched = qg.schedule(model, {"x": "exp(35000*t)"})
+    bound = f"{dynamics.STABILITY_LIMIT / np.exp(350.0):.3g}"
+    with pytest.raises(qg.StepError, match=rf"^norm drift (nan|inf) at t = 0\.01 exceeds 1e-06; "
+                                           rf"suggested dt < {re.escape(bound)}$"):
+        qg.evolve(model, sched, [1.0, 1.0], 0.0, 0.02, 0.01)

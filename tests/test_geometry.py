@@ -443,3 +443,15 @@ class TestClosureCheck:
         grid = qg.SurfaceGrid.torus(model, "kx", "ky", (12, 12),
                                     mu_range=(-np.pi, np.pi), nu_range=(0.5, 0.5 + 2 * np.pi))
         assert round(qg.berry_flux(model, 0, grid).chern) == -1
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_path_length_does_not_depend_on_the_parametrization(dim):
+    # the same segment traced at rate s and at rate s^2: the metric length
+    # integral of sqrt(rate . g . rate) is invariant under s -> s^2
+    for seed in range(3):
+        model = random_trig_model(np.random.default_rng(seed), dim, n_params=2)
+        lengths = [qg.path_quantum_length(qg.path_spec(model, dim // 2, {
+            "p0": f"0.4 + 0.4*{s}", "p1": f"-0.3 + 0.4*{s}"}, 801), refine_check=False)[0]
+            for s in ("s", "s*s")]
+        assert lengths[1] == pytest.approx(lengths[0], rel=1e-8, abs=0.0)
