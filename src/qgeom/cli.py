@@ -37,11 +37,12 @@ from .dynamics import aa_consistency, adiabatic_diagnostic, evolve, schedule
 from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
 from .model import ModelSpec, load_model_spec, spin_half, two_band_lattice
-from .numerics import real_number, state_vector
+from .numerics import integer_index, real_number, state_vector
 from .qgt import (level_blocks, level_gap, level_states, qgt_overlap_fd, qgt_projector_fd,
                   qgt_sum_over_states)
 
 COMMANDS = ("grid", "chern", "distance", "evolve", "check")
+ORDER_BASE_H = 4e-3  # check fits its convergence orders on the steps 4e-3, 2e-3 and 1e-3
 
 CONVENTIONS = (
     "fidelity angle: |<psi|chi>| = cos(theta/2)",
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
         _cleanup(written)
         return 1
     except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        print(f"numerical error: {getattr(exc, 'where', '')}{exc}", file=sys.stderr)
         _cleanup(written)
         return 2
     return 0
@@ -164,10 +165,7 @@ def _number(block: dict, key: str, command: str, default=None, kind=float):
 
 
 def _level(block: dict, command: str, model: ModelSpec) -> int:
-    level = _require(block, "level", command)
-    if isinstance(level, bool) or not isinstance(level, int) or not 0 <= level < model.dim:
-        raise InputError(f"{command}: level must be an integer in 0..{model.dim - 1}")
-    return level
+    return integer_index(_require(block, "level", command), model.dim, f"{command}: level")
 
 
 def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
@@ -354,34 +352,25 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "check", model)
     lam = _point(model, _require(block, "point", "check"), "check: 'point'")
     h = _number(block, "h", "check", 1e-4)
-    base_h = _number(block, "order_base_h", "check", 4e-3)
 
-    q_sum = qgt_sum_over_states(model, lam, level)
-    q_proj = qgt_projector_fd(model, lam, level, h)
-    q_fd = qgt_overlap_fd(model, lam, level, h)
+    q = qgt_sum_over_states(model, lam, level).matrix
+    dev_proj = qgt_projector_fd(model, lam, level, h).matrix - q
+    dev_fd = qgt_overlap_fd(model, lam, level, h).matrix - q
 
-    def order(make_error):
-        # the order is undefined unless every error is positive and finite
-        hs = np.array([base_h, base_h / 2, base_h / 4])
-        errs = np.array([make_error(hh) for hh in hs])
-        if not (np.isfinite(errs) & (errs > 0)).all():
-            return None
-        return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-
-    slope_proj = order(
-        lambda hh: np.abs(qgt_projector_fd(model, lam, level, hh).matrix - q_sum.matrix).max()
-    )
-    slope_fd = order(
-        lambda hh: np.abs(qgt_overlap_fd(model, lam, level, hh).metric - q_sum.metric).max()
-    )
-    slopes = {"projector": slope_proj, "overlap_metric": slope_fd}
-    meta = dict(meta, h="%.17g" % h, order_base_h="%.17g" % base_h,
+    hs = ORDER_BASE_H / np.array([1.0, 2.0, 4.0])
+    errors = {"projector": [np.abs(qgt_projector_fd(model, lam, level, hh).matrix - q).max()
+                            for hh in hs],
+              "overlap_metric": [np.abs(qgt_overlap_fd(model, lam, level, hh).metric - q.real).max()
+                                 for hh in hs]}
+    # an order is undefined unless every error is positive and finite
+    slopes = {name: float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+              if np.isfinite(errs).all() and min(errs) > 0 else None
+              for name, errs in errors.items()}
+    meta = dict(meta, h="%.17g" % h, order_base_h="%.17g" % ORDER_BASE_H,
                 **{f"slope_{name}": "undefined" if slope is None else "%.17g" % slope
                    for name, slope in slopes.items()})
 
-    q = q_sum.matrix
     mu, nu = np.indices(q.shape)
-    dev_proj, dev_fd = q_proj.matrix - q, q_fd.matrix - q
     names = ("mu", "nu", "q_sum_re", "q_sum_im", "dev_projector", "dev_overlap")
     # np.hypot rounds as abs() of one complex does; np.abs of a complex array may not
     columns = (mu, nu, q.real, q.imag, np.hypot(dev_proj.real, dev_proj.imag),

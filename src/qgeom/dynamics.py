@@ -252,8 +252,7 @@ def aa_consistency(traj: Trajectory) -> AaReport:
     measured = traj.step_angle / traj.dt
     aa = traj.energy_uncertainty[:-1] + traj.energy_uncertainty[1:]
     scale = np.maximum(np.abs(measured), np.abs(aa))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        deviation = np.where(scale > 0.0, np.abs(measured - aa) / np.where(scale > 0, scale, 1.0), 0.0)
+    deviation = np.divide(np.abs(measured - aa), scale, out=np.zeros_like(scale), where=scale > 0.0)
     return AaReport(traj.times[:-1], measured, aa, deviation)
 
 

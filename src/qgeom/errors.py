@@ -41,6 +41,8 @@ class NumericalError(QgeomError):
 class EvaluationError(NumericalError):
     """An expression hit a domain error (log of non-positive, x/0, ...)."""
 
+    where = ""  # the coordinate and point of a curve's error, which its message leaves out
+
 
 class DegeneracyError(NumericalError):
     """An operation that needs an isolated level met a degenerate one."""

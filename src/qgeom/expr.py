@@ -21,6 +21,7 @@ scalar functions are its one-row calls; checks act point by point.  ASTs are
 immutable; evaluation is pure and thread-safe.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -191,53 +192,36 @@ def _apply_function(name: str, x: Dual) -> Dual:
 # tokenizer / parser
 
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<end>\Z)"
+    r"|(?P<stray>.))"
 )
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    return tokens
 
 
 class _Parser:
     def __init__(self, src: str, params: tuple[str, ...]):
-        self.src = src
+        # (kind, text, offset) per token, up to ("end", "", len(src)); a stray character raises
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _TOKEN_RE.finditer(src)]
+        for kind, text, pos in self.tokens:
+            if kind == "stray":
+                raise ParseError(f"unexpected character {text!r}", pos)
         self.params = params
-        self.tokens = _tokenize(src)
         self.i = 0
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+        return self.tokens[self.i]
 
     def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
+        tok = self.tokens[self.i]
+        self.i += tok[0] != "end"  # the end token is never consumed
         return tok
-
-    def offset(self) -> int:
-        tok = self.peek()
-        return tok[2] if tok is not None else len(self.src)
 
     def parse(self) -> ExprNode:
         node = self.expr()
-        tok = self.peek()
-        if tok is not None:
+        if (tok := self.peek())[0] != "end":
             raise ParseError(f"unexpected token {tok[1]!r} after expression", tok[2])
         return node
 
@@ -250,36 +234,32 @@ class _Parser:
     def binary(self, ops, operand) -> ExprNode:
         # a left-associative chain of operands joined by the operators ops
         node = operand()
-        while (tok := self.peek()) is not None and tok[1] in ops:
-            self.next()
-            node = BinaryOp(tok[1], node, operand())
+        while self.peek()[1] in ops:
+            node = BinaryOp(self.next()[1], node, operand())
         return node
 
     def unary(self) -> ExprNode:
-        tok = self.peek()
-        if tok is not None and tok[1] == "-":
+        if self.peek()[1] == "-":
             self.next()
             return UnaryOp("neg", self.unary())
         return self.power()
 
     def power(self) -> ExprNode:
         node = self.atom()
-        tok = self.peek()
-        if tok is not None and tok[1] == "^":
+        if self.peek()[1] == "^":
             self.next()
             # right associative; allow a signed exponent like 2^-3
             node = BinaryOp("^", node, self.unary())
         return node
 
     def atom(self) -> ExprNode:
-        tok = self.next()
-        if tok is None:
-            raise ParseError("empty operand at end of input", len(self.src))
-        kind, text, pos = tok
+        kind, text, pos = self.next()
+        if kind == "end":
+            raise ParseError("empty operand at end of input", pos)
         if kind == "num":
             return Constant(float(text))
         if kind == "name":
-            if (nxt := self.peek()) is None or nxt[1] != "(":
+            if self.peek()[1] != "(":
                 if text not in self.params:
                     raise ParseError(f"unknown identifier {text!r}", pos)
                 return Parameter(text)
@@ -290,9 +270,8 @@ class _Parser:
             raise ParseError(f"empty operand before {text!r}", pos)
         # a function call or a parenthesized expression: both end at ')'
         node = self.expr()
-        closing = self.next()
-        if closing is None or closing[1] != ")":
-            raise ParseError("unbalanced parentheses: expected ')'", self.offset())
+        if self.next()[1] != ")":
+            raise ParseError("unbalanced parentheses: expected ')'", self.peek()[2])
         return UnaryOp(text, node) if kind == "name" else node
 
 
@@ -313,6 +292,10 @@ def parse_expression(src: str, params) -> ExprNode:
 # evaluation
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": _pow}
+
+
 @np.errstate(all="ignore")  # domain errors raise; nothing else warns
 def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
     if isinstance(node, Constant):
@@ -327,19 +310,8 @@ def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
         if node.op == "neg":
             return -arg
         return _apply_function(node.op, arg)
-    if isinstance(node, BinaryOp):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return left / right
-        if node.op == "^":
-            return _pow(left, right)
+    if isinstance(node, BinaryOp) and node.op in _BINARY:
+        return _BINARY[node.op](_eval(node.left, env), _eval(node.right, env))
     raise InputError(f"malformed AST node {node!r}")
 
 

@@ -75,9 +75,9 @@ class PathSpec:
 
 def path_spec(model: ModelSpec, level: int, exprs, samples: int) -> PathSpec:
     """Build a :class:`PathSpec` from per-coordinate expression strings in ``s``."""
-    if samples < 2:
+    if (samples := real_number(samples, "path samples", int)) < 2:
         raise InputError("a path needs at least 2 samples")
-    return PathSpec(model, int(level), curve(model, exprs, "s"), int(samples))
+    return PathSpec(model, real_number(level, "path level", int), curve(model, exprs, "s"), samples)
 
 
 def _speeds(path: PathSpec, svals: np.ndarray) -> np.ndarray:
@@ -98,9 +98,9 @@ def path_quantum_length(path: PathSpec, refine_check: bool = True) -> tuple[floa
     """Length of the curve under the metric, and the angle 2 * length.
 
     Composite Simpson quadrature over the path's sample count (bumped to an
-    odd node count).  With ``refine_check`` a one-step 2x refinement is
-    evaluated and a warning is emitted if it moves the result by more than
-    1e-8 * max(1, length).
+    odd node count).  With ``refine_check`` the midpoints are solved with the
+    nodes, and a warning is emitted if the 2x refined sum moves the result by
+    more than 1e-8 * max(1, length).
 
     Raises
     ------
@@ -108,16 +108,12 @@ def path_quantum_length(path: PathSpec, refine_check: bool = True) -> tuple[floa
         If the level is degenerate somewhere on the path (names the s value).
     """
     n = path.samples if path.samples % 2 == 1 else path.samples + 1
-    svals = np.linspace(0.0, 1.0, n)
+    fine = 2 if refine_check else 1  # the refinement adds the n - 1 midpoints
+    svals = np.linspace(0.0, 1.0, fine * (n - 1) + 1)
     speeds = _speeds(path, svals)
-    length = _simpson(speeds, svals[1] - svals[0])
+    length = _simpson(speeds[::fine], fine * (svals[1] - svals[0]))
     if refine_check:
-        n2 = 2 * n - 1
-        svals2 = np.linspace(0.0, 1.0, n2)
-        speeds2 = np.empty(n2)
-        speeds2[::2] = speeds
-        speeds2[1::2] = _speeds(path, svals2[1::2])
-        refined = _simpson(speeds2, svals2[1] - svals2[0])
+        refined = _simpson(speeds, svals[1] - svals[0])
         if abs(refined - length) > 1e-8 * max(1.0, abs(length)):
             warnings.warn(
                 f"path length changed by {abs(refined - length):.3e} under 2x "

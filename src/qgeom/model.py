@@ -40,7 +40,7 @@ import numpy as np
 
 from . import expr
 from .errors import EvaluationError, InputError
-from .numerics import hermitian, real_number
+from .numerics import hermitian, integer_index, real_number
 
 __all__ = [
     "ModelSpec",
@@ -138,12 +138,12 @@ def parameter_point(model: ModelSpec, values) -> np.ndarray:
     return lam
 
 
-def _evaluate_all(asts, names, points: np.ndarray, directions, label):
+def _evaluate_all(asts, names, points: np.ndarray, directions, located):
     """Values (A, N) and partials (A, N, k) of A trees at the rows of ``points``.
 
     A domain error is located after the batch, point by point (each tree's
-    values, then its partials one direction at a time), and raised with the
-    point-wise message after ``label(tree index, binding)``.
+    values, then its partials one direction at a time), and the error raised
+    is ``located(tree index, binding, point-wise error)``.
     """
     try:
         pairs = [expr.evaluate_gradient(ast, dict(zip(names, points.T)), directions)
@@ -156,7 +156,7 @@ def _evaluate_all(asts, names, points: np.ndarray, directions, label):
                     for seeds in [(), *zip(directions)]:  # values, then each direction
                         expr.evaluate_gradient(ast, dict(zip(names, row[:, None])), seeds)
                 except EvaluationError as exc:
-                    raise EvaluationError(f"{label(k, env)}{exc}") from None
+                    raise located(k, env, exc) from None
         raise
     values = np.array([np.broadcast_to(v, len(points)) for v, _ in pairs])
     return values, np.array([p.T for _, p in pairs])
@@ -187,7 +187,7 @@ def hamiltonian_blocks(model: ModelSpec, points, directions=()):
                          f"{model.n_parameters}); got shape {lam.shape}")
     values, partials = _evaluate_all(
         [ast for _, ast in model.terms], model.parameters, lam, directions,
-        lambda k, env: f"term {k} ({model.coeff_sources[k]!r}) at {env}: ",
+        lambda k, env, e: EvaluationError(f"term {k} ({model.coeff_sources[k]!r}) at {env}: {e}"),
     )
     terms = np.array([matrix for matrix, _ in model.terms])
     step = min(BLOCK_POINTS, max(1, BLOCK_ENTRIES // model.dim**2))
@@ -206,8 +206,7 @@ def hamiltonian_at(model: ModelSpec, lam) -> np.ndarray:
 def hamiltonian_derivative_at(model: ModelSpec, lam, mu: int) -> np.ndarray:
     """Exact dH/dmu = sum_k (df_k/dmu)(lambda) H_k via dual numbers."""
     lam = parameter_point(model, lam)
-    if not 0 <= mu < model.n_parameters:
-        raise InputError(f"parameter index {mu} out of range")
+    integer_index(mu, model.n_parameters, "parameter index")
     (_, dh), = hamiltonian_blocks(model, lam[None], model.parameters[mu:mu + 1])
     return dh[0, 0]
 
@@ -230,8 +229,13 @@ class Curve:
         """lambda(x) (N, k) at every x, and d lambda / dx (N, k) if ``rates``, else None."""
         directions = (self.variable,) if rates else ()
         lam, rate = _evaluate_all(self.coords, (self.variable,), np.reshape(xs, (-1, 1)),
-                                  directions, lambda k, env: "")
+                                  directions, self._located)
         return lam.T, (rate[:, :, 0].T if rates else None)
+
+    def _located(self, k: int, env: dict, exc: EvaluationError) -> EvaluationError:
+        """The point-wise domain error, its ``where`` naming coordinate k and the point."""
+        exc.where = f"coordinate {self.parameters[k]!r} ({self.coord_sources[k]!r}) at {env}: "
+        return exc
 
     def values(self, x: float) -> np.ndarray:
         return self.sample([x])[0][0]
@@ -327,8 +331,8 @@ def load_model_spec(path) -> ModelSpec:
         raise InputError(f"model file {path}: 'dim' must be a positive integer")
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
         raise InputError(f"model file {path}: 'parameters' must be a list of strings")
-    if not isinstance(raw["terms"], list) or not raw["terms"]:
-        raise InputError(f"model file {path}: 'terms' must be a non-empty list")
+    if not isinstance(raw["terms"], list):
+        raise InputError(f"model file {path}: 'terms' must be a list")
     terms = []
     for k, term in enumerate(raw["terms"]):
         if not isinstance(term, dict) or "matrix" not in term or "coeff" not in term:
@@ -336,10 +340,7 @@ def load_model_spec(path) -> ModelSpec:
                 f"model file {path}: term {k} must be an object with 'matrix' and 'coeff'"
             )
         matrix = _parse_complex_matrix(term["matrix"], dim, f"{path}: term {k}")
-        coeff = term["coeff"]
-        if not isinstance(coeff, str):
-            raise InputError(f"model file {path}: term {k}: 'coeff' must be a string")
-        terms.append((matrix, coeff))
+        terms.append((matrix, term["coeff"]))
     try:
         return model_spec(name, dim, params, terms)
     except InputError as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "level_eigenvectors",
     "degeneracy_groups",
     "real_number",
+    "integer_index",
 ]
 
 STATE_SOLVES = 3  # shifted solves per state before level_eigenvectors gives up
@@ -93,6 +94,13 @@ def real_number(value, what: str, kind=float):
     return kind(value)
 
 
+def integer_index(i, size: int, what: str):
+    """``i`` if a Python or numpy int (not a bool) in 0..size-1, else InputError naming ``what``."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < size:
+        raise InputError(f"{what} must be an integer in 0..{size - 1}, not {i!r}")
+    return i
+
+
 def state_vector(amplitudes) -> np.ndarray:
     """Validate, normalize and return a complex state vector."""
     v = np.array(amplitudes, dtype=complex).ravel()
@@ -134,10 +142,8 @@ class EigenSystem:
 
     def group_of(self, level: int) -> tuple[int, ...]:
         """The degenerate cluster containing ``level``."""
-        for g in self.groups:
-            if level in g:
-                return g
-        raise InputError(f"level {level} out of range 0..{self.dim - 1}")
+        integer_index(level, self.dim, "level")
+        return next(g for g in self.groups if level in g)
 
     def gap(self, level: int) -> float:
         """Distance from ``level`` to the nearest energy outside its cluster."""

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DegeneracyError, InputError, StepError
 from .model import ModelSpec, hamiltonian_blocks, parameter_point
 from .numerics import (EigenSystem, default_degeneracy_tol, degeneracy_groups, hermitian,
-                       hermitian_eigensystem, level_eigenvectors)
+                       hermitian_eigensystem, integer_index, level_eigenvectors)
 
 __all__ = [
     "QgtTensor",
@@ -170,8 +170,7 @@ def _near_degenerate(energies: np.ndarray, level: int) -> bool:
 def _solved_blocks(model: ModelSpec, points, level: int, where, directions, vectors: bool):
     """(index of its first point, H, dH, energies, eigenvectors or None) per H block,
     under the one isolation rule of :func:`level_blocks` and :func:`level_states`."""
-    if not 0 <= level < model.dim:
-        raise InputError(f"level {level} out of range 0..{model.dim - 1}")
+    integer_index(level, model.dim, "level")
     start = 0
     for h, dh in hamiltonian_blocks(model, points, directions):
         energies, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
@@ -363,29 +362,26 @@ def qgt_overlap_fd(
     """
     lam = parameter_point(model, lam)
     k = model.n_parameters
-    basis, half = np.eye(k), 0.5 * h * np.eye(k)
-    planes = [(m, n) for m in range(k) for n in range(m + 1, k)]
+    m, n = np.triu_indices(k, 1)  # the (m, n) planes
+    e_m, e_n = np.eye(k)[m], np.eye(k)[n]
+    diagonal, a, b = h * (e_m + e_n), 0.5 * h * e_m, 0.5 * h * e_n
     # overlap decay along each axis, then each diagonal; then, per plane, the
     # corners of the centered plaquette, counterclockwise in the (m, n) plane
-    diagonals = [s * h * (basis[m] + basis[n]) for m, n in planes for s in (1.0, -1.0)]
-    corners = [c for m, n in planes for c in (-half[m] - half[n], half[m] - half[n],
-                                               half[m] + half[n], -half[m] + half[n])]
-    steps = np.array([*_central_steps(k, h), *diagonals, *corners]).reshape(-1, k)
+    steps = np.vstack([_central_steps(k, h), *np.stack([diagonal, -diagonal], axis=1),
+                       *np.stack([-a - b, a - b, a + b, -a + b], axis=1)])
     es, states = _aligned_states(model, lam, level, steps, 0.9)
     near = _near_degenerate(es.energies, level)
 
-    o = np.vecdot(states[:2 * (k + len(planes))], es.vectors[:, level])
+    o = np.vecdot(states[:2 * (k + m.size)], es.vectors[:, level])
     moduli = np.hypot(o.real, o.imag)
     decay = (2.0 - moduli[0::2] - moduli[1::2]) / h**2  # symmetrized 2(1 - |overlap|)
     g = np.diag(decay[:k])
-    for (m, n), q_mn in zip(planes, decay[k:]):
-        g[m, n] = g[n, m] = (q_mn - g[m, m] - g[n, n]) / 2.0
+    g[m, n] = g[n, m] = (decay[k:] - decay[m] - decay[n]) / 2.0
 
-    loops = states[2 * (k + len(planes)):].reshape(len(planes), 4, model.dim)
+    loops = states[2 * (k + m.size):].reshape(m.size, 4, model.dim)
     phases = -np.angle(np.prod(np.vecdot(loops, np.roll(loops, -1, axis=1)), axis=1)) / h**2
     f = np.zeros((k, k))
-    for (m, n), phase in zip(planes, phases):
-        f[m, n], f[n, m] = phase, -phase
+    f[m, n], f[n, m] = phases, -phases
 
     return QgtTensor(g - 0.5j * f, near)
 
@@ -433,6 +429,7 @@ def berry_connection(es: EigenSystem, neighbors, level: int, h: float) -> np.nda
     the imaginary part (O(h^2)) is truncated when below max(1e-10, 10 h^2)
     and raises otherwise.
     """
+    es.group_of(level)
     psi = es.vectors[:, level]
     limit = max(1e-10, 10.0 * h * h)
     beta = np.empty(len(neighbors))

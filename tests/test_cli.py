@@ -622,3 +622,54 @@ def test_table_writer_matches_a_per_value_reference(tmp_path, fmt):
     cli._write_table(path, fmt, meta, names, list(columns.values()), written)
     assert written == [path]
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("command, block, message", [
+    ("grid", {"level": 1, "axes": {"theta": [0, 1]}},
+     "error: grid: axis 'theta' must be [lo, hi, n]"),
+    ("grid", {"level": 1, "axes": {"theta": [0, 1, 0]}},
+     "error: grid: axis 'theta' count must be at least 1, not 0"),
+    ("evolve", {**EVOLVE, "initial": {"amplitudes": [[1, 0], [0, 0, 0]]}},
+     "error: evolve: 'amplitudes' must be a list of [re, im] pairs"),
+    ("evolve", {**EVOLVE, "initial": {"amplitudes": [1, 0]}},
+     "error: evolve: 'amplitudes' must be a list of [re, im] pairs"),
+    ("distance", {"level": 1.0, "path": {"theta": "s", "phi": "0.1"}},
+     "error: distance: level must be an integer in 0..1, not 1.0"),
+], ids=["grid-axis-pair", "grid-axis-empty", "evolve-amplitude-triple",
+        "evolve-amplitude-numbers", "distance-level-float"])
+def test_malformed_config_value_message(tmp_path, capsys, command, block, message):
+    cfg = _write_config(tmp_path, {"model": SPIN, command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and err == message + "\n"
+
+
+@pytest.mark.parametrize("command, block, message", [
+    ("distance", {"level": 1, "path": {"theta": "log(s)", "phi": "0.1"}},
+     "coordinate 'theta' ('log(s)') at {'s': 0.0}: log of non-positive value 0.0"),
+    ("evolve", {**EVOLVE, "schedule": {"theta": "sqrt(t-1)", "phi": "0.1"}},
+     "coordinate 'theta' ('sqrt(t-1)') at {'t': 0.0}: sqrt of negative value -1.0"),
+    ("evolve", {**EVOLVE, "schedule": {"theta": "1", "phi": "1/(t - 0.05)"},
+                "initial": {"amplitudes": [[1, 0], [0, 0]]}, "level": 0},
+     "coordinate 'phi' ('1/(t - 0.05)') at {'t': 0.05}: division by zero"),
+], ids=["distance", "evolve-initial-level", "evolve-step"])
+def test_curve_domain_error_names_the_coordinate_and_point(tmp_path, capsys, command, block,
+                                                           message):
+    out = tmp_path / "out.csv"
+    cfg = _write_config(tmp_path, {"model": SPIN, command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(out))
+    assert code == 2 and err == f"numerical error: {message}\n"
+    assert not out.exists()
+
+
+def test_check_fits_its_orders_on_fixed_steps(tmp_path, capsys):
+    bodies = []
+    for extra in ({}, {"order_base_h": 0.01}):
+        out = tmp_path / f"check{len(bodies)}.csv"
+        cfg = _write_config(tmp_path, {"model": SPIN, "check": {
+            "level": 1, "point": {"theta": 1.0, "phi": 0.3}, **extra}})
+        assert _run(capsys, "check", "--config", str(cfg), "--output", str(out))[0] == 0
+        lines = out.read_text().splitlines()
+        assert "# order_base_h: 0.0040000000000000001" in lines
+        bodies.append([line for line in lines if not line.startswith("# config_sha256")])
+    assert bodies[0] == bodies[1]  # a config that still sets the step is not read

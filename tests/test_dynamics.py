@@ -401,3 +401,12 @@ def test_non_finite_drift_suggests_the_stability_bound(monkeypatch, max_dim):
     with pytest.raises(qg.StepError, match=rf"^norm drift (nan|inf) at t = 0\.01 exceeds 1e-06; "
                                            rf"suggested dt < {re.escape(bound)}$"):
         qg.evolve(model, sched, [1.0, 1.0], 0.0, 0.02, 0.01)
+
+
+@pytest.mark.parametrize("psi0, t1, message", [
+    ([1.0, 0.0], 0.004, "^time span shorter than one step$"),
+    ([1.0, 0.0, 0.0], 0.1, "^state dimension 3 does not match model dim 2$"),
+])
+def test_evolve_rejects_a_short_span_and_a_wrong_state(spin_model, psi0, t1, message):
+    with pytest.raises(qg.InputError, match=message):
+        qg.evolve(spin_model, _static_schedule(spin_model), psi0, 0.0, t1, 0.01)

@@ -231,3 +231,33 @@ class TestDual:
         assert (3.0 * x).deriv == 3.0
         assert (1.0 / x).deriv == pytest.approx(-0.25)
         assert (2.0 - x).value == 0.0
+
+
+@pytest.mark.parametrize("src, message, offset", [
+    ("2 +", "empty operand at end of input", 3),
+    ("2 + \t", "empty operand at end of input", 5),
+    ("(2+3", "unbalanced parentheses: expected ')'", 4),
+    ("(2+3  ", "unbalanced parentheses: expected ')'", 6),
+    ("(2 3) + 1", "unbalanced parentheses: expected ')'", 4),
+    ("sin(x 2)", "unbalanced parentheses: expected ')'", 7),
+    ("2 3", "unexpected token '3' after expression", 2),
+    ("2 + * 3", "empty operand before '*'", 4),
+    ("  \t@", "unexpected character '@'", 3),
+    ("(x + 1 # 2", "unexpected character '#'", 7),
+])
+def test_parse_errors_name_the_token_and_its_offset(src, message, offset):
+    with pytest.raises(qg.ParseError) as err:
+        qg.parse_expression(src, ("x",))
+    assert str(err.value) == f"{message} (byte offset {offset})" and err.value.offset == offset
+
+
+@pytest.mark.parametrize("src, bare", [("2 ", "2"), (" x\n", "x"), ("\t-x ^ 2 ", "-x^2"),
+                                       ("sin ( x ) ", "sin(x)")])
+def test_whitespace_around_tokens_is_skipped(src, bare):
+    assert qg.parse_expression(src, ("x",)) == qg.parse_expression(bare, ("x",))
+
+
+def test_unknown_binary_operator_is_a_malformed_node():
+    node = qg.expr.BinaryOp("%", qg.expr.Constant(1.0), qg.expr.Constant(2.0))
+    with pytest.raises(qg.InputError, match=r"^malformed AST node BinaryOp\(op='%'"):
+        qg.evaluate(node, {})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -455,3 +457,36 @@ def test_path_length_does_not_depend_on_the_parametrization(dim):
             "p0": f"0.4 + 0.4*{s}", "p1": f"-0.3 + 0.4*{s}"}, 801), refine_check=False)[0]
             for s in ("s", "s*s")]
         assert lengths[1] == pytest.approx(lengths[0], rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("level, samples, message", [
+    (1.7, 3, "path level must be an integer, not 1.7"),
+    (1, 2.9, "path samples must be an integer, not 2.9"),
+    (True, 3, "path level must be an integer, not True"),
+    (1, "3", "path samples must be an integer, not '3'"),
+])
+def test_path_spec_does_not_truncate(spin_model, level, samples, message):
+    with pytest.raises(qg.InputError, match=f"^{message}$"):
+        qg.path_spec(spin_model, level, {"theta": "s", "phi": "0.1"}, samples)
+    path = qg.path_spec(spin_model, 1.0, {"theta": "s", "phi": "0.1"}, 3.0)
+    assert (path.level, path.samples) == (1, 3) and type(path.samples) is int
+
+
+@pytest.mark.parametrize("samples", [2, 3, 10, 200, 201])
+def test_refinement_check_leaves_the_length_bit_for_bit(spin_model, samples):
+    # the refined run takes its coarse sum from every other of its 2n - 1 speeds
+    path = qg.path_spec(spin_model, 1, {"theta": "0.3 + 2*s^2", "phi": "3*s"}, samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # few samples warn that the refinement moved the length
+        refined = qg.path_quantum_length(path)
+    assert refined == qg.path_quantum_length(path, refine_check=False)
+
+
+def test_surface_grid_takes_parameters_by_index():
+    model = qg.two_band_lattice(1.0)
+    by_name = qg.SurfaceGrid.torus(model, "kx", "ky", (8, 8))
+    for mu, nu in ((0, 1), (np.int64(0), 1.0)):
+        grid = qg.SurfaceGrid.torus(model, mu, nu, (8, 8))
+        assert (grid.mu, grid.nu) == (0, 1)
+        assert np.array_equal(grid.mu_values, by_name.mu_values)
+        assert qg.berry_flux(model, 0, grid).chern == qg.berry_flux(model, 0, by_name).chern

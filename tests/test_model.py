@@ -224,3 +224,66 @@ class TestCurve:
             assert np.array_equal(lam_s, lam_t) and np.array_equal(rate_s, rate_t)
             assert np.array_equal(sched.values(x), lam_t)
         assert np.allclose(rate_t, [0.4 * np.cos(1.0), 0.6], atol=1e-15)
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _set_term(k, key, value):
+    def mutate(doc):
+        doc["terms"][k][key] = value
+    return mutate
+
+
+def _ragged_row(doc):
+    doc["terms"][0]["matrix"][1] = doc["terms"][0]["matrix"][1][:1]
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    (_set("name", 3), "'name' must be a string"),
+    (_set("dim", 0), "'dim' must be a positive integer"),
+    (_set("parameters", ["theta", 1]), "'parameters' must be a list of strings"),
+    (_set("terms", 5), "'terms' must be a list"),
+    (_set("terms", []), "a model needs at least one term"),
+    (_set("terms", [[1, 2]]), "term 0 must be an object with 'matrix' and 'coeff'"),
+    (_ragged_row, "term 0: row 1 must have 2 entries"),
+    (_set_term(2, "coeff", 1), "term 2: expression must be a string, not int"),
+], ids=["name", "dim", "parameters", "terms-type", "terms-empty", "term-type", "ragged-row",
+        "coeff-type"])
+def test_malformed_model_file_names_the_file(tmp_path, mutate, needle):
+    path = _spin_half_file(tmp_path, mutate)
+    with pytest.raises(qg.InputError) as err:
+        qg.load_model_spec(path)
+    assert str(path) in str(err.value) and needle in str(err.value)
+
+
+def test_model_file_top_level_must_be_an_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(qg.InputError, match=r"top level must be an object$"):
+        qg.load_model_spec(path)
+
+
+@pytest.mark.parametrize("mu", [1.0, True, "1", -1, 2])
+def test_derivative_index_must_be_an_integer_in_range(spin_model, mu):
+    with pytest.raises(qg.InputError, match=r"^parameter index must be an integer in 0\.\.1, not"):
+        qg.hamiltonian_derivative_at(spin_model, [0.1, 0.2], mu)
+    assert np.array_equal(qg.hamiltonian_derivative_at(spin_model, [0.1, 0.2], np.int64(1)),
+                          qg.hamiltonian_derivative_at(spin_model, [0.1, 0.2], 1))
+
+
+@pytest.mark.parametrize("exprs, message", [
+    ({"theta": "log(s)", "phi": "0.1"},
+     "coordinate 'theta' ('log(s)') at {'s': 0.0}: "),
+    ({"theta": "1", "phi": "sqrt(s - 0.5)"},
+     "coordinate 'phi' ('sqrt(s - 0.5)') at {'s': 0.0}: "),
+])
+def test_curve_domain_errors_are_located(spin_model, exprs, message):
+    # the message stays point-wise; ``where`` names the coordinate and the point
+    curve = qg.curve(spin_model, exprs, "s")
+    with pytest.raises(qg.EvaluationError) as err:
+        curve.sample(np.linspace(0.0, 1.0, 5), rates=True)
+    assert err.value.where == message and not str(err.value).startswith("coordinate")

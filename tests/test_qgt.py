@@ -407,3 +407,67 @@ class TestGammaDecomposition:
         g = qg.qgt_sum_over_states(spin_model, lam, 1).metric
         gamma = g + np.outer(beta, beta)
         assert np.abs(gamma - gamma.T).max() <= 1e-12
+
+
+LAM = [1.0, 0.3]
+MODEL_ROUTES = {
+    "sum_over_states": lambda m, level: qg.qgt_sum_over_states(m, LAM, level),
+    "level_states": lambda m, level: qg.level_states(m, [LAM], level),
+    "level_blocks": lambda m, level: list(qg.level_blocks(m, [LAM], level, tensors=True)),
+    "projector_fd": lambda m, level: qg.qgt_projector_fd(m, LAM, level),
+    "overlap_fd": lambda m, level: qg.qgt_overlap_fd(m, LAM, level),
+    "berry_flux": lambda m, level: qg.berry_flux(
+        m, level, qg.SurfaceGrid.sphere(m, "theta", "phi", (6, 6))),
+}
+
+
+@pytest.mark.parametrize("on_state_route", [False, True], ids=["eigh", "solve"])
+@pytest.mark.parametrize("route", MODEL_ROUTES)
+@pytest.mark.parametrize("level", [1.0, True, np.float64(1.0), "1", None, 2, -1],
+                         ids=["float", "bool", "numpy-float", "str", "none", "above", "below"])
+def test_model_routes_take_only_integer_levels(request, spin_model, on_state_route, route,
+                                               level):
+    if on_state_route:
+        request.getfixturevalue("state_route")
+    with pytest.raises(qg.InputError, match=r"^level must be an integer in 0\.\.1, not "):
+        MODEL_ROUTES[route](spin_model, level)
+    MODEL_ROUTES[route](spin_model, np.int64(1))  # a numpy integer is a level
+
+
+@pytest.mark.parametrize("level", [1.0, True, 2])
+def test_eigensystem_routes_take_only_integer_levels(spin_model, level):
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(spin_model, LAM))
+    neighbors = qg.aligned_neighbor_states(spin_model, LAM, 1, 1e-4)
+    routes = [
+        lambda: qg.qgt_from_eigensystem(es, qg.derivative_matrices(spin_model, LAM), level),
+        lambda: qg.qgt_projector(es, np.zeros((2, 2)), level),
+        lambda: qg.berry_connection(es, neighbors, level, 1e-4),
+        lambda: es.gap(level),
+    ]
+    for route in routes:
+        with pytest.raises(qg.InputError, match=rf"^level must be an integer in 0\.\.1, not {level}$"):
+            route()
+
+
+def test_eigensystem_routes_reject_a_degenerate_level():
+    model = doubled_spin_half()
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(model, LAM))
+    message = r"^level 0 is degenerate with levels \(0, 1\); use qgt_nonabelian"
+    with pytest.raises(qg.DegeneracyError, match=message):
+        qg.qgt_from_eigensystem(es, qg.derivative_matrices(model, LAM), 0)
+    with pytest.raises(qg.DegeneracyError, match=message):
+        qg.qgt_projector(es, np.zeros((2, 4)), 0)
+
+
+def test_overlap_below_the_floor_asks_for_a_smaller_step(spin_model):
+    # |<psi(theta)|psi(theta + h)>| = cos(h / 2) = 0.825 < 0.9, still the largest overlap
+    with pytest.raises(qg.StepError, match=r"^neighbor overlap 0\.825 below 0\.9; reduce the step$"):
+        qg.qgt_overlap_fd(spin_model, LAM, 1, h=1.2)
+
+
+def test_connection_of_unnormalized_neighbors_is_rejected(spin_model):
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(spin_model, LAM))
+    psi = es.vectors[:, 1]
+    with pytest.raises(qg.InputError, match=r"^connection component 1 has imaginary residue "
+                                            r"5\.000e\+03 > 1\.000e-07; are the neighbor"):
+        qg.berry_connection(es, [(psi, psi), (2.0 * psi, psi)], 1, 1e-4)
