@@ -38,8 +38,8 @@ from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
 from .model import ModelSpec, load_model_spec, spin_half, two_band_lattice
 from .numerics import integer_index, real_number, state_vector
-from .qgt import (level_blocks, level_gap, level_states, qgt_overlap_fd, qgt_projector_fd,
-                  qgt_sum_over_states)
+from .qgt import (DEFAULT_FD_STEP, level_blocks, level_gap, level_states, qgt_overlap_fd,
+                  qgt_projector_fd, qgt_sum_over_states)
 
 COMMANDS = ("grid", "chern", "distance", "evolve", "check")
 ORDER_BASE_H = 4e-3  # check fits its convergence orders on the steps 4e-3, 2e-3 and 1e-3
@@ -257,31 +257,28 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
         rows.append(np.column_stack([g[:, gi, gj], f[:, fi, fj], level_gap(energies, level)]))
     table = np.column_stack([points, np.concatenate(rows)])
 
-    names = list(model.parameters)
-    names += [f"g_{i}{j}" for i in range(k) for j in range(i, k)]
-    names += [f"f_{i}{j}" for i in range(k) for j in range(i + 1, k)]
-    names.append("min_gap")
+    names = [*model.parameters, *(f"g_{i}{j}" for i, j in zip(gi, gj)),
+             *(f"f_{i}{j}" for i, j in zip(fi, fj)), "min_gap"]
     _write_table(out_path, fmt, meta, names, table.T, written)
 
 
 def _build_surface(model, surface) -> SurfaceGrid:
     if not isinstance(surface, dict):
         raise InputError("chern: 'surface' must be an object")
-    closure = surface.get("closure", "sphere")
-    shape = surface.get("shape", [24, 24])
     base = _point(model, surface.get("fixed", {}), "chern: surface 'fixed'")
-    first, second = (*model.parameters, None)[:2]  # a missing one is named in the error
-    if closure == "sphere":
-        return SurfaceGrid.sphere(model, surface.get("polar", first),
-                                  surface.get("azimuth", second), shape, base)
+    closure = surface.get("closure", "sphere")
     if closure == "open" and not {"mu_range", "nu_range"} <= surface.keys():
         raise InputError("chern: open surfaces need mu_range and nu_range")
-    if closure in ("torus", "open"):
-        build = SurfaceGrid.torus if closure == "torus" else SurfaceGrid.open_grid
-        return build(model, surface.get("mu", first), surface.get("nu", second), shape=shape,
-                     mu_range=surface.get("mu_range", (0.0, 2 * np.pi)),
-                     nu_range=surface.get("nu_range", (0.0, 2 * np.pi)), base=base)
-    raise InputError(f"chern: unknown closure {closure!r}")
+    if closure not in ("sphere", "torus", "open"):
+        raise InputError(f"chern: unknown closure {closure!r}")
+    sphere = closure == "sphere"
+    # a missing direction is named in the grid's error; the grid's defaults fill other keys
+    axes = ("polar", "azimuth") if sphere else ("mu", "nu")
+    mu, nu = (surface.get(key, name) for key, name in zip(axes, (*model.parameters, None)))
+    keys = ("shape",) if sphere else ("shape", "mu_range", "nu_range")
+    build = {"sphere": SurfaceGrid.sphere, "torus": SurfaceGrid.torus,
+             "open": SurfaceGrid.open_grid}[closure]
+    return build(model, mu, nu, base=base, **{key: surface[key] for key in keys if key in surface})
 
 
 def _run_chern(model, block, meta, out_path, fmt, written) -> None:
@@ -351,17 +348,15 @@ def _run_evolve(model, block, meta, out_path, fmt, written) -> None:
 def _run_check(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "check", model)
     lam = _point(model, _require(block, "point", "check"), "check: 'point'")
-    h = _number(block, "h", "check", 1e-4)
+    h = _number(block, "h", "check", DEFAULT_FD_STEP)
 
     q = qgt_sum_over_states(model, lam, level).matrix
-    dev_proj = qgt_projector_fd(model, lam, level, h).matrix - q
-    dev_fd = qgt_overlap_fd(model, lam, level, h).matrix - q
-
     hs = ORDER_BASE_H / np.array([1.0, 2.0, 4.0])
-    errors = {"projector": [np.abs(qgt_projector_fd(model, lam, level, hh).matrix - q).max()
-                            for hh in hs],
-              "overlap_metric": [np.abs(qgt_overlap_fd(model, lam, level, hh).metric - q.real).max()
-                                 for hh in hs]}
+    # each route once per step: at h for the deviations, then at hs for the fit
+    (dev_proj, *proj), (dev_fd, *over) = ([route(model, lam, level, s).matrix - q for s in (h, *hs)]
+                                          for route in (qgt_projector_fd, qgt_overlap_fd))
+    errors = {"projector": [np.abs(d).max() for d in proj],
+              "overlap_metric": [np.abs(d.real).max() for d in over]}
     # an order is undefined unless every error is positive and finite
     slopes = {name: float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
               if np.isfinite(errs).all() and min(errs) > 0 else None

@@ -42,7 +42,6 @@ __all__ = [
     "berry_flux",
 ]
 
-PERIOD_PRIMES = (2, 3, 5, 7)  # a range of m periods repeats at 1/p of it for each prime p | m
 FLAT_PROBE = (np.sqrt(5.0) - 1.0) / 2.0  # an edge repeats at this fraction only if H is flat
 
 
@@ -253,8 +252,9 @@ class SurfaceGrid:
         A periodic direction needs H on its first edge to equal H one period
         further; a pole needs H to be the same at every azimuth of the grid.
         A torus range must be one period, not several: H on the first edge
-        must not repeat at 1/p of it for p in PERIOD_PRIMES, unless H does
-        not depend on that direction.
+        must not repeat at 1/p of it, for each prime p up to the direction's
+        grid count (m periods repeat at 1/p for each prime p | m), unless H
+        does not depend on that direction.
 
         Raises
         ------
@@ -293,14 +293,15 @@ class SurfaceGrid:
                 start += len(ha)
         if self.closure != "torus":
             return
-        for name, (lo, hi), along_mu in ((mu_name, self.mu_range, True),
-                                         (nu_name, self.nu_range, False)):
-            xs = np.array([lo, lo + (hi - lo) * FLAT_PROBE,
-                           *(lo + (hi - lo) / p for p in PERIOD_PRIMES)])[:, None]
+        for name, (lo, hi), along_mu, n in ((mu_name, self.mu_range, True, self.mu_values.size),
+                                            (nu_name, self.nu_range, False, self.nu_values.size)):
+            primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
+            xs = np.array([lo, lo + (hi - lo) * FLAT_PROBE, *(lo + (hi - lo) / p for p in primes)])
+            xs = xs[:, None]
             edges = self._at(xs, self.nu_values) if along_mu else self._at(self.mu_values, xs)
             h = np.split(np.concatenate([b for b, _ in hamiltonian_blocks(model, edges)]), len(xs))
             same = [not _mismatch(h[0], hx)[1].any() for hx in h[1:]]
-            p = next((p for p, repeats in zip(PERIOD_PRIMES, same[1:]) if repeats), None)
+            p = next((p for p, repeats in zip(primes, same[1:]) if repeats), None)
             if p and not same[0]:  # a direction H does not depend on has no flux however covered
                 raise InputError(
                     f"surface covers its period more than once along {name!r}: H on the edge "

@@ -156,6 +156,7 @@ def _degenerate(level: int, group) -> str:
 def level_gap(energies, level: int) -> np.ndarray:
     """Distance from ``level`` to the adjacent levels, per row of ascending energies."""
     e = np.asarray(energies, dtype=float)
+    integer_index(level, e.shape[-1], "level")
     none = np.full(e.shape[:-1], np.inf)
     below = e[..., level] - e[..., level - 1] if level > 0 else none
     above = e[..., level + 1] - e[..., level] if level + 1 < e.shape[-1] else none
@@ -257,16 +258,17 @@ def qgt_sum_over_states(model: ModelSpec, lam, level: int) -> QgtTensor:
 
 
 def _aligned_states(
-    model: ModelSpec, lam: np.ndarray, level: int, steps: np.ndarray, floor: float
+    model: ModelSpec, lam, level: int, h: float, floor: float, *extra
 ) -> tuple[EigenSystem, np.ndarray]:
-    """The eigensystem at ``lam`` and the ``level`` states at ``lam + steps``.
+    """The eigensystem at ``lam`` (validated before h) and the ``level`` states at
+    ``lam`` plus each row of :func:`_central_steps`, then of ``extra``.
 
-    Each displaced state is rephased so its overlap with the centre state is
-    real and positive.  An overlap modulus below ``floor`` means the
-    step is too large (or the level crossed another inside the step); the
-    first such step raises StepError.
+    Each displaced state is rephased so its overlap with the centre state is real and
+    positive.  An overlap modulus below ``floor`` means the step is too large (or the
+    level crossed another inside the step); the first such step raises StepError.
     """
-    points = lam + np.vstack([np.zeros(lam.size), steps])
+    lam = parameter_point(model, lam)
+    points = lam + np.vstack([np.zeros(lam.size), _central_steps(lam.size, h), *extra])
     es, parts = None, []
     for energies, vectors, _ in level_blocks(model, points, level):  # one block kept at a time
         if es is None:  # the centre leads the first block
@@ -306,9 +308,7 @@ def aligned_neighbor_states(model: ModelSpec, lam, level: int,
     the simplest smooth gauge near the point.  An overlap below 0.5 raises
     StepError.
     """
-    lam = parameter_point(model, lam)
-    steps = _central_steps(model.n_parameters, h)
-    _, states = _aligned_states(model, lam, level, steps, 0.5)
+    _, states = _aligned_states(model, lam, level, h, 0.5)
     return list(zip(states[0::2], states[1::2]))
 
 
@@ -339,9 +339,7 @@ def qgt_projector_fd(
     model: ModelSpec, lam, level: int, h: float = DEFAULT_FD_STEP
 ) -> QgtTensor:
     """Convenience wrapper: aligned neighbors -> derivatives -> projector QGT."""
-    lam = parameter_point(model, lam)
-    steps = _central_steps(model.n_parameters, h)
-    es, states = _aligned_states(model, lam, level, steps, 0.5)
+    es, states = _aligned_states(model, lam, level, h, 0.5)
     neighbors = zip(states[0::2], states[1::2])
     return qgt_projector(es, derivative_states_from_neighbors(neighbors, h), level)
 
@@ -360,16 +358,14 @@ def qgt_overlap_fd(
 
     Requires every involved overlap modulus to exceed 0.9.
     """
-    lam = parameter_point(model, lam)
     k = model.n_parameters
     m, n = np.triu_indices(k, 1)  # the (m, n) planes
     e_m, e_n = np.eye(k)[m], np.eye(k)[n]
-    diagonal, a, b = h * (e_m + e_n), 0.5 * h * e_m, 0.5 * h * e_n
+    diag, a, b = h * (e_m + e_n), 0.5 * h * e_m, 0.5 * h * e_n
     # overlap decay along each axis, then each diagonal; then, per plane, the
     # corners of the centered plaquette, counterclockwise in the (m, n) plane
-    steps = np.vstack([_central_steps(k, h), *np.stack([diagonal, -diagonal], axis=1),
-                       *np.stack([-a - b, a - b, a + b, -a + b], axis=1)])
-    es, states = _aligned_states(model, lam, level, steps, 0.9)
+    es, states = _aligned_states(model, lam, level, h, 0.9, *np.stack([diag, -diag], axis=1),
+                                 *np.stack([-a - b, a - b, a + b, -a + b], axis=1))
     near = _near_degenerate(es.energies, level)
 
     o = np.vecdot(states[:2 * (k + m.size)], es.vectors[:, level])
@@ -395,9 +391,11 @@ def nonabelian_from_eigensystem(es: EigenSystem, dh_list, group) -> NonAbelianQg
 
     [Q_mn]_ij = sum_{l outside group} <g_i|dH_m|l><l|dH_n|g_j> / (E0 - E_l)^2
     where E0 is the (common) group energy and the sum runs over every level
-    of every other cluster.
+    of every other cluster.  Each member of the ``group`` sequence must be a level index.
     """
-    group = tuple(int(i) for i in group)
+    if not isinstance(group, (tuple, list, range, np.ndarray)) or getattr(group, "ndim", 1) == 0:
+        raise InputError(f"group must be a sequence of level indices, not {group!r}")
+    group = tuple(int(integer_index(i, es.dim, "group member")) for i in group)
     if group not in es.groups:
         raise InputError(
             f"{group} is not a maximal degeneracy cluster; clusters are {es.groups}"

@@ -81,7 +81,7 @@ class TestBlocks:
     def test_block_size_is_bounded_by_the_entry_budget(self):
         points = np.column_stack([np.linspace(0.1, 1.0, 2500), np.zeros(2500)])
         sizes = [len(h) for h, _ in qg.hamiltonian_blocks(_pinch_model(), points)]
-        assert sizes == [1024, 1024, 452]  # 2^12 complex entries / (2 x 2)
+        assert sizes == [1024, 1024, 452]  # BLOCK_POINTS caps a dim-2 block at 1,024 points
 
     def test_a_dim_64_block_holds_four_points(self):
         model = qg.model_spec("wide", 64, ("x",), [(np.eye(64), "x")])

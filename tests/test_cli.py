@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qgeom import cli
 from qgeom.cli import main
+from qgeom.qgt import DEFAULT_FD_STEP
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -673,3 +678,64 @@ def test_check_fits_its_orders_on_fixed_steps(tmp_path, capsys):
         assert "# order_base_h: 0.0040000000000000001" in lines
         bodies.append([line for line in lines if not line.startswith("# config_sha256")])
     assert bodies[0] == bodies[1]  # a config that still sets the step is not read
+
+
+def test_sphere_ignores_torus_keys_and_the_grid_defaults_hold(tmp_path, capsys):
+    bodies = []
+    for surface in ({"closure": "sphere"}, {"closure": "sphere", "shape": [24, 24]},
+                    {"mu": "phi", "nu": "theta", "mu_range": [0, 1], "nu_range": "x"}):
+        out = tmp_path / f"c{len(bodies)}.csv"
+        cfg = _write_config(tmp_path, {"model": SPIN, "chern": {"level": 1, "surface": surface}})
+        assert _run(capsys, "chern", "--config", str(cfg), "--output", str(out))[0] == 0
+        plaquettes = out.with_name(out.name + ".plaquettes.csv").read_text().splitlines()
+        assert len([line for line in plaquettes if not line.startswith("#")]) == 1 + 25 * 24
+        bodies.append([line for line in out.read_text().splitlines()
+                       if not line.startswith("# config_sha256")])
+    assert bodies[0] == bodies[1] == bodies[2]
+
+
+def test_torus_defaults_to_one_period_in_each_direction(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"model": {"builtin": "two_band_lattice", "mass": 1.0},
+                                   "chern": {"level": 0, "surface": {"closure": "torus"}}})
+    out = tmp_path / "c.json"
+    code, _, _ = _run(capsys, "chern", "--config", str(cfg), "--output", str(out),
+                      "--format", "json")
+    assert code == 0 and round(json.loads(out.read_text())["data"]["chern"]) == -1
+
+
+@pytest.mark.parametrize("closure", [["torus"], 3, None])
+def test_closure_that_is_not_a_string_is_unknown(tmp_path, capsys, closure):
+    cfg = _write_config(tmp_path, {"model": SPIN,
+                                   "chern": {"level": 1, "surface": {"closure": closure}}})
+    code, _, err = _run(capsys, "chern", "--config", str(cfg),
+                        "--output", str(tmp_path / "c.csv"))
+    assert code == 1 and f"chern: unknown closure {closure!r}" in err
+
+
+def test_check_steps_by_the_library_default(tmp_path, capsys):
+    bodies = []
+    for extra in ({}, {"h": DEFAULT_FD_STEP}):
+        out = tmp_path / f"check{len(bodies)}.csv"
+        cfg = _write_config(tmp_path, {"model": SPIN, "check": {
+            "level": 1, "point": {"theta": 1.0, "phi": 0.3}, **extra}})
+        assert _run(capsys, "check", "--config", str(cfg), "--output", str(out))[0] == 0
+        lines = out.read_text().splitlines()
+        assert f"# h: {DEFAULT_FD_STEP:.17g}" in lines
+        bodies.append([line for line in lines if not line.startswith("# config_sha256")])
+    assert bodies[0] == bodies[1]
+
+
+def test_module_runs_as_a_program(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    good = _write_config(tmp_path, {"model": SPIN, "grid": {
+        "level": 0, "axes": {"theta": [0.5, 1.0, 3]}}}, "good.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    out = tmp_path / "grid.csv"
+    runs = [subprocess.run([sys.executable, "-m", "qgeom.cli", "grid", "--config", str(path),
+                            "--output", str(out)], env=env, capture_output=True, text=True,
+                           timeout=60) for path in (good, bad)]
+    assert runs[0].returncode == 0 and runs[0].stderr == ""
+    assert len(out.read_text().splitlines()) == 6 + 1 + 3  # header, column names, rows
+    assert runs[1].returncode == 1 and runs[1].stderr.startswith("error: config ")
+    assert "is not valid JSON" in runs[1].stderr

@@ -410,3 +410,15 @@ def test_non_finite_drift_suggests_the_stability_bound(monkeypatch, max_dim):
 def test_evolve_rejects_a_short_span_and_a_wrong_state(spin_model, psi0, t1, message):
     with pytest.raises(qg.InputError, match=message):
         qg.evolve(spin_model, _static_schedule(spin_model), psi0, 0.0, t1, 0.01)
+
+
+def test_a_schedule_for_other_parameters_is_rejected():
+    spin = qg.spin_half(1.0)
+    foreign = qg.schedule(qg.two_band_lattice(1.0), {"kx": "t", "ky": "0.5"})
+    message = r"^schedule was built for a different parameter list$"
+    with pytest.raises(qg.InputError, match=message):
+        qg.evolve(spin, foreign, [1.0, 0.0], 0.0, 0.1, 0.01)
+    own = qg.schedule(spin, {"theta": "1.0", "phi": "t"})
+    traj = qg.evolve(spin, own, [1.0, 0.0], 0.0, 0.1, 0.01)
+    with pytest.raises(qg.InputError, match=message):
+        qg.adiabatic_diagnostic(spin, foreign, 0, traj)

@@ -261,3 +261,13 @@ def test_unknown_binary_operator_is_a_malformed_node():
     node = qg.expr.BinaryOp("%", qg.expr.Constant(1.0), qg.expr.Constant(2.0))
     with pytest.raises(qg.InputError, match=r"^malformed AST node BinaryOp\(op='%'"):
         qg.evaluate(node, {})
+
+
+def test_unknown_function_in_a_hand_built_tree_is_an_input_error():
+    node = qg.expr.UnaryOp("sinh", qg.expr.Constant(1.0))
+    with pytest.raises(qg.InputError, match=r"^unknown function 'sinh'$"):
+        qg.evaluate(node, {})
+
+
+def test_a_constant_uses_no_parameters():
+    assert parameters_used(qg.parse_expression("2.5", ("x",))) == set()

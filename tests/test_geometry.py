@@ -490,3 +490,19 @@ def test_surface_grid_takes_parameters_by_index():
         assert (grid.mu, grid.nu) == (0, 1)
         assert np.array_equal(grid.mu_values, by_name.mu_values)
         assert qg.berry_flux(model, 0, grid).chern == qg.berry_flux(model, 0, by_name).chern
+
+
+@pytest.mark.parametrize("periods, n, key, name", [(11, 128, "mu_range", "kx"),
+                                                   (13, 160, "nu_range", "ky")])
+def test_torus_over_a_large_prime_number_of_periods_is_rejected(periods, n, key, name):
+    # the link method would report chern = -periods; no prime up to 7 divides periods
+    model = qg.two_band_lattice(1.0)
+    grid = qg.SurfaceGrid.torus(model, "kx", "ky", (n, n), **{key: (0.0, periods * 2 * np.pi)})
+    with pytest.raises(qg.InputError, match=f"more than once along '{name}'.*"
+                                            f"repeats at 1/{periods} of the range; use one period"):
+        qg.berry_flux(model, 0, grid)
+
+
+def test_small_separation_check_needs_one_entry_per_parameter(spin_model):
+    with pytest.raises(qg.InputError, match=r"^displacement has 3 entries, expected 2$"):
+        qg.small_separation_check(spin_model, [1.0, 0.3], [1e-3, 0.0, 0.0], 0)

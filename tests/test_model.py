@@ -287,3 +287,26 @@ def test_curve_domain_errors_are_located(spin_model, exprs, message):
     with pytest.raises(qg.EvaluationError) as err:
         curve.sample(np.linspace(0.0, 1.0, 5), rates=True)
     assert err.value.where == message and not str(err.value).startswith("coordinate")
+
+
+@pytest.mark.parametrize("points", [np.zeros((3, 3)), np.zeros(2), [[np.nan, 0.0]],
+                                    [[0.0, np.inf]]])
+def test_hamiltonian_blocks_reject_malformed_points(spin_model, points):
+    with pytest.raises(qg.InputError, match=r"^parameter points must be finite, of shape "
+                                            r"\(N, 2\); got shape \(") as info:
+        next(qg.hamiltonian_blocks(spin_model, points))
+    assert str(info.value).endswith(f"got shape {np.shape(points)}")
+
+
+def test_lattice_mass_must_be_finite():
+    with pytest.raises(qg.InputError, match=r"^mass must be finite$"):
+        qg.two_band_lattice(np.inf)
+
+
+def test_integer_entry_past_64_bits_is_read_as_a_float(tmp_path):
+    # numpy holds 2**64 only in an object array, so the entry-by-entry walk reads the matrix
+    def big(doc):
+        doc["terms"][2]["matrix"][0][0] = [2**64, 0]
+    model = qg.load_model_spec(_spin_half_file(tmp_path, big))
+    h = qg.hamiltonian_at(model, [0.0, 0.0])
+    assert h[0, 0] == 2.0**64 and h[1, 1] == -1.0

@@ -152,3 +152,13 @@ def test_one_isolation_rule(energies, tol):
     for level in range(len(energies)):
         group = next(g for g in groups if level in g)
         assert (len(group) > 1) == bool(qg.level_gap(energies, level) <= tol)
+
+
+@pytest.mark.parametrize("amplitudes, message", [
+    ([], r"^empty state vector$"),
+    ([1.0, np.nan], r"^state vector has non-finite entries$"),
+    ([1.0, complex(0.0, np.inf)], r"^state vector has non-finite entries$"),
+])
+def test_state_vector_rejects_empty_and_non_finite_amplitudes(amplitudes, message):
+    with pytest.raises(qg.InputError, match=message):
+        qg.state_vector(amplitudes)

@@ -471,3 +471,48 @@ def test_connection_of_unnormalized_neighbors_is_rejected(spin_model):
     with pytest.raises(qg.InputError, match=r"^connection component 1 has imaginary residue "
                                             r"5\.000e\+03 > 1\.000e-07; are the neighbor"):
         qg.berry_connection(es, [(psi, psi), (2.0 * psi, psi)], 1, 1e-4)
+
+
+def test_a_fractional_group_member_is_an_input_error():
+    model, lam = doubled_spin_half(), (1.0, 0.3)
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(model, lam))
+    dh = qg.derivative_matrices(model, lam)
+    with pytest.raises(qg.InputError, match=r"^group member must be an integer in 0\.\.3, not 0\.7$"):
+        qg.nonabelian_from_eigensystem(es, dh, (0.7, 1.2))
+    assert qg.nonabelian_from_eigensystem(es, dh, np.array([0, 1])).level_indices == (0, 1)
+
+
+@pytest.mark.parametrize("group", [5, np.array(0)])
+def test_a_group_that_is_not_a_sequence_is_an_input_error(group):
+    with pytest.raises(qg.InputError, match=rf"^group must be a sequence of level indices, "
+                                            rf"not {re.escape(repr(group))}$"):
+        qg.qgt_nonabelian(doubled_spin_half(), (1.0, 0.3), group)
+
+
+@pytest.mark.parametrize("level", [True, -1, 1.0, 3])
+def test_level_gap_checks_its_level(level):
+    with pytest.raises(qg.InputError, match=rf"^level must be an integer in 0\.\.2, not {level}$"):
+        qg.level_gap([-1.0, 0.5, 2.0], level)
+    assert qg.level_gap([-1.0, 0.5, 2.0], np.int64(1)) == 1.5
+
+
+def test_tensor_counts_its_parameters(spin_model):
+    assert qg.qgt_sum_over_states(spin_model, LAM, 0).n_parameters == 2
+
+
+def test_a_degenerate_block_has_no_scalar_reduction():
+    na = qg.qgt_nonabelian(doubled_spin_half(), (1.0, 0.3), (0, 1))
+    with pytest.raises(qg.InputError, match=r"^level is degenerate; no scalar reduction$"):
+        na.as_abelian()
+
+
+def test_projector_route_needs_a_positive_step(spin_model):
+    with pytest.raises(qg.InputError, match=r"^step h must be positive$"):
+        qg.qgt_projector_fd(spin_model, LAM, 0, h=0.0)
+
+
+def test_projector_rejects_derivative_states_of_the_wrong_shape(spin_model):
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(spin_model, LAM))
+    with pytest.raises(qg.InputError, match=r"^derivative states have shape \(2, 3\), "
+                                            r"expected \(k, 2\)$"):
+        qg.qgt_projector(es, np.zeros((2, 3)), 0)
