@@ -15,12 +15,12 @@ overrides.  Exit codes: 0 success, 1 validation error, 2 numerical error
 (degeneracy, step failure); error text names the offending point or time.
 
 Outputs embed a header with the tool version, the config hash and the
-convention notes.  Every table is handed to one writer as typed columns,
-one 1-D array each: a CSV column is formatted by its dtype (bool and
-integer columns as integers, booleans as 1/0; float columns with 17
-significant digits, so values round-trip exactly), many rows per ``%``
-operation, and JSON rows carry the same values as numbers and booleans.
-Rows are emitted in row-major parameter order.
+convention notes.  Every table goes to one writer as 1-D arrays: its leading
+grid columns as their axes, whose product it expands row-major (in parameter
+order), then one array per column.  A CSV value is formatted by its dtype
+(bool and integer values as integers, booleans as 1/0; floats with 17
+significant digits, so values round-trip exactly), each axis value once, many
+rows per ``%`` operation; JSON rows carry the same values as numbers and booleans.
 """
 
 import argparse
@@ -188,24 +188,32 @@ CHUNK_ROWS = 1024  # rows per % formatting call; bounds the Python values alive 
 
 
 def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list[Path],
-                 data=lambda rows: rows) -> None:
-    """Write equal-length 1-D ``columns`` as CSV, or as JSON rows passed through ``data``.
+                 data=lambda rows: rows, axes=()) -> None:
+    """Write the row-major product of 1-D ``axes``, then equal-length 1-D ``columns``,
+    as CSV, or as JSON rows passed through ``data``.
 
-    A CSV column's format follows its dtype: bool and integer columns print
-    with ``%d`` (booleans as 1/0), float columns with ``%.17g``.  An
-    unwritable path is an InputError; a path joins ``written`` once open.
+    A CSV value's format follows its dtype: bool and integer values print with ``%d``
+    (booleans as 1/0), float values with ``%.17g``; each axis value is formatted once.
+    An unwritable path is an InputError; a path joins ``written`` once open.
     """
-    columns = [np.asarray(c) for c in columns]
+    axes, columns = [np.asarray(a) for a in axes], [np.asarray(c) for c in columns]
     if fmt == "json":
+        columns = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] + columns
         records = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
         lines = [json.dumps({"meta": meta, "data": data(records)}, indent=2)]
     else:
         lines = [f"# {k}: {v}" for k, v in meta.items()]
         lines.append(",".join(names))
-        row_fmt = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in columns)
-        for start in range(0, len(columns[0]), CHUNK_ROWS):
-            chunk = [c[start:start + CHUNK_ROWS].tolist() for c in columns]
-            lines.append("\n".join([row_fmt] * len(chunk[0]))
+        formats = ["%.17g" if c.dtype.kind == "f" else "%d" for c in (*axes, *columns)]
+        texts = [np.array([f % v for v in a.tolist()], dtype=object)
+                 for f, a in zip(formats, axes)]
+        row_fmt = ",".join(["%s"] * len(axes) + formats[len(axes):])
+        for start in range(0, n := len(columns[0]), CHUNK_ROWS):
+            rows = np.arange(start, min(start + CHUNK_ROWS, n))
+            lead = np.unravel_index(rows, [a.size for a in axes]) if axes else ()
+            chunk = [t[i].tolist() for t, i in zip(texts, lead)]
+            chunk += [c[start:start + CHUNK_ROWS].tolist() for c in columns]
+            lines.append("\n".join([row_fmt] * len(rows))
                          % tuple(chain.from_iterable(zip(*chunk))))
     try:
         with path.open("w") as out:
@@ -232,10 +240,12 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     if set(fixed) & set(axes):
         raise InputError("grid: a parameter cannot be both fixed and gridded")
 
-    swept = [model.parameters.index(p) for p in model.parameters if p in axes]
-    values = []
-    for mu in swept:
-        what, spec = f"grid: axis {model.parameters[mu]!r}", axes[model.parameters[mu]]
+    values = []  # one axis per parameter in model order; a fixed parameter's holds its value
+    for p, name in enumerate(model.parameters):
+        if name not in axes:
+            values.append(base[p:p + 1])
+            continue
+        what, spec = f"grid: axis {name!r}", axes[name]
         if not isinstance(spec, list) or len(spec) != 3:
             raise InputError(f"{what} must be [lo, hi, n]")
         lo, hi = real_number(spec[0], what), real_number(spec[1], what)
@@ -245,21 +255,17 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
         values.append(np.linspace(lo, hi, n))
 
     k = model.n_parameters
-    # row-major over the swept axes, in model parameter order
-    points = np.tile(base, (int(np.prod([v.size for v in values])), 1))
-    grid = np.meshgrid(*values, indexing="ij")
-    points[:, swept] = np.stack(grid, axis=-1).reshape(-1, len(swept))
+    points = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, k)  # row-major
     (gi, gj), (fi, fj) = np.triu_indices(k), np.triu_indices(k, 1)
     rows = []
     for energies, _, q in level_blocks(model, points, level, tensors=True,
                                        where=lambda i: f"lambda = {points[i].tolist()}"):
         g, f = q.real, -2.0 * q.imag
         rows.append(np.column_stack([g[:, gi, gj], f[:, fi, fj], level_gap(energies, level)]))
-    table = np.column_stack([points, np.concatenate(rows)])
 
     names = [*model.parameters, *(f"g_{i}{j}" for i, j in zip(gi, gj)),
              *(f"f_{i}{j}" for i, j in zip(fi, fj)), "min_gap"]
-    _write_table(out_path, fmt, meta, names, table.T, written)
+    _write_table(out_path, fmt, meta, names, np.concatenate(rows).T, written, axes=values)
 
 
 def _build_surface(model, surface) -> SurfaceGrid:
@@ -287,9 +293,9 @@ def _run_chern(model, block, meta, out_path, fmt, written) -> None:
     result = berry_flux(model, level, grid)
 
     fluxes = result.plaquette_fluxes
-    row, col = np.indices(fluxes.shape)
     _write_table(out_path.with_name(out_path.name + ".plaquettes.csv"), "csv", meta,
-                 ("row", "col", "flux"), (row.ravel(), col.ravel(), fluxes.ravel()), written)
+                 ("row", "col", "flux"), (fluxes.ravel(),), written,
+                 axes=[np.arange(n) for n in fluxes.shape])
     names = ("chern", "total_flux", "residue", "monopole_charge",
              "max_abs_plaquette", "ambiguous")
     summary = (result.chern, result.total_flux, result.residue,
@@ -365,13 +371,13 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
                 **{f"slope_{name}": "undefined" if slope is None else "%.17g" % slope
                    for name, slope in slopes.items()})
 
-    mu, nu = np.indices(q.shape)
     names = ("mu", "nu", "q_sum_re", "q_sum_im", "dev_projector", "dev_overlap")
     # np.hypot rounds as abs() of one complex does; np.abs of a complex array may not
-    columns = (mu, nu, q.real, q.imag, np.hypot(dev_proj.real, dev_proj.imag),
+    columns = (q.real, q.imag, np.hypot(dev_proj.real, dev_proj.imag),
                np.hypot(dev_fd.real, dev_fd.imag))
     _write_table(out_path, fmt, meta, names, [c.ravel() for c in columns], written,
-                 data=lambda rows: {"slopes": slopes, "entries": rows})
+                 data=lambda rows: {"slopes": slopes, "entries": rows},
+                 axes=[np.arange(n) for n in q.shape])
 
 
 if __name__ == "__main__":

@@ -293,19 +293,26 @@ class SurfaceGrid:
                 start += len(ha)
         if self.closure != "torus":
             return
-        for name, (lo, hi), along_mu, n in ((mu_name, self.mu_range, True, self.mu_values.size),
-                                            (nu_name, self.nu_range, False, self.nu_values.size)):
+        for name, (lo, hi), along_mu, others in ((mu_name, self.mu_range, True, self.nu_values),
+                                                 (nu_name, self.nu_range, False, self.mu_values)):
+            n = (self.mu_values if along_mu else self.nu_values).size
             primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
             xs = np.array([lo, lo + (hi - lo) * FLAT_PROBE, *(lo + (hi - lo) / p for p in primes)])
-            xs = xs[:, None]
-            edges = self._at(xs, self.nu_values) if along_mu else self._at(self.mu_values, xs)
-            h = np.split(np.concatenate([b for b, _ in hamiltonian_blocks(model, edges)]), len(xs))
-            same = [not _mismatch(h[0], hx)[1].any() for hx in h[1:]]
-            p = next((p for p, repeats in zip(primes, same[1:]) if repeats), None)
-            if p and not same[0]:  # a direction H does not depend on has no flux however covered
+            rows = list(range(len(xs)))  # lo, the flat probe, then one per prime
+            for edge in (others[:1], others):  # one edge point already rules most primes out
+                at = xs[rows, None]
+                points = self._at(at, edge) if along_mu else self._at(edge, at)
+                h = np.split(np.concatenate([b for b, _ in hamiltonian_blocks(model, points)]),
+                             len(rows))
+                same = [not _mismatch(h[0], hx)[1].any() for hx in h[1:]]
+                rows = rows[:2] + [r for r, repeats in zip(rows[2:], same[1:]) if repeats]
+                if len(rows) == 2:
+                    break
+            if len(rows) > 2 and not same[0]:  # a direction H does not depend on has no flux
                 raise InputError(
                     f"surface covers its period more than once along {name!r}: H on the edge "
-                    f"at {name} = {lo!r} repeats at 1/{p} of the range; use one period")
+                    f"at {name} = {lo!r} repeats at 1/{primes[rows[2] - 2]} of the range; "
+                    "use one period")
 
 
 def _mismatch(ha: np.ndarray, hb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -156,6 +156,8 @@ def _degenerate(level: int, group) -> str:
 def level_gap(energies, level: int) -> np.ndarray:
     """Distance from ``level`` to the adjacent levels, per row of ascending energies."""
     e = np.asarray(energies, dtype=float)
+    if e.ndim == 0:
+        raise InputError(f"energies must have a level axis, got shape {e.shape}")
     integer_index(level, e.shape[-1], "level")
     none = np.full(e.shape[:-1], np.inf)
     below = e[..., level] - e[..., level - 1] if level > 0 else none

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 from qgeom import cli
 from qgeom.cli import main
-from qgeom.qgt import DEFAULT_FD_STEP
+from qgeom.model import load_model_spec
+from qgeom.qgt import DEFAULT_FD_STEP, qgt_sum_over_states
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -186,6 +188,49 @@ class TestFixedParameters:
         assert len(lines) - 1 == 9
         for row in lines[1:]:
             assert float(dict(zip(header, row.split(",")))["b"]) == 1.0
+
+    def test_fixed_parameter_between_swept_ones(self, tmp_path, capsys):
+        def c(re, im=0.0):
+            return [re, im]
+
+        model_doc = {
+            "name": "fixed in the middle",
+            "dim": 2,
+            "parameters": ["kx", "b", "ky"],
+            "terms": [
+                {"matrix": [[c(0), c(1)], [c(1), c(0)]], "coeff": "sin(kx)"},
+                {"matrix": [[c(0), c(0, -1)], [c(0, 1), c(0)]], "coeff": "sin(ky)*b"},
+                {"matrix": [[c(1), c(0)], [c(0), c(-1)]], "coeff": "b + cos(kx) + cos(ky)"},
+            ],
+        }
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model_doc))
+        axes = {"kx": [0.5, 2.5, 3], "ky": [0.2, 1.2, 2]}
+        texts = []
+        # a fixed parameter and a one-value axis holding its value give the same table
+        blocks = {"fixed": {"axes": axes, "fixed": {"b": 1.25}},
+                  "swept": {"axes": dict(axes, b=[1.25, 1.25, 1])}}
+        for name, block in blocks.items():
+            cfg = _write_config(tmp_path, {"model": str(model_path),
+                                           "grid": {"level": 0, **block}}, f"{name}.json")
+            out = tmp_path / f"{name}.csv"
+            code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out))
+            assert code == 0, err
+            texts.append([l for l in out.read_text().splitlines() if "config_sha256" not in l])
+        assert texts[0] == texts[1]
+
+        lines = [l for l in texts[0] if not l.startswith("#")]
+        assert lines[0] == "kx,b,ky,g_00,g_01,g_02,g_11,g_12,g_22,f_01,f_02,f_12,min_gap"
+        points = [(kx, 1.25, ky) for kx in np.linspace(0.5, 2.5, 3) for ky in (0.2, 1.2)]
+        assert [row.split(",")[:3] for row in lines[1:]] == \
+            [["%.17g" % v for v in lam] for lam in points]
+        model = load_model_spec(str(model_path))
+        (gi, gj), (fi, fj) = np.triu_indices(3), np.triu_indices(3, 1)
+        for row, lam in zip(lines[1:], points):
+            q = qgt_sum_over_states(model, lam, 0).matrix
+            expected = [*q.real[gi, gj], *(-2.0 * q.imag[fi, fj])]
+            assert np.allclose([float(v) for v in row.split(",")[3:-1]], expected,
+                               rtol=1e-12, atol=1e-14)
 
     def test_fixed_and_gridded_conflict(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -627,6 +672,42 @@ def test_table_writer_matches_a_per_value_reference(tmp_path, fmt):
     cli._write_table(path, fmt, meta, names, list(columns.values()), written)
     assert written == [path]
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_writer_axes_match_a_per_value_reference(tmp_path, fmt):
+    axes = {
+        "x": np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 1e17, -2.5, 3.0]),
+        "i": np.arange(-3, 250),
+        "one": np.array([0.3]),  # a fixed parameter's axis
+        "flag": np.array([True, False]),
+    }
+    n = int(np.prod([a.size for a in axes.values()]))
+    assert n > 2 * cli.CHUNK_ROWS  # chunk seams fall inside the product
+    rng = np.random.default_rng(9)
+    columns = {"value": rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n),
+               "count": rng.integers(-2**62, 2**62, n, dtype=np.int64)}
+    names = [*axes, *columns]
+    meta = {"tool": "qgeom"}
+    rows = [(*lead, *data) for lead, data in zip(
+        itertools.product(*(a.tolist() for a in axes.values())),
+        zip(*(c.tolist() for c in columns.values())))]
+
+    if fmt == "csv":
+        def csv_value(v):
+            return str(int(v)) if isinstance(v, (bool, int)) else format(v, ".17g")
+        lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(names)]
+        lines += [",".join(map(csv_value, row)) for row in rows]
+        expected = "\n".join(lines) + "\n"
+    else:
+        expected = json.dumps({"meta": meta, "data": [dict(zip(names, row)) for row in rows]},
+                              indent=2) + "\n"
+    path, written = tmp_path / f"table.{fmt}", []
+    cli._write_table(path, fmt, meta, names, list(columns.values()), written,
+                     axes=list(axes.values()))
+    assert written == [path]
+    text = path.read_text()  # compared by line, so that a failure reports its first line
+    assert text.endswith("\n") and text.splitlines() == expected.splitlines()
 
 
 @pytest.mark.parametrize("command, block, message", [

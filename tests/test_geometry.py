@@ -503,6 +503,42 @@ def test_torus_over_a_large_prime_number_of_periods_is_rejected(periods, n, key,
         qg.berry_flux(model, 0, grid)
 
 
+def _counting_points(monkeypatch):
+    """Patch the H evaluation ``check_closed`` calls; return the list of its point counts."""
+    counted, blocks = [], qg.geometry.hamiltonian_blocks
+
+    def counting(model, points, *args):
+        counted.append(len(points))
+        return blocks(model, points, *args)
+
+    monkeypatch.setattr(qg.geometry, "hamiltonian_blocks", counting)
+    return counted
+
+
+def test_torus_period_probe_evaluates_one_edge_point_per_prime(monkeypatch):
+    # the seams take 4 * 128 points and each direction probes lo, the flat point and 31
+    # primes at one edge point; evaluating every probed edge in full would take 8,960
+    grid = qg.SurfaceGrid.torus(qg.two_band_lattice(1.0), "kx", "ky", (128, 128))
+    counted = _counting_points(monkeypatch)
+    grid.check_closed(qg.two_band_lattice(1.0))
+    assert sum(counted) <= 600
+
+
+def test_torus_period_probe_decides_on_the_full_edge(monkeypatch):
+    # at ky = 0, the first point of every kx edge, H does not depend on kx, so every prime
+    # matches there; the full kx edges then rule each of them out
+    model = qg.model_spec("kx-flat at ky = 0", 2, ("kx", "ky"), [
+        (SX, "sin(ky)*cos(kx)"), (SY, "sin(ky)*sin(kx)"), (SZ, "0.5 + cos(ky)")])
+    grid = qg.SurfaceGrid.torus(model, "kx", "ky", (16, 16))
+    counted = _counting_points(monkeypatch)
+    grid.check_closed(model)
+    # seams, then 8 probes in kx (of which the 6 primes match) and 8 in ky, then 8 kx edges
+    assert counted == [16, 16, 16, 16, 8, 8 * 16, 8]
+    periods = qg.SurfaceGrid.torus(model, "kx", "ky", (16, 16), mu_range=(0.0, 6 * np.pi))
+    with pytest.raises(qg.InputError, match="along 'kx'.* repeats at 1/3 of the range"):
+        periods.check_closed(model)
+
+
 def test_small_separation_check_needs_one_entry_per_parameter(spin_model):
     with pytest.raises(qg.InputError, match=r"^displacement has 3 entries, expected 2$"):
         qg.small_separation_check(spin_model, [1.0, 0.3], [1e-3, 0.0, 0.0], 0)

@@ -496,6 +496,11 @@ def test_level_gap_checks_its_level(level):
     assert qg.level_gap([-1.0, 0.5, 2.0], np.int64(1)) == 1.5
 
 
+def test_level_gap_of_zero_dimensional_energies_is_an_input_error():
+    with pytest.raises(qg.InputError, match=r"^energies must have a level axis, got shape \(\)$"):
+        qg.level_gap(1.0, 0)
+
+
 def test_tensor_counts_its_parameters(spin_model):
     assert qg.qgt_sum_over_states(spin_model, LAM, 0).n_parameters == 2
 
