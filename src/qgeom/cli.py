@@ -1,6 +1,6 @@
 """Command-line front end: ``qgeom <command> --config <file>``.
 
-Commands (one JSON config block each, matching the command name):
+Commands, the keys of ``COMMANDS`` (one JSON config block each, named alike):
 
 - ``grid``: tabulate metric, curvature and level gap over a parameter lattice
 - ``chern``: total Berry flux / Chern number over a closed surface,
@@ -9,10 +9,10 @@ Commands (one JSON config block each, matching the command name):
 - ``evolve``: propagate a state and report the rate diagnostics
 - ``check``: cross-validate the three tensor methods at a point
 
-The config is a single JSON document so a run is reproducible from one
-artifact; the only flags are the config path and output path/format
-overrides.  Exit codes: 0 success, 1 validation error, 2 numerical error
-(degeneracy, step failure); error text names the offending point or time.
+The config is one JSON document, read as a model file is by ``read_json``, so
+a run is reproducible from one artifact; the only flags are the config path
+and output path/format overrides.  Exit codes: 0 success, 1 validation error,
+2 numerical error (degeneracy, step failure); error text names the point or time.
 
 Outputs embed a header with the tool version, the config hash and the
 convention notes.  Every table goes to one writer as 1-D arrays: its leading
@@ -36,12 +36,11 @@ from . import __version__
 from .dynamics import aa_consistency, adiabatic_diagnostic, evolve, schedule
 from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
-from .model import ModelSpec, load_model_spec, spin_half, two_band_lattice
+from .model import ModelSpec, load_model_spec, read_json, spin_half, two_band_lattice
 from .numerics import integer_index, real_number, state_vector
 from .qgt import (DEFAULT_FD_STEP, level_blocks, level_gap, level_states, qgt_overlap_fd,
                   qgt_projector_fd, qgt_sum_over_states)
 
-COMMANDS = ("grid", "chern", "distance", "evolve", "check")
 ORDER_BASE_H = 4e-3  # check fits its convergence orders on the steps 4e-3, 2e-3 and 1e-3
 
 CONVENTIONS = (
@@ -89,15 +88,7 @@ def _cleanup(written: list[Path]) -> None:
 
 
 def run(command: str, config_path, output, fmt, written: list[Path]) -> None:
-    config_path = Path(config_path)
-    try:
-        raw_bytes = config_path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read config {config_path}: {exc}") from None
-    try:
-        cfg = json.loads(raw_bytes)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config {config_path} is not valid JSON: {exc}") from None
+    raw_bytes, cfg = read_json(Path(config_path), "config")
     if not isinstance(cfg, dict):
         raise InputError("config top level must be an object")
 
@@ -118,7 +109,9 @@ def run(command: str, config_path, output, fmt, written: list[Path]) -> None:
     fmt = fmt or cfg.get("format") or "csv"
     if fmt not in ("csv", "json"):
         raise InputError(f"unknown output format {fmt!r}")
-    out_path = Path(output or cfg.get("output") or f"qgeom_{command}.{fmt}")
+    output = output or cfg.get("output") or f"qgeom_{command}.{fmt}"
+    if not isinstance(output, str):
+        raise InputError(f"config 'output' must be a path string, not {output!r}")
 
     meta = {
         "tool": "qgeom",
@@ -129,14 +122,7 @@ def run(command: str, config_path, output, fmt, written: list[Path]) -> None:
         "conventions": "; ".join(CONVENTIONS),
     }
 
-    handler = {
-        "grid": _run_grid,
-        "chern": _run_chern,
-        "distance": _run_distance,
-        "evolve": _run_evolve,
-        "check": _run_check,
-    }[command]
-    handler(model, block, meta, out_path, fmt, written)
+    COMMANDS[command](model, block, meta, Path(output), fmt, written)
 
 
 def _resolve_model(spec) -> ModelSpec:
@@ -379,6 +365,9 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
                  data=lambda rows: {"slopes": slopes, "entries": rows},
                  axes=[np.arange(n) for n in q.shape])
 
+
+COMMANDS = {"grid": _run_grid, "chern": _run_chern, "distance": _run_distance,
+            "evolve": _run_evolve, "check": _run_check}  # argparse choices, block scan, dispatch
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -202,6 +202,9 @@ class SurfaceGrid:
         if mu == nu:
             raise InputError("grid directions must differ")
         ranges = cls._pair(mu_range, "mu_range"), cls._pair(nu_range, "nu_range")
+        for key, (lo, hi) in zip(("mu_range", "nu_range"), ranges):
+            if closure == "torus" and lo == hi:  # no period to close on; reversed is fine
+                raise InputError(f"grid {key!r} of a torus is empty: both ends are {lo!r}")
         if closure == "open":
             values = [np.linspace(lo, hi, n) for (lo, hi), n in zip(ranges, shape)]
         else:  # a periodic direction starts on its seam; polar rows sit at cell centers

@@ -106,6 +106,8 @@ def model_spec(name: str, dim: int, parameters, terms) -> ModelSpec:
         raise InputError(f"duplicate parameter names in {params}")
     if not terms:
         raise InputError("a model needs at least one term")
+    if not params:
+        raise InputError("a model needs at least one parameter")
     built = []
     sources = []
     for k, (matrix, coeff) in enumerate(terms):
@@ -310,38 +312,43 @@ def two_band_lattice(mass: float) -> ModelSpec:
     )
 
 
+def read_json(path: Path, what: str) -> tuple[bytes, object]:
+    """The file's bytes and their JSON document (UTF-8, -16 or -32); errors name ``what``."""
+    try:
+        raw = path.read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise InputError(f"cannot read {what} {path}: {exc}") from None
+    try:
+        return raw, json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def load_model_spec(path) -> ModelSpec:
     """Read and validate a model definition file (schema in module docs)."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read model file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"model file {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InputError(f"model file {path}: top level must be an object")
-    for field in ("name", "dim", "parameters", "terms"):
-        if field not in raw:
-            raise InputError(f"model file {path}: missing field {field!r}")
-    name, params = raw["name"], raw["parameters"]
-    if not isinstance(name, str):
-        raise InputError(f"model file {path}: 'name' must be a string")
-    if (dim := real_number(raw["dim"], f"model file {path}: 'dim'", int)) < 1:
-        raise InputError(f"model file {path}: 'dim' must be a positive integer")
-    if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
-        raise InputError(f"model file {path}: 'parameters' must be a list of strings")
-    if not isinstance(raw["terms"], list):
-        raise InputError(f"model file {path}: 'terms' must be a list")
-    terms = []
-    for k, term in enumerate(raw["terms"]):
-        if not isinstance(term, dict) or "matrix" not in term or "coeff" not in term:
-            raise InputError(
-                f"model file {path}: term {k} must be an object with 'matrix' and 'coeff'"
-            )
-        matrix = _parse_complex_matrix(term["matrix"], dim, f"{path}: term {k}")
-        terms.append((matrix, term["coeff"]))
-    try:
+    _, raw = read_json(path, "model file")
+    try:  # every error from here on names the file once
+        if not isinstance(raw, dict):
+            raise InputError("top level must be an object")
+        for field in ("name", "dim", "parameters", "terms"):
+            if field not in raw:
+                raise InputError(f"missing field {field!r}")
+        name, params = raw["name"], raw["parameters"]
+        if not isinstance(name, str):
+            raise InputError("'name' must be a string")
+        if (dim := real_number(raw["dim"], "'dim'", int)) < 1:
+            raise InputError("'dim' must be a positive integer")
+        if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
+            raise InputError("'parameters' must be a list of strings")
+        if not isinstance(raw["terms"], list):
+            raise InputError("'terms' must be a list")
+        terms = []
+        for k, term in enumerate(raw["terms"]):
+            if not isinstance(term, dict) or "matrix" not in term or "coeff" not in term:
+                raise InputError(f"term {k} must be an object with 'matrix' and 'coeff'")
+            matrix = _parse_complex_matrix(term["matrix"], dim, f"term {k}")
+            terms.append((matrix, term["coeff"]))
         return model_spec(name, dim, params, terms)
     except InputError as exc:
         raise InputError(f"model file {path}: {exc}") from None

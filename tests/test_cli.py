@@ -820,3 +820,57 @@ def test_module_runs_as_a_program(tmp_path):
     assert len(out.read_text().splitlines()) == 6 + 1 + 3  # header, column names, rows
     assert runs[1].returncode == 1 and runs[1].stderr.startswith("error: config ")
     assert "is not valid JSON" in runs[1].stderr
+
+
+GRID = {"level": 0, "axes": {"theta": [0.5, 1.0, 3]}}
+
+
+@pytest.mark.parametrize("config, model, message", [
+    (b'\xff\xfe{"a":1}', None, "error: config {config} is not valid JSON: 'utf-16-le' codec"),
+    (None, b"\xe9", "error: model file {model} is not valid JSON: 'utf-8' codec"),
+    (None, "a\0b.json", "error: cannot read model file {model}: embedded null byte"),
+], ids=["config-utf16-truncated", "model-not-utf8", "model-path-nul"])
+def test_an_unreadable_input_exits_1_with_one_error_line(tmp_path, capsys, config, model,
+                                                         message):
+    if isinstance(model, bytes):
+        (tmp_path / "model.json").write_bytes(model)
+    model = str(tmp_path / (model if isinstance(model, str) else "model.json"))
+    path = tmp_path / "config.json"
+    path.write_bytes(config or json.dumps({"model": model, "grid": GRID}).encode())
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, "grid", "--config", str(path), "--output", str(out))
+    assert code == 1 and err.startswith(message.format(config=path, model=model))
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("output", [5, ["out.csv"], True], ids=["int", "list", "bool"])
+def test_a_non_string_output_is_a_validation_error(tmp_path, capsys, output):
+    cfg = _write_config(tmp_path, {"model": SPIN, "grid": GRID, "output": output})
+    code, _, err = _run(capsys, "grid", "--config", str(cfg))
+    assert code == 1 and err == f"error: config 'output' must be a path string, not {output!r}\n"
+
+
+@pytest.mark.parametrize("command, block", [
+    ("check", {"level": 0, "point": {}}),
+    ("distance", {"level": 0, "path": {}}),
+    ("chern", {"level": 0, "surface": {"closure": "torus"}}),
+    ("evolve", {"level": 0, "schedule": {}, "t0": 0, "t1": 1, "dt": 0.1, "initial": {"level": 0}}),
+], ids=["check", "distance", "chern", "evolve"])
+def test_a_model_without_parameters_is_a_validation_error(tmp_path, capsys, command, block):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"name": "constant", "dim": 2, "parameters": [], "terms": [
+        {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "coeff": "1"}]}))
+    cfg = _write_config(tmp_path, {"model": str(model), command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and err == f"error: model file {model}: a model needs at least one parameter\n"
+
+
+def test_an_empty_torus_range_is_a_validation_error(tmp_path, capsys):
+    surface = {"closure": "torus", "mu": "kx", "nu": "ky", "shape": [8, 8],
+               "mu_range": [1.0, 1.0]}
+    cfg = _write_config(tmp_path, {"model": {"builtin": "two_band_lattice", "mass": 1.0},
+                                   "chern": {"level": 0, "surface": surface}})
+    code, _, err = _run(capsys, "chern", "--config", str(cfg),
+                        "--output", str(tmp_path / "c.csv"))
+    assert code == 1 and err == "error: grid 'mu_range' of a torus is empty: both ends are 1.0\n"

@@ -293,6 +293,20 @@ class TestSurfaceGridValidation:
         assert result.residue < 1e-9
         assert abs(round(result.chern)) == 1
 
+    @pytest.mark.parametrize("key", ["mu_range", "nu_range"])
+    def test_empty_torus_range_is_rejected(self, key):
+        # with lo == hi every period probe sits on lo, so no closure could be checked
+        with pytest.raises(qg.InputError, match=rf"^grid '{key}' of a torus is empty: "
+                                                r"both ends are 1\.0$"):
+            qg.SurfaceGrid.torus(qg.two_band_lattice(1.0), "kx", "ky", (8, 8), **{key: (1.0, 1.0)})
+
+    def test_reversed_torus_range_flips_the_orientation(self):
+        model = qg.two_band_lattice(1.0)
+        chern = [qg.berry_flux(model, 0, qg.SurfaceGrid.torus(model, "kx", "ky", (8, 8),
+                                                             mu_range=r)).chern
+                 for r in [(0.0, 2 * np.pi), (2 * np.pi, 0.0)]]
+        assert chern == [-1.0, 1.0]
+
 
 def _states_near_one(rng, shape, dim):
     """Unit states scattered around one random state, each with a random phase."""
@@ -542,3 +556,24 @@ def test_torus_period_probe_decides_on_the_full_edge(monkeypatch):
 def test_small_separation_check_needs_one_entry_per_parameter(spin_model):
     with pytest.raises(qg.InputError, match=r"^displacement has 3 entries, expected 2$"):
         qg.small_separation_check(spin_model, [1.0, 0.3], [1e-3, 0.0, 0.0], 0)
+
+
+@pytest.mark.parametrize("on_state_route", [False, True], ids=["default", "solve"])
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_open_grid_flux_converges_to_the_curvature_integral(request, dim, on_state_route):
+    # link-phase flux against a Gauss-Legendre integral of the sum-over-states F, at O(h^2)
+    if on_state_route:
+        request.getfixturevalue("state_route")
+    model, level = random_trig_model(np.random.default_rng(5), dim, 2, 5), dim // 2 - 1
+    (a, b), (c, d) = (0.4, 0.8), (-0.3, 0.1)
+    x, w = np.polynomial.legendre.leggauss(24)
+    mu, nu = (lo + (hi - lo) * (x + 1) / 2 for lo, hi in ((a, b), (c, d)))
+    points = np.stack(np.meshgrid(mu, nu, indexing="ij"), axis=-1).reshape(-1, 2)
+    f = np.concatenate([-2.0 * q[:, 0, 1].imag
+                        for _, _, q in qg.level_blocks(model, points, level, tensors=True)])
+    integral = (b - a) * (d - c) / 4 * np.outer(w, w).ravel() @ f
+    ns = np.array([4, 8, 16, 32])
+    errors = [abs(qg.berry_flux(model, level, qg.SurfaceGrid.open_grid(
+        model, "p0", "p1", (a, b), (c, d), (n + 1, n + 1))).total_flux - integral) for n in ns]
+    order = -np.polyfit(np.log(ns), np.log(errors), 1)[0]
+    assert 1.8 <= order <= 2.2, (order, errors)

@@ -310,3 +310,32 @@ def test_integer_entry_past_64_bits_is_read_as_a_float(tmp_path):
     model = qg.load_model_spec(_spin_half_file(tmp_path, big))
     h = qg.hamiltonian_at(model, [0.0, 0.0])
     assert h[0, 0] == 2.0**64 and h[1, 1] == -1.0
+
+
+def test_a_model_needs_a_parameter():
+    with pytest.raises(qg.InputError, match=r"^a model needs at least one parameter$"):
+        qg.model_spec("constant", 2, [], [(np.diag([1.0, -1.0]), "1")])
+
+
+def test_model_file_encoding_is_detected(tmp_path):
+    utf8 = _spin_half_file(tmp_path)
+    utf16 = tmp_path / "model16.json"
+    utf16.write_bytes(utf8.read_text().encode("utf-16"))
+    lam = [0.8, 1.3]
+    assert np.array_equal(qg.hamiltonian_at(qg.load_model_spec(utf16), lam),
+                          qg.hamiltonian_at(qg.load_model_spec(utf8), lam))
+
+
+@pytest.mark.parametrize("mutate, needle", [
+    (_set_term(0, "matrix", [[[1, 0], [0, 0]]]), "term 0: matrix must have 2 rows"),
+    (_ragged_row, "term 0: row 1 must have 2 entries"),
+    (_set_term(0, "matrix", [[[1, 0], 0], [[0, 0], [1, 0]]]),
+     "term 0: entry (0,1) must be a 2-array [re, im]"),
+    (_set_term(0, "matrix", [[[2**1100, 0], [0, 0]], [[0, 0], [1, 0]]]),
+     "term 0: entry (0,0) is too large for a float"),
+], ids=["rows", "row-length", "pair", "too-large"])
+def test_matrix_errors_start_with_the_model_file_prefix(tmp_path, mutate, needle):
+    path = _spin_half_file(tmp_path, mutate)
+    with pytest.raises(qg.InputError) as err:
+        qg.load_model_spec(path)
+    assert str(err.value) == f"model file {path}: {needle}"
