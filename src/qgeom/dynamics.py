@@ -24,9 +24,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError, QgeomError, StepError
+from .geometry import level_along
 from .model import Curve, ModelSpec, curve, hamiltonian_blocks
 from .numerics import state_vector
-from .qgt import level_blocks
 
 __all__ = [
     "schedule",
@@ -287,18 +287,12 @@ def adiabatic_diagnostic(
     """
     if sched.parameters != model.parameters:
         raise InputError("schedule was built for a different parameter list")
-    lam, lam_dot = sched.sample(traj.times, rates=True)
-    rate_pred, leakage = np.empty(len(lam)), np.empty(len(lam))
-    start = 0
-    for _, vectors, q in level_blocks(model, lam, level, tensors=True,
-                                      where=lambda i: f"t = {traj.times[i]:.9g}"):
-        block, rate = slice(start, start + len(q)), lam_dot[start:start + len(q)]
-        speed_sq = (rate[:, None] @ q.real @ rate[:, :, None])[:, 0, 0]
-        rate_pred[block] = np.sqrt(np.maximum(speed_sq, 0.0))
-        # the strided column and np.hypot round as np.vdot and abs() do at one point
-        o = np.vecdot(vectors[:, :, level], traj.states[block])
-        leakage[block] = 1.0 - np.hypot(o.real, o.imag) ** 2
-        start += len(q)
+    if (dim := traj.states.shape[1]) != model.dim:
+        raise InputError(f"trajectory state dimension {dim} does not match model dim {model.dim}")
+    rate_pred, states = level_along(model, level, sched, traj.times,
+                                    lambda i: f"t = {traj.times[i]:.9g}")
+    o = np.vecdot(states, traj.states)  # np.hypot rounds as abs() does at one point
+    leakage = 1.0 - np.hypot(o.real, o.imag) ** 2
     exact_zero = rate_pred == 0.0
     ratio = np.divide(traj.energy_uncertainty, rate_pred, out=np.zeros_like(rate_pred),
                       where=~exact_zero)

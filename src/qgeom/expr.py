@@ -285,7 +285,10 @@ def parse_expression(src: str, params) -> ExprNode:
         raise ParseError(f"expression must be a string, not {type(src).__name__}")
     if not src.strip():
         raise ParseError("empty expression")
-    return _Parser(src, tuple(params)).parse()
+    try:
+        return _Parser(src, tuple(params)).parse()
+    except RecursionError:  # the parser recurses once per nesting level
+        raise ParseError("expression is nested too deeply") from None
 
 
 # --------------------------------------------------------------------------
@@ -296,23 +299,26 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
            "^": _pow}
 
 
-@np.errstate(all="ignore")  # domain errors raise; nothing else warns
 def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
+    chain = []  # a left-deep chain is walked in a loop, not one recursion per operation
+    while isinstance(node, BinaryOp) and node.op in _BINARY:
+        chain.append(node)
+        node = node.left
     if isinstance(node, Constant):
-        return _as_dual(node.value)
-    if isinstance(node, Parameter):
+        value = _as_dual(node.value)
+    elif isinstance(node, Parameter):
         try:
-            return env[node.name]
+            value = env[node.name]
         except KeyError:
             raise InputError(f"parameter {node.name!r} is not bound") from None
-    if isinstance(node, UnaryOp):
+    elif isinstance(node, UnaryOp):
         arg = _eval(node.operand, env)
-        if node.op == "neg":
-            return -arg
-        return _apply_function(node.op, arg)
-    if isinstance(node, BinaryOp) and node.op in _BINARY:
-        return _BINARY[node.op](_eval(node.left, env), _eval(node.right, env))
-    raise InputError(f"malformed AST node {node!r}")
+        value = -arg if node.op == "neg" else _apply_function(node.op, arg)
+    else:
+        raise InputError(f"malformed AST node {node!r}")
+    for op in reversed(chain):  # each right operand is walked just before its operation
+        value = _BINARY[op.op](value, _eval(op.right, env))
+    return value
 
 
 def evaluate(ast: ExprNode, values: Mapping[str, float]) -> float:
@@ -347,7 +353,8 @@ def evaluate_gradient(
         name: Dual(c, np.array([float(d == name) for d in directions]).reshape(-1, 1))
         for name, c in columns.items()
     }
-    result = _eval(ast, env)
+    with np.errstate(all="ignore"):  # domain errors raise; nothing else warns
+        result = _eval(ast, env)
     value = np.broadcast_to(result.value, shape).copy()
     partials = np.broadcast_to(result.deriv, (len(directions), *shape)).copy()
     if not (np.isfinite(value).all() and np.isfinite(partials).all()):

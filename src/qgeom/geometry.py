@@ -79,12 +79,15 @@ def path_spec(model: ModelSpec, level: int, exprs, samples: int) -> PathSpec:
     return PathSpec(model, real_number(level, "path level", int), curve(model, exprs, "s"), samples)
 
 
-def _speeds(path: PathSpec, svals: np.ndarray) -> np.ndarray:
-    """Metric speed sqrt(rate . g . rate) at every s, in one batch."""
-    lam, rate = path.curve.sample(svals, rates=True)
-    g = np.concatenate([q.real for _, _, q in level_blocks(
-        path.model, lam, path.level, tensors=True, where=lambda i: f"s = {svals[i]:.6g}")])
-    return np.sqrt(np.maximum((rate[:, None] @ g @ rate[:, :, None])[:, 0, 0], 0.0))
+def level_along(model: ModelSpec, level: int, curve: Curve, xs, where):
+    """Metric speed sqrt(rate . g . rate) (N,) and unit ``level`` state (N, d) at each x,
+    from one walk of :func:`level_blocks`.  State rows are strided as ``eigh``'s columns
+    are, so a product with a row rounds as one with that point's column does."""
+    lam, rate = curve.sample(xs, rates=True)
+    g, columns = zip(*[(q.real, v[:, :, level].T.copy())  # no block of eigenvectors kept
+                       for _, v, q in level_blocks(model, lam, level, True, where)])
+    speed_sq = (rate[:, None] @ np.concatenate(g) @ rate[:, :, None])[:, 0, 0]
+    return np.sqrt(np.maximum(speed_sq, 0.0)), np.concatenate(columns, axis=1).T
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -109,7 +112,8 @@ def path_quantum_length(path: PathSpec, refine_check: bool = True) -> tuple[floa
     n = path.samples if path.samples % 2 == 1 else path.samples + 1
     fine = 2 if refine_check else 1  # the refinement adds the n - 1 midpoints
     svals = np.linspace(0.0, 1.0, fine * (n - 1) + 1)
-    speeds = _speeds(path, svals)
+    speeds, _ = level_along(path.model, path.level, path.curve, svals,
+                            lambda i: f"s = {svals[i]:.6g}")
     length = _simpson(speeds[::fine], fine * (svals[1] - svals[0]))
     if refine_check:
         refined = _simpson(speeds, svals[1] - svals[0])

@@ -313,15 +313,17 @@ def two_band_lattice(mass: float) -> ModelSpec:
 
 
 def read_json(path: Path, what: str) -> tuple[bytes, object]:
-    """The file's bytes and their JSON document (UTF-8, -16 or -32); errors name ``what``."""
+    """The file's bytes and their JSON document (UTF-8, -16 or -32); errors name ``what``
+    and the path, quoted with escapes if it holds a control character other than NUL."""
+    shown = path if str(path).replace("\0", "").isprintable() else repr(str(path))
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise InputError(f"cannot read {what} {path}: {exc}") from None
+        raise InputError(f"cannot read {what} {shown}: {exc}") from None
     try:
         return raw, json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise InputError(f"{what} {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, nesting
+        raise InputError(f"{what} {shown} is not valid JSON: {exc}") from None
 
 
 def load_model_spec(path) -> ModelSpec:

@@ -874,3 +874,59 @@ def test_an_empty_torus_range_is_a_validation_error(tmp_path, capsys):
     code, _, err = _run(capsys, "chern", "--config", str(cfg),
                         "--output", str(tmp_path / "c.csv"))
     assert code == 1 and err == "error: grid 'mu_range' of a torus is empty: both ends are 1.0\n"
+
+
+
+
+def _one_term_model(tmp_path, coeff):
+    """A dim-2 model file over theta and phi whose one term is coeff * sigma_z."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"name": "one term", "dim": 2, "parameters": ["theta", "phi"],
+                                "terms": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                                           "coeff": coeff}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("grid", lambda tmp_path: '{"grid": ' + "[" * 1000 + "]" * 1000 + "}",
+     "error: config {config} is not valid JSON: maximum recursion depth exceeded"),
+    ("distance", lambda tmp_path: {"model": SPIN, "distance": {
+        "level": 0, "path": {"theta": "(" * 200 + "s" + ")" * 200, "phi": "0.1"}}},
+     "error: curve coordinate 'theta': expression is nested too deeply\n"),
+    ("grid", lambda tmp_path: {
+        "model": _one_term_model(tmp_path, "cos(" * 300 + "theta" + ")" * 300), "grid": GRID},
+     "error: model file {model}: term 0: expression is nested too deeply\n"),
+], ids=["config", "path", "model-term"])
+def test_deeply_nested_input_exits_1_with_one_error_line(tmp_path, capsys, command, config,
+                                                         message):
+    doc = config(tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(out))
+    assert code == 1 and err.startswith(message.format(config=cfg, model=tmp_path / "model.json"))
+    assert err.count("\n") == 1 and not out.exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("distance", lambda tmp_path: {"model": SPIN, "distance": {
+        "level": 0, "path": {"theta": "+".join(["0.001*s"] * 600), "phi": "0.1"}}}),
+    ("grid", lambda tmp_path: {
+        "model": _one_term_model(tmp_path, "+".join(["0.001*theta"] * 600)), "grid": GRID}),
+], ids=["path", "model-term"])
+def test_a_sum_of_600_terms_evaluates(tmp_path, capsys, command, config):
+    # walked recursively, each sum would take 1,200 frames
+    cfg = _write_config(tmp_path, config(tmp_path))
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(out))
+    assert (code, err) == (0, "") and out.exists()
+
+@pytest.mark.parametrize("name", ["a\nb.json", "a\rb.json", "a\x1b[2Jb.json", "a\tb.json"],
+                         ids=["newline", "return", "escape", "tab"])
+def test_a_control_character_in_a_path_is_shown_escaped(tmp_path, capsys, name):
+    model = str(tmp_path / name)
+    cfg = _write_config(tmp_path, {"model": model, "grid": GRID})
+    code, _, err = _run(capsys, "grid", "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 1 and err.startswith(f"error: cannot read model file {model!r}: ")
+    assert err.endswith("\n") and err[:-1].isprintable()

@@ -422,3 +422,32 @@ def test_a_schedule_for_other_parameters_is_rejected():
     traj = qg.evolve(spin, own, [1.0, 0.0], 0.0, 0.1, 0.01)
     with pytest.raises(qg.InputError, match=message):
         qg.adiabatic_diagnostic(spin, foreign, 0, traj)
+
+
+def test_a_trajectory_of_another_dimension_is_rejected():
+    three = qg.model_spec("three", 3, ("x",), [(np.diag([1.0, 0.0, -1.0]).astype(complex), "x")])
+    sched = qg.schedule(three, {"x": "1 + t"})
+    traj = qg.evolve(three, sched, [1.0, 0.0, 0.0], 0.0, 0.1, 0.01)
+    spin = qg.spin_half(1.0)
+    with pytest.raises(qg.InputError, match=r"^trajectory state dimension 3 does not match "
+                                            r"model dim 2$"):
+        qg.adiabatic_diagnostic(spin, _static_schedule(spin), 0, traj)
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+def test_adiabatic_rates_and_leakage_round_as_at_one_point(monkeypatch, dim):
+    # a schedule that moves both parameters, its 121 records over 4 blocks: every metric
+    # rate and leakage is bit for bit the one-point formula, as distance's speeds are
+    monkeypatch.setattr(model_mod, "BLOCK_ENTRIES", 40 * dim**2)
+    model = random_trig_model(np.random.default_rng(dim), dim, 2, 4)
+    sched = qg.schedule(model, {"p0": "0.3 + 0.7*sin(t)", "p1": "0.2 - 0.9*t"})
+    traj = qg.evolve(model, sched, np.ones(dim) / np.sqrt(dim), 0.0, 0.12, 1e-3)
+    level = dim // 2
+    report = qg.adiabatic_diagnostic(model, sched, level, traj)
+    assert len(report.times) == 121
+    for k, t in enumerate(traj.times):
+        lam, rate = sched.values_and_rates(t)
+        g = qg.qgt_sum_over_states(model, lam, level).metric
+        assert report.metric_rate[k] == np.sqrt(max(rate @ g @ rate, 0.0)), k
+        v = qg.hermitian_eigensystem(qg.hamiltonian_at(model, lam)).vectors[:, level]
+        assert report.leakage[k] == max(1.0 - abs(np.vdot(v, traj.states[k])) ** 2, 0.0), k

@@ -271,3 +271,27 @@ def test_unknown_function_in_a_hand_built_tree_is_an_input_error():
 
 def test_a_constant_uses_no_parameters():
     assert parameters_used(qg.parse_expression("2.5", ("x",))) == set()
+
+
+def test_a_long_chain_evaluates_as_a_left_fold():
+    # 2,000 terms in a loop, not a 2,000-deep recursion: each operation runs in the order
+    # a Python left fold runs it, so value and derivative are equal bit for bit
+    rng = np.random.default_rng(11)
+    coeffs = rng.uniform(0.1, 1.0, 2000)
+    ops = rng.choice(["+", "-"], coeffs.size - 1)
+    src = " ".join(f"{op} {float(c)!r}*x" for op, c in zip(["+", *ops], coeffs))[2:]
+    x = 0.7312
+    value, slope = coeffs[0] * x, coeffs[0]
+    for op, c in zip(ops, coeffs[1:]):
+        sign = 1.0 if op == "+" else -1.0
+        value, slope = value + sign * (c * x), slope + sign * c
+    ast = qg.parse_expression(src, ("x",))
+    assert qg.evaluate_with_derivative(ast, {"x": x}, "x") == (value, slope)
+
+
+@pytest.mark.parametrize("src", ["(" * 500 + "x" + ")" * 500, "sin(" * 500 + "x" + ")" * 500,
+                                 "-" * 2000 + "x", "x^" * 1000 + "x"],
+                         ids=["parentheses", "calls", "minus", "powers"])
+def test_deep_nesting_is_a_parse_error(src):
+    with pytest.raises(qg.ParseError, match="^expression is nested too deeply$"):
+        qg.parse_expression(src, ("x",))
