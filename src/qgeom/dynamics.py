@@ -41,10 +41,10 @@ __all__ = [
 
 MAX_NORM_DRIFT = 1e-6
 STABILITY_LIMIT = 0.1  # dt * spectral radius must stay below this
-# Up to this dim, evolve steps by RK4 step maps: three batched matrix products
-# per block, one matrix-vector product per step.  Above it the per-step loop is
-# faster.  Whole evolve calls of 2,000 steps, BLAS on one thread, maps / loop:
-# d = 8 25 / 56 ms, d = 16 65 / 76 ms, d = 24 105 / 93 ms.
+# Up to this dim, evolve steps by RK4 step maps (three batched matrix products per block, one
+# matrix-vector product per step), above it by a per-step loop.  2,000-step calls, 2-core Xeon,
+# BLAS on one thread, maps / loop: d = 8 24 / 61 ms, 16 33 / 47, 20 45 / 43, 24 61 / 47 ms.
+# Maps win through d = 16; 8 is a conservative cap, as no workload has a dim from 9 to 23.
 STEP_MAP_MAX_DIM = 8
 
 

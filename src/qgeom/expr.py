@@ -299,26 +299,36 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
            "^": _pow}
 
 
-def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
+def _walk(node: ExprNode, leaf, unary, binary):
+    """Fold a tree: ``leaf(node)``, ``unary(node, operand)``, ``binary(node, left, right)``."""
     chain = []  # a left-deep chain is walked in a loop, not one recursion per operation
-    while isinstance(node, BinaryOp) and node.op in _BINARY:
+    while isinstance(node, BinaryOp):
         chain.append(node)
         node = node.left
-    if isinstance(node, Constant):
-        value = _as_dual(node.value)
-    elif isinstance(node, Parameter):
-        try:
-            value = env[node.name]
-        except KeyError:
-            raise InputError(f"parameter {node.name!r} is not bound") from None
-    elif isinstance(node, UnaryOp):
-        arg = _eval(node.operand, env)
-        value = -arg if node.op == "neg" else _apply_function(node.op, arg)
-    else:
-        raise InputError(f"malformed AST node {node!r}")
+    value = (unary(node, _walk(node.operand, leaf, unary, binary)) if isinstance(node, UnaryOp)
+             else leaf(node))
     for op in reversed(chain):  # each right operand is walked just before its operation
-        value = _BINARY[op.op](value, _eval(op.right, env))
+        value = binary(op, value, _walk(op.right, leaf, unary, binary))
     return value
+
+
+def _eval(node: ExprNode, env: Mapping[str, Dual]) -> Dual:
+    def leaf(node):
+        if isinstance(node, Constant):
+            return _as_dual(node.value)
+        if not isinstance(node, Parameter):
+            raise InputError(f"malformed AST node {node!r}")
+        if node.name not in env:
+            raise InputError(f"parameter {node.name!r} is not bound")
+        return env[node.name]
+
+    def binary(node, left, right):
+        if node.op not in _BINARY:
+            raise InputError(f"malformed AST node {node!r}")
+        return _BINARY[node.op](left, right)
+
+    return _walk(node, leaf, lambda n, x: -x if n.op == "neg" else _apply_function(n.op, x),
+                 binary)
 
 
 def evaluate(ast: ExprNode, values: Mapping[str, float]) -> float:
@@ -357,31 +367,19 @@ def evaluate_gradient(
         result = _eval(ast, env)
     value = np.broadcast_to(result.value, shape).copy()
     partials = np.broadcast_to(result.deriv, (len(directions), *shape)).copy()
-    if not (np.isfinite(value).all() and np.isfinite(partials).all()):
-        _check(~np.isfinite(value), "expression evaluated to non-finite value {!r}", value)
-        raise EvaluationError("expression or derivative evaluated to a non-finite value")
+    _check(~np.isfinite(value), "expression evaluated to non-finite value {!r}", value)
+    _check(~np.isfinite(partials), "derivative evaluated to non-finite value {!r}", partials)
     return value, partials
 
 
 def parameters_used(ast: ExprNode) -> set[str]:
     """Names of all parameters appearing in the tree."""
-    if isinstance(ast, Constant):
-        return set()
-    if isinstance(ast, Parameter):
-        return {ast.name}
-    if isinstance(ast, UnaryOp):
-        return parameters_used(ast.operand)
-    return parameters_used(ast.left) | parameters_used(ast.right)
+    return _walk(ast, lambda n: {n.name} if isinstance(n, Parameter) else set(),
+                 lambda n, names: names, lambda n, left, right: left | right)
 
 
 def format_expression(ast: ExprNode) -> str:
     """Render a tree back to parseable text (fully parenthesized)."""
-    if isinstance(ast, Constant):
-        return repr(ast.value)
-    if isinstance(ast, Parameter):
-        return ast.name
-    if isinstance(ast, UnaryOp):
-        if ast.op == "neg":
-            return f"(-{format_expression(ast.operand)})"
-        return f"{ast.op}({format_expression(ast.operand)})"
-    return f"({format_expression(ast.left)} {ast.op} {format_expression(ast.right)})"
+    return _walk(ast, lambda n: repr(n.value) if isinstance(n, Constant) else n.name,
+                 lambda n, text: f"(-{text})" if n.op == "neg" else f"{n.op}({text})",
+                 lambda n, left, right: f"({left} {n.op} {right})")

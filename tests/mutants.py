@@ -42,10 +42,7 @@ if Path(qgeom.__file__).resolve().parent != Path("src/qgeom").resolve():
     print(f"imported qgeom from {qgeom.__file__}, not from the copy")
     sys.exit(99)
 import pytest
-# without hypothesis' plugin: reporting a failed property test imports libcst, whose
-# DeprecationWarning the suite's filters turn into an INTERNALERROR (exit 3)
-sys.exit(pytest.main(["-q", "-x", "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
-                      *sys.argv[1:]]))
+sys.exit(pytest.main(["-q", "-x", "-p", "no:cacheprovider", *sys.argv[1:]]))
 """
 
 DYN, GEO, STA = "tests/test_dynamics.py", "tests/test_geometry.py", "tests/test_states.py"
@@ -129,6 +126,14 @@ ROWS = [
     # expressions
     ("chain folded right to left", "expr.py", "for op in reversed(chain):", "for op in chain:",
      ["tests/test_expr.py::test_a_long_chain_evaluates_as_a_left_fold"]),
+    ("parameters of left operands only", "expr.py", "lambda n, left, right: left | right",
+     "lambda n, left, right: left", ["tests/test_expr.py::TestParsing::test_valid_product"]),
+    ("operands printed swapped", "expr.py", 'f"({left} {n.op} {right})"',
+     'f"({right} {n.op} {left})"',
+     ["tests/test_expr.py::test_a_long_chain_lists_its_parameters_and_prints_as_a_left_fold"]),
+    ("NaN-only derivative check", "expr.py", "_check(~np.isfinite(partials),",
+     "_check(np.isnan(partials),", ["tests/test_expr.py::"
+     "test_a_finite_value_with_a_non_finite_derivative_names_the_derivative"]),
     # the table writer
     ("integers written as floats", "cli.py", '"%.17g" if c.dtype.kind == "f" else "%d"',
      '"%.17g" if c.dtype.kind != "b" else "%d"', [WRITER]),

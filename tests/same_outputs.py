@@ -6,10 +6,12 @@ OLD_SRC and NEW_SRC are directories that each hold a ``qgeom`` package
 (``src`` of two checkouts).  The script writes the configs of the benchmark
 workloads (``perfbench/workloads.build``: lattice, dense and drive, seeds
 1-3) once, into a temporary directory; the configs must be shared because
-the dense model's file path enters every ``config_sha256``.  Each tree's
-``qgeom.cli.main`` then runs every config in CSV and in JSON, in its own
-``python -B`` interpreter with BLAS on one thread: 108 output files per
-tree.  Every file is compared byte for byte.  The first difference is
+the dense model's file path enters every ``config_sha256``.  Beside them it
+writes its own: for seeds 1-3, one spin_half ``evolve`` and one ``distance``
+whose curves move theta and phi together, which no benchmark curve does.
+Each tree's ``qgeom.cli.main`` then runs every config in CSV and in JSON, in
+its own ``python -B`` interpreter with BLAS on one thread: 120 output files
+per tree.  Every file is compared byte for byte.  The first difference is
 printed (file and line), and the exit code is 1 on any difference or on a
 run that does not exit 0.  It reads ``perfbench/`` and writes nothing there;
 pytest does not collect it.  Needs the standard library and numpy.
@@ -39,23 +41,37 @@ print(json.dumps(codes))
 """
 
 
+def two_parameter_curves(seed: int) -> list[tuple[str, dict]]:
+    """(command, config) of a spin_half evolve and distance moving theta and phi."""
+    model = {"builtin": "spin_half", "mu_times_b": 1.0}
+    schedule = {"theta": f"0.9 + 0.05*{seed}*t", "phi": f"0.3 + 0.4*{seed}*t"}
+    path = {"theta": f"0.4 + 0.5*{seed}*s", "phi": f"0.3 - 2*{seed}*s"}
+    return [("evolve", {"model": model, "evolve": {"schedule": schedule, "t0": 0.0, "t1": 5.0,
+                                                   "dt": 0.01, "initial": {"level": 0}}}),
+            ("distance", {"model": model, "distance": {"level": 0, "samples": 201,
+                                                       "path": path}})]
+
+
 def write_configs(work: Path) -> list[tuple[str, list[str]]]:
-    """(output name, argv without --output) for every workload, seed and format."""
+    """(output name, argv without --output) for every config, seed and format."""
     sys.path.insert(0, str(PERFBENCH))
     sys.dont_write_bytecode = True  # leaves no __pycache__ in perfbench/
     import workloads
 
     jobs = []
-    for name in workloads.WORKLOADS:
+    for name in [*workloads.WORKLOADS, "two_parameter"]:
         for seed in SEEDS:
             folder = work / f"{name}_{seed}"
             folder.mkdir()
-            for k, inv in enumerate(workloads.build(name, seed, folder).invocations):
-                config = folder / f"{k}_{inv.command}.json"
-                config.write_text(json.dumps(inv.config))
+            configs = (two_parameter_curves(seed) if name == "two_parameter" else
+                       [(inv.command, inv.config)
+                        for inv in workloads.build(name, seed, folder).invocations])
+            for k, (command, doc) in enumerate(configs):
+                config = folder / f"{k}_{command}.json"
+                config.write_text(json.dumps(doc))
                 for fmt in FORMATS:
-                    jobs.append((f"{name}_{seed}_{k}_{inv.command}.{fmt}",
-                                 [inv.command, "--config", str(config), "--format", fmt]))
+                    jobs.append((f"{name}_{seed}_{k}_{command}.{fmt}",
+                                 [command, "--config", str(config), "--format", fmt]))
     return jobs
 
 

@@ -392,6 +392,22 @@ def test_a_file_the_run_could_not_open_is_not_removed(tmp_path, capsys, monkeypa
     assert out.read_text() == "kept\n"
 
 
+def test_a_file_that_cannot_be_removed_is_left_quietly(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "summary"
+    out.mkdir()
+    cfg = _write_config(tmp_path, {
+        "model": SPIN, "chern": {"level": 1, "surface": {"closure": "sphere", "shape": [8, 8]}},
+    })
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.Path, "unlink", refuse)
+    code, _, err = _run(capsys, "chern", "--config", str(cfg), "--output", str(out))
+    monkeypatch.undo()
+    assert (code, err) == (1, f"error: cannot write {out}: Is a directory\n")
+
+
 def test_ambiguous_plaquette_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "model": {"builtin": "two_band_lattice", "mass": 1.0},
@@ -920,6 +936,17 @@ def test_a_sum_of_600_terms_evaluates(tmp_path, capsys, command, config):
     out = tmp_path / "out.csv"
     code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(out))
     assert (code, err) == (0, "") and out.exists()
+
+def test_a_non_finite_derivative_exits_2_naming_the_term_and_point(tmp_path, capsys):
+    # the value 1e160 is finite; its partial -1e320 is not
+    cfg = _write_config(tmp_path, {"model": _one_term_model(tmp_path, "1/theta"),
+                                   "grid": {"level": 0, "axes": {"theta": [1e-160, 1e-160, 1]}}})
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out))
+    assert code == 2 and err == ("numerical error: term 0 ('1/theta') at {'theta': 1e-160, "
+                                 "'phi': 0.0}: derivative evaluated to non-finite value -inf\n")
+    assert not out.exists()
+
 
 @pytest.mark.parametrize("name", ["a\nb.json", "a\rb.json", "a\x1b[2Jb.json", "a\tb.json"],
                          ids=["newline", "return", "escape", "tab"])

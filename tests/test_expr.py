@@ -289,6 +289,28 @@ def test_a_long_chain_evaluates_as_a_left_fold():
     assert qg.evaluate_with_derivative(ast, {"x": x}, "x") == (value, slope)
 
 
+def test_a_long_chain_lists_its_parameters_and_prints_as_a_left_fold():
+    # the same loop as evaluation: a 2,000-term chain takes no 2,000-deep recursion
+    rng = np.random.default_rng(12)
+    coeffs = rng.uniform(0.1, 1.0, 2000)
+    ops = rng.choice(["+", "-"], coeffs.size - 1)
+    src = " ".join(f"{op} {float(c)!r}*s" for op, c in zip(["+", *ops], coeffs))[2:]
+    text = f"({float(coeffs[0])!r} * s)"
+    for op, c in zip(ops, coeffs[1:]):
+        text = f"({text} {op} ({float(c)!r} * s))"
+    ast = qg.parse_expression(src, ("s",))
+    assert parameters_used(ast) == {"s"}
+    assert qg.format_expression(ast) == text
+
+
+def test_a_finite_value_with_a_non_finite_derivative_names_the_derivative():
+    ast = qg.parse_expression("1/x", ("x",))
+    assert qg.evaluate(ast, {"x": 1e-160}) == 1e160
+    with pytest.raises(qg.EvaluationError,
+                       match=r"^derivative evaluated to non-finite value -inf$"):
+        qg.evaluate_with_derivative(ast, {"x": 1e-160}, "x")
+
+
 @pytest.mark.parametrize("src", ["(" * 500 + "x" + ")" * 500, "sin(" * 500 + "x" + ")" * 500,
                                  "-" * 2000 + "x", "x^" * 1000 + "x"],
                          ids=["parentheses", "calls", "minus", "powers"])
