@@ -220,19 +220,14 @@ class _Parser:
         return tok
 
     def parse(self) -> ExprNode:
-        node = self.expr()
+        node = self.binary()
         if (tok := self.peek())[0] != "end":
             raise ParseError(f"unexpected token {tok[1]!r} after expression", tok[2])
         return node
 
-    def expr(self) -> ExprNode:
-        return self.binary(("+", "-"), self.term)
-
-    def term(self) -> ExprNode:
-        return self.binary(("*", "/"), self.unary)
-
-    def binary(self, ops, operand) -> ExprNode:
-        # a left-associative chain of operands joined by the operators ops
+    def binary(self, level=0) -> ExprNode:  # a left-associative chain: 0 is expr, 1 is term
+        operand = self.unary if level else lambda: self.binary(1)
+        ops = (("+", "-"), ("*", "/"))[level]  # tuples: the end token's "" is in any string
         node = operand()
         while self.peek()[1] in ops:
             node = BinaryOp(self.next()[1], node, operand())
@@ -269,7 +264,7 @@ class _Parser:
         elif text != "(":
             raise ParseError(f"empty operand before {text!r}", pos)
         # a function call or a parenthesized expression: both end at ')'
-        node = self.expr()
+        node = self.binary()
         if self.next()[1] != ")":
             raise ParseError("unbalanced parentheses: expected ')'", self.peek()[2])
         return UnaryOp(text, node) if kind == "name" else node
@@ -301,14 +296,14 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operato
 
 def _walk(node: ExprNode, leaf, unary, binary):
     """Fold a tree: ``leaf(node)``, ``unary(node, operand)``, ``binary(node, left, right)``."""
-    chain = []  # a left-deep chain is walked in a loop, not one recursion per operation
-    while isinstance(node, BinaryOp):
-        chain.append(node)
-        node = node.left
-    value = (unary(node, _walk(node.operand, leaf, unary, binary)) if isinstance(node, UnaryOp)
-             else leaf(node))
-    for op in reversed(chain):  # each right operand is walked just before its operation
-        value = binary(op, value, _walk(op.right, leaf, unary, binary))
+    spine = []  # left and unary operands are followed in a loop; only right operands recurse
+    while isinstance(node, (BinaryOp, UnaryOp)):
+        spine.append(node)
+        node = node.left if isinstance(node, BinaryOp) else node.operand
+    value = leaf(node)
+    for op in reversed(spine):  # innermost first; each right operand just before its operation
+        value = (binary(op, value, _walk(op.right, leaf, unary, binary))
+                 if isinstance(op, BinaryOp) else unary(op, value))
     return value
 
 

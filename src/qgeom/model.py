@@ -111,17 +111,12 @@ def model_spec(name: str, dim: int, parameters, terms) -> ModelSpec:
     built = []
     sources = []
     for k, (matrix, coeff) in enumerate(terms):
-        try:
+        try:  # one prefix for every error of the term; a ParseError is an InputError
             h = hermitian(matrix, asymmetry_tol=1e-12)
-        except InputError as exc:
-            raise InputError(f"term {k}: {exc}") from None
-        if h.shape[0] != dim:
-            raise InputError(
-                f"term {k}: matrix is {h.shape[0]}x{h.shape[0]}, expected {dim}x{dim}"
-            )
-        try:
+            if h.shape[0] != dim:
+                raise InputError(f"matrix is {h.shape[0]}x{h.shape[0]}, expected {dim}x{dim}")
             built.append((h, expr.parse_expression(coeff, params)))
-        except expr.ParseError as exc:
+        except InputError as exc:
             raise InputError(f"term {k}: {exc}") from None
         sources.append(coeff)
     return ModelSpec(str(name), int(dim), params, tuple(built), tuple(sources))

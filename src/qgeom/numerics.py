@@ -191,10 +191,7 @@ def hermitian_eigensystem(h: np.ndarray, degeneracy_tol: float | None = None) ->
         degeneracy partition.  Output is deterministic for identical
         input bits.
     """
-    m = complex_matrix(h)
-    if not np.array_equal(m, m.conj().T):
-        # tolerate rounding asymmetry but insist callers meant Hermitian
-        m = hermitian(m, asymmetry_tol=1e-12)
+    m = hermitian(h, asymmetry_tol=1e-12)  # tolerate rounding asymmetry, not more
     if degeneracy_tol is not None and not degeneracy_tol > 0:
         raise InputError("degeneracy_tol must be positive")
     energies, vectors = np.linalg.eigh(m)

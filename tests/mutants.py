@@ -61,7 +61,8 @@ ROWS = [
      "return (q.conj() + q.swapaxes(-1, -2)) / 2",
      [GEO + "::test_open_grid_flux_converges_to_the_curvature_integral"]),
     ("< for <= in degeneracy_groups", "numerics.py", "~(np.diff(e) <= tol)", "~(np.diff(e) < tol)",
-     ["tests/test_numerics.py::test_one_isolation_rule"]),
+     ["tests/test_numerics.py::test_one_isolation_rule",
+      "tests/test_numerics.py::test_a_gap_equal_to_the_tolerance_joins_one_cluster"]),
     ("np.minimum in level_gap", "qgt.py", "return np.fmin(below, above)",
      "return np.minimum(below, above)", ["tests/test_numerics.py::test_one_isolation_rule"]),
     # states by inverse iteration
@@ -124,8 +125,9 @@ ROWS = [
     ("C-contiguous level states", "geometry.py", "np.concatenate(columns, axis=1).T",
      "np.ascontiguousarray(np.concatenate(columns, axis=1).T)", [ONE_POINT + "[8]"]),
     # expressions
-    ("chain folded right to left", "expr.py", "for op in reversed(chain):", "for op in chain:",
-     ["tests/test_expr.py::test_a_long_chain_evaluates_as_a_left_fold"]),
+    ("chain folded right to left", "expr.py", "for op in reversed(spine):", "for op in spine:",
+     ["tests/test_expr.py::test_a_long_chain_evaluates_as_a_left_fold",
+      "tests/test_expr.py::test_a_long_unary_chain_is_walked_in_a_loop"]),
     ("parameters of left operands only", "expr.py", "lambda n, left, right: left | right",
      "lambda n, left, right: left", ["tests/test_expr.py::TestParsing::test_valid_product"]),
     ("operands printed swapped", "expr.py", 'f"({left} {n.op} {right})"',
@@ -134,6 +136,17 @@ ROWS = [
     ("NaN-only derivative check", "expr.py", "_check(~np.isfinite(partials),",
      "_check(np.isnan(partials),", ["tests/test_expr.py::"
      "test_a_finite_value_with_a_non_finite_derivative_names_the_derivative"]),
+    ("unsigned exponent", "expr.py", 'BinaryOp("^", node, self.unary())',
+     'BinaryOp("^", node, self.atom())', ["tests/test_expr.py::TestParsing::test_signed_exponent"]),
+    ("precedence levels swapped", "expr.py", '(("+", "-"), ("*", "/"))[level]',
+     '(("*", "/"), ("+", "-"))[level]',
+     ["tests/test_expr.py::TestParsing::test_precedence_and_left_associativity"]),
+    # validated inputs
+    ("any asymmetry symmetrized away", "numerics.py", "hermitian(h, asymmetry_tol=1e-12)",
+     "hermitian(h)", ["tests/test_numerics.py::TestEigensystem::test_rejects_non_hermitian"]),
+    ("term errors without their prefix", "model.py", 'InputError(f"term {k}: {exc}") from None',
+     'InputError(f"{exc}") from None',
+     ["tests/test_model.py::TestModelSpecValidation::test_a_term_error_is_prefixed_once"]),
     # the table writer
     ("integers written as floats", "cli.py", '"%.17g" if c.dtype.kind == "f" else "%d"',
      '"%.17g" if c.dtype.kind != "b" else "%d"', [WRITER]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qgeom as qg
-from qgeom.expr import Dual, parameters_used
+from qgeom.expr import Dual, Parameter, UnaryOp, parameters_used
 
 
 class TestParsing:
@@ -301,6 +301,20 @@ def test_a_long_chain_lists_its_parameters_and_prints_as_a_left_fold():
     ast = qg.parse_expression(src, ("s",))
     assert parameters_used(ast) == {"s"}
     assert qg.format_expression(ast) == text
+
+
+def test_a_long_unary_chain_is_walked_in_a_loop():
+    # 5,000 nested operations: evaluation, listing and printing take no 5,000-deep recursion
+    ops = ["neg", "sin"] * 2500
+    ast = Parameter("x")
+    for op in ops:
+        ast = UnaryOp(op, ast)
+    value = np.array([0.7312])
+    for op in ops:  # innermost first, as the walk applies them
+        value = -value if op == "neg" else np.sin(value)
+    assert qg.evaluate(ast, {"x": 0.7312}) == value.item()
+    assert parameters_used(ast) == {"x"}
+    assert qg.format_expression(ast).count("x") == 1
 
 
 def test_a_finite_value_with_a_non_finite_derivative_names_the_derivative():

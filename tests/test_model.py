@@ -123,6 +123,18 @@ class TestModelSpecValidation:
         with pytest.raises(qg.InputError):
             qg.model_spec("bad", 2, ("x", "x"), [(SZ, "x")])
 
+    @pytest.mark.parametrize("terms, message", [
+        ([(SZ, "x"), (np.eye(3), "x")], "term 1: matrix is 3x3, expected 2x2"),
+        ([([[0, 1], [2, 0]], "x")], "term 0: matrix is not Hermitian: entry (0, 1) differs from "
+         "the conjugate of its transpose by 1.000e+00 (tolerance 2.000e-12)"),
+        ([(SZ, "x"), (SX, "x + y")], "term 1: unknown identifier 'y' (byte offset 4)"),
+    ], ids=["size", "hermitian", "parse"])
+    def test_a_term_error_is_prefixed_once(self, terms, message):
+        with pytest.raises(qg.InputError) as err:
+            qg.model_spec("bad", 2, ("x",), terms)
+        assert type(err.value) is qg.InputError
+        assert str(err.value) == message
+
     def test_frozen(self, spin_model):
         with pytest.raises(Exception):
             spin_model.dim = 3

@@ -154,6 +154,14 @@ def test_one_isolation_rule(energies, tol):
         assert (len(group) > 1) == bool(qg.level_gap(energies, level) <= tol)
 
 
+@pytest.mark.parametrize("energies, tol", [([0.0, 1e-9], 1e-9), ([0.0, 1e-8, 1.0], 1e-8)])
+def test_a_gap_equal_to_the_tolerance_joins_one_cluster(energies, tol):
+    # the random spectra above reach a gap of exactly tol only by chance
+    assert np.diff(energies)[0] == tol
+    assert qg.degeneracy_groups(energies, tol)[0] == (0, 1)
+    assert qg.level_gap(energies, 0) <= tol
+
+
 @pytest.mark.parametrize("amplitudes, message", [
     ([], r"^empty state vector$"),
     ([1.0, np.nan], r"^state vector has non-finite entries$"),
