@@ -353,6 +353,11 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
     slopes = {name: float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
               if np.isfinite(errs).all() and min(errs) > 0 else None
               for name, errs in errors.items()}
+    # a route that does not converge fails, unless its error is at the rounding floor
+    for name, slope in slopes.items():
+        if slope is not None and slope < 1.5 and errors[name][0] > 1e-9 * max(1.0, np.abs(q).max()):
+            raise NumericalError(f"check: {name} route converges at order {slope:.3g} < 1.5, "
+                                 f"error {errors[name][0]:.3e} at h = {hs[0]:.3g}")
     meta = dict(meta, h="%.17g" % h, order_base_h="%.17g" % ORDER_BASE_H,
                 **{f"slope_{name}": "undefined" if slope is None else "%.17g" % slope
                    for name, slope in slopes.items()})

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InputError, QgeomError, StepError
 from .geometry import level_along
 from .model import Curve, ModelSpec, curve, hamiltonian_blocks
-from .numerics import state_vector
+from .numerics import real_number, state_vector
 
 __all__ = [
     "schedule",
@@ -148,11 +148,12 @@ def evolve(
     """
     if sched.parameters != model.parameters:
         raise InputError("schedule was built for a different parameter list")
+    t0, t1, dt = map(real_number, (t0, t1, dt), ("t0", "t1", "dt"))
     if not dt > 0:
         raise InputError("dt must be positive")
     if not t1 > t0:
         raise InputError("t1 must exceed t0")
-    n = int(round((t1 - t0) / dt))
+    n = int(round(real_number((t1 - t0) / dt, "(t1 - t0) / dt")))
     if n < 1:
         raise InputError("time span shorter than one step")
     psi = state_vector(psi0)
@@ -166,21 +167,17 @@ def evolve(
     h_times[1::2] = times[:-1] + 0.5 * dt
     h_times[2::2] = times[:-1] + dt
 
-    # raw states and H psi per record; in the loop H_k psi_k is also step k's k1
-    psis = np.empty((n + 1, psi.size), dtype=complex)
+    psis = np.empty((n + 1, psi.size), dtype=complex)  # the raw state and H psi per record
     h_psis = np.empty_like(psis)
     psis[0] = psi
     use_maps = model.dim <= STEP_MAP_MAX_DIM
     check_every = max(1, n // 64)  # growth marks: H(t_k+1) after the steps k = 0 mod this
-    warned = False
     k0 = 0  # first step whose left-end H is carry[0]
     carry = np.empty((0, model.dim, model.dim), dtype=complex)
     # a blow-up overflows before its block ends; the drift check names its first record
     with np.errstate(over="ignore", invalid="ignore"):
         for block, _ in hamiltonian_blocks(model, sched.sample(h_times)[0]):
-            # step k0 + j takes H from hs[2j], hs[2j + 1] and hs[2j + 2]; only the
-            # maps need them stacked, the loop indexes views and copies no H
-            hs = np.concatenate((carry, block)) if use_maps else [*carry, *block]
+            hs = np.concatenate((carry, block))  # step k0 + j: H at hs[2j], hs[2j + 1], hs[2j + 2]
             if k0 == 0 and dt * (radius := _spectral_radii(hs[0])) >= STABILITY_LIMIT:
                 raise StepError(f"dt * spectral radius = {dt * radius:.3g} >= {STABILITY_LIMIT}; "
                                 f"use dt < {STABILITY_LIMIT / max(radius, 1e-300):.3g}")
@@ -189,32 +186,30 @@ def evolve(
                 maps = _step_maps(hs, steps, dt)
                 for j in range(steps):
                     psis[k0 + j + 1] = maps[j] @ psis[k0 + j]
-                h_psis[k0:k0 + steps] = (hs[0:2 * steps:2] @ psis[k0:k0 + steps, :, None])[:, :, 0]
             else:
                 psi = psis[k0]
                 for j in range(steps):
-                    h_psis[k0 + j] = hs[2 * j] @ psi
-                    k1 = -1j * h_psis[k0 + j]
+                    k1 = -1j * (hs[2 * j] @ psi)
                     k2 = -1j * (hs[2 * j + 1] @ (psi + 0.5 * dt * k1))
                     k3 = -1j * (hs[2 * j + 1] @ (psi + 0.5 * dt * k2))
                     k4 = -1j * (hs[2 * j + 2] @ (psi + dt * k3))
                     psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                     psis[k0 + j + 1] = psi
-            new = slice(k0 + 1, k0 + steps + 1)
-            _check_drift(psis[new], times[new], dt, hs[2::2])
+            span = slice(k0, k0 + steps + 1)  # the block's records; the next block redoes the last
+            h_psis[span] = (hs[:2 * steps + 1:2] @ psis[span, :, None])[:, :, 0]
+            _check_drift(psis[span][1:], times[span][1:], dt, hs[2::2])
             marks = range(-k0 % check_every, steps, check_every)
-            if len(marks) and not warned:
-                radii = _spectral_radii(np.array([hs[2 * j + 2] for j in marks]))
+            if len(marks):
+                radii = _spectral_radii(hs[2::2][marks.start::check_every])
                 over = np.flatnonzero(dt * radii >= STABILITY_LIMIT)
                 if over.size:
                     k = k0 + marks[over[0]]  # the first mark past the limit, after step k
                     warnings.warn(f"dt * spectral radius grew to {dt * radii[over[0]]:.3g} at "
                                   f"t = {times[k + 1]:.9g}; results past here are suspect",
                                   stacklevel=2)
-                    warned = True
+                    check_every = n + 1  # one warning: no later block has a mark
             carry = hs[2 * steps:]
             k0 += steps
-    h_psis[n] = carry[0] @ psis[n]
     norms = np.linalg.norm(psis, axis=1)
 
     states = psis / norms[:, None]

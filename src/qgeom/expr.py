@@ -252,7 +252,9 @@ class _Parser:
         if kind == "end":
             raise ParseError("empty operand at end of input", pos)
         if kind == "num":
-            return Constant(float(text))
+            if not np.isfinite(value := float(text)):
+                raise ParseError(f"number literal {text!r} overflows a float", pos)
+            return Constant(value)
         if kind == "name":
             if self.peek()[1] != "(":
                 if text not in self.params:
@@ -274,7 +276,7 @@ def parse_expression(src: str, params) -> ExprNode:
     """Parse an expression over the declared parameter names.
 
     Raises :class:`ParseError` (with byte offset) on unknown identifiers,
-    unbalanced parentheses or missing operands.
+    unbalanced parentheses, missing operands or a literal past the float range.
     """
     if not isinstance(src, str):
         raise ParseError(f"expression must be a string, not {type(src).__name__}")

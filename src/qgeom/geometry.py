@@ -369,12 +369,14 @@ def plaquette_flux_grid(
     the continuum flux F_mu_nu d mu d nu.  The caller picks the closure:
     "torus" wraps both directions, "sphere" wraps the second and caps the
     first with the supplied pole states, "open" wraps nothing.  A link
-    overlap below ``min_link`` raises StepError naming the weakest link.
+    overlap below ``min_link`` (a number in [0, 1]) raises StepError naming the weakest link.
     """
     if closure not in ("torus", "sphere", "open"):
         raise InputError(f"unknown closure {closure!r}")
     if closure == "sphere" and (north is None or south is None):
         raise InputError("sphere closure needs both pole states")
+    if not 0.0 <= real_number(min_link, "min_link") <= 1.0:
+        raise InputError(f"min_link must be in [0, 1], not {min_link!r}")
     # u_mu[j, i] = <(j,i)|(j+1,i)> and u_nu[j, i] = <(j,i)|(j,i+1)>, each link once.
     # A closure adds link rows and columns; plaquette (j, i) is then bounded by
     # u_mu[j, i], u_nu[j+1, i], u_mu[j, i+1] and u_nu[j, i].

@@ -2,11 +2,13 @@
 
 The analytic two-level expressions here (closed-form band states, their
 exact tensor, the exact rotating-frame propagator) are deliberately written
-from scratch, independent of the library code paths they check.
+from scratch, independent of the library code paths they check.  A failed
+``==`` of two long strings reports its first differing line, not a diff.
 """
 
 import numpy as np
 import pytest
+from _pytest.assertion import util as assertion_util
 
 import qgeom as qg
 
@@ -151,6 +153,42 @@ def random_trig_model(rng, dim, n_params=3, n_terms=4):
         )
         terms.append((random_hermitian(rng, dim), coeff))
     return qg.model_spec("fuzzed", dim, params, terms)
+
+
+# --------------------------------------------------------------------------
+# assertion reports
+
+
+LONG_TEXT = 10_000  # characters; pytest's own diff of longer strings can run for minutes
+
+
+def _long_strings(op, left, right) -> bool:
+    return (op == "==" and isinstance(left, str) and isinstance(right, str)
+            and max(len(left), len(right)) > LONG_TEXT)
+
+
+def pytest_assertrepr_compare(op, left, right):
+    """For ``==`` of two strings, either longer than LONG_TEXT, report the first
+    differing line instead of a full diff; the assertion itself is unchanged."""
+    if not _long_strings(op, left, right):
+        return None
+    lines = left.splitlines(keepends=True), right.splitlines(keepends=True)
+    k = next((i for i, (a, b) in enumerate(zip(*lines)) if a != b), min(map(len, lines)))
+    shown = [repr(side[k]) if k < len(side) else "(no such line)" for side in lines]
+    return [f"long strings differ ({len(left)} and {len(right)} characters), "
+            f"first at line {k + 1}:", f"left:  {shown[0]}", f"right: {shown[1]}"]
+
+
+def pytest_configure(config):
+    """Skip pytest's own report where the hook above reports: pytest calls every
+    implementation of the hook and keeps the first report, so its diff would still run."""
+    report = assertion_util.assertrepr_compare
+
+    def unless_long(config, op, left, right, **kwargs):
+        return None if _long_strings(op, left, right) else report(config, op, left, right, **kwargs)
+
+    assertion_util.assertrepr_compare = unless_long
+    config.add_cleanup(lambda: setattr(assertion_util, "assertrepr_compare", report))
 
 
 @pytest.fixture

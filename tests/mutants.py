@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-ROW_TIMEOUT = 120  # s; a failing long-string == can hold pytest's diff for minutes
+ROW_TIMEOUT = 120  # s; a row that runs longer reads as timeout
 
 # runs in the copy: the qgeom it imports must be the copy's, then pytest on argv
 RUN_TESTS = """
@@ -49,8 +49,8 @@ DYN, GEO, STA = "tests/test_dynamics.py", "tests/test_geometry.py", "tests/test_
 ASSEMBLY = "tests/test_batch.py::test_assembly_matches_a_term_by_term_loop"
 WILSON = GEO + "::TestPlaquetteFluxGrid::test_each_plaquette_matches_a_direct_wilson_loop"
 ONE_POINT = DYN + "::test_adiabatic_rates_and_leakage_round_as_at_one_point"
-# the older writer test compares one long string, so a failure can stall its diff for minutes
 WRITER = "tests/test_cli.py::test_table_writer_axes_match_a_per_value_reference"
+CHECK = "tests/test_cli.py::TestCheckCommand::"
 
 ROWS = [
     # the tensor and its isolation rule
@@ -115,8 +115,12 @@ ROWS = [
      "marks = range(-k0 % check_every, steps, check_every)",
      "marks = range(0, steps, check_every)",
      [DYN + "::test_block_seams_do_not_change_the_trajectory"]),
-    ("no in-loop drift check", "dynamics.py", "_check_drift(psis[new], times[new], dt, hs[2::2])",
+    ("no in-loop drift check", "dynamics.py",
+     "_check_drift(psis[span][1:], times[span][1:], dt, hs[2::2])",
      "pass", [DYN + "::TestEvolve::test_norm_drift_aborts_early_in_a_long_span"]),
+    ("a growth warning at every later mark", "dynamics.py",
+     "check_every = n + 1  # one warning", "pass  # one warning",
+     [DYN + "::test_block_seams_do_not_change_the_trajectory"]),
     # one metric speed along a curve
     ("rate replaced by ones", "geometry.py", "speed_sq = (rate[:, None] @",
      "speed_sq = (np.ones_like(rate)[:, None] @", [GEO + "::TestPathLength::test_meridian"]),
@@ -138,15 +142,32 @@ ROWS = [
      "test_a_finite_value_with_a_non_finite_derivative_names_the_derivative"]),
     ("unsigned exponent", "expr.py", 'BinaryOp("^", node, self.unary())',
      'BinaryOp("^", node, self.atom())', ["tests/test_expr.py::TestParsing::test_signed_exponent"]),
+    ("overflowing literal kept as inf", "expr.py", "if not np.isfinite(value := float(text)):",
+     "if np.isnan(value := float(text)):",
+     ["tests/test_expr.py::test_an_overflowing_literal_is_a_parse_error",
+      "tests/test_cli.py::test_an_overflowing_literal_in_a_model_term_exits_1"]),
     ("precedence levels swapped", "expr.py", '(("+", "-"), ("*", "/"))[level]',
      '(("*", "/"), ("+", "-"))[level]',
      ["tests/test_expr.py::TestParsing::test_precedence_and_left_associativity"]),
     # validated inputs
     ("any asymmetry symmetrized away", "numerics.py", "hermitian(h, asymmetry_tol=1e-12)",
      "hermitian(h)", ["tests/test_numerics.py::TestEigensystem::test_rejects_non_hermitian"]),
+    ("min_link above 1 accepted", "geometry.py", "real_number(min_link, \"min_link\") <= 1.0",
+     "real_number(min_link, \"min_link\") <= 2.0",
+     [GEO + "::TestPlaquetteFluxGrid::test_min_link_is_a_number_in_the_unit_interval"]),
+    ("evolve times not read as numbers", "dynamics.py",
+     'map(real_number, (t0, t1, dt), ("t0", "t1", "dt"))', "(t0, t1, dt)",
+     [DYN + "::test_evolve_reads_its_times_as_finite_numbers"]),
     ("term errors without their prefix", "model.py", 'InputError(f"term {k}: {exc}") from None',
      'InputError(f"{exc}") from None',
      ["tests/test_model.py::TestModelSpecValidation::test_a_term_error_is_prefixed_once"]),
+    # the check verdict
+    ("verdict order threshold below a constant error's order", "cli.py",
+     "slope is not None and slope < 1.5 and", "slope is not None and slope < -0.5 and",
+     [CHECK + "test_a_route_that_does_not_converge_exits_2_and_writes_nothing"]),
+    ("verdict without the rounding floor", "cli.py",
+     "errors[name][0] > 1e-9 * max(1.0, np.abs(q).max())", "errors[name][0] > 0.0",
+     [CHECK + "test_an_order_fitted_to_a_rounding_floor_error_passes"]),
     # the table writer
     ("integers written as floats", "cli.py", '"%.17g" if c.dtype.kind == "f" else "%d"',
      '"%.17g" if c.dtype.kind != "b" else "%d"', [WRITER]),

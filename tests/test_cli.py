@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _pytest.assertion import util as assertion_util
 
 from qgeom import cli
 from qgeom.cli import main
 from qgeom.model import load_model_spec
 from qgeom.qgt import DEFAULT_FD_STEP, qgt_sum_over_states
+from conftest import pytest_assertrepr_compare
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -577,6 +580,39 @@ class TestCheckCommand:
         assert doc["data"]["slopes"]["overlap_metric"] is None
         assert doc["meta"]["slope_overlap_metric"] == "undefined"
 
+    # the check point of the benchmark's lattice workload at seed 3
+    LATTICE_POINT = {"kx": -1.355904077240047, "ky": 0.9333496289465204}
+
+    def _run_lattice_check(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"model": {"builtin": "two_band_lattice", "mass": 1.0},
+                                       "check": {"level": 0, "point": self.LATTICE_POINT}})
+        out = tmp_path / "check.csv"
+        code, _, err = _run(capsys, "check", "--config", str(cfg), "--output", str(out))
+        return code, err, out
+
+    def test_a_route_that_does_not_converge_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        # Q conjugated flips F's sign: the error no longer falls as h shrinks (order ~ 0)
+        route = cli.qgt_projector_fd
+        monkeypatch.setattr(cli, "qgt_projector_fd", lambda *args: dataclasses.replace(
+            q := route(*args), matrix=q.matrix.conj()))
+        code, err, out = self._run_lattice_check(tmp_path, capsys)
+        assert code == 2 and not out.exists()
+        assert err.startswith("numerical error: check: projector route converges at order ")
+        assert err.endswith(" < 1.5, error 4.351e-02 at h = 0.004\n")
+
+    def test_an_order_fitted_to_a_rounding_floor_error_passes(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a constant 1e-12 error fits order ~ 0, but lies below 1e-9 max(1, max|Q|)
+        monkeypatch.setattr(cli, "qgt_projector_fd", lambda model, lam, level, h: (
+            dataclasses.replace(q := qgt_sum_over_states(model, lam, level),
+                                matrix=q.matrix + 1e-12)))
+        code, err, out = self._run_lattice_check(tmp_path, capsys)
+        assert (code, err) == (0, "")
+        slope = float(next(line for line in out.read_text().splitlines()
+                           if line.startswith("# slope_projector: ")).split(": ")[1])
+        assert abs(slope) < 0.1
+
 
 class TestValidation:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -957,3 +993,31 @@ def test_a_control_character_in_a_path_is_shown_escaped(tmp_path, capsys, name):
                         "--output", str(tmp_path / "out.csv"))
     assert code == 1 and err.startswith(f"error: cannot read model file {model!r}: ")
     assert err.endswith("\n") and err[:-1].isprintable()
+
+
+def test_an_overflowing_literal_in_a_model_term_exits_1(tmp_path, capsys):
+    model = _one_term_model(tmp_path, "1e400*theta")
+    cfg = _write_config(tmp_path, {"model": model, "grid": GRID})
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out))
+    assert code == 1 and err == (f"error: model file {model}: term 0: number literal '1e400' "
+                                 "overflows a float (byte offset 0)\n")
+    assert not out.exists()
+
+
+def test_a_long_string_mismatch_reports_its_first_differing_line(pytestconfig):
+    # pytest's own diff of two such strings can run for minutes
+    left = "".join(f"row {i}\n" for i in range(3000))
+    right = left.replace("row 1234\n", "row 1234 \n")
+    assert pytest_assertrepr_compare("==", left, right) == [
+        f"long strings differ ({len(left)} and {len(right)} characters), first at line 1235:",
+        "left:  'row 1234\\n'", "right: 'row 1234 \\n'"]
+    assert pytest_assertrepr_compare("==", left, left + "end") == [
+        f"long strings differ ({len(left)} and {len(left) + 3} characters), first at line 3001:",
+        "left:  (no such line)", "right: 'end'"]
+    assert pytest_assertrepr_compare("==", "short", "shirt") is None
+    assert pytest_assertrepr_compare("!=", left, left) is None
+    assert pytest_assertrepr_compare("==", left, list(left)) is None
+    # pytest's own report is skipped for the long pair alone
+    assert assertion_util.assertrepr_compare(pytestconfig, "==", left, right) is None
+    assert assertion_util.assertrepr_compare(pytestconfig, "==", "short", "shirt")

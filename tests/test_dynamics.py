@@ -451,3 +451,14 @@ def test_adiabatic_rates_and_leakage_round_as_at_one_point(monkeypatch, dim):
         assert report.metric_rate[k] == np.sqrt(max(rate @ g @ rate, 0.0)), k
         v = qg.hermitian_eigensystem(qg.hamiltonian_at(model, lam)).vectors[:, level]
         assert report.leakage[k] == max(1.0 - abs(np.vdot(v, traj.states[k])) ** 2, 0.0), k
+
+
+@pytest.mark.parametrize("t0, t1, dt, message", [
+    (0.0, float("inf"), 0.01, "^t1 must be a finite number, not inf$"),
+    ("0", 1.0, 0.01, "^t0 must be a finite number, not '0'$"),
+    (0.0, 1.0, float("nan"), "^dt must be a finite number, not nan$"),
+    (-1e308, 1e308, 0.01, r"^\(t1 - t0\) / dt must be a finite number, not inf$"),
+], ids=["infinite-t1", "string-t0", "nan-dt", "overflowing-span"])
+def test_evolve_reads_its_times_as_finite_numbers(spin_model, t0, t1, dt, message):
+    with pytest.raises(qg.InputError, match=message):
+        qg.evolve(spin_model, _static_schedule(spin_model), [1.0, 0.0], t0, t1, dt)

@@ -331,3 +331,15 @@ def test_a_finite_value_with_a_non_finite_derivative_names_the_derivative():
 def test_deep_nesting_is_a_parse_error(src):
     with pytest.raises(qg.ParseError, match="^expression is nested too deeply$"):
         qg.parse_expression(src, ("x",))
+
+
+def test_an_overflowing_literal_is_a_parse_error():
+    # as a constant it would be inf at every point, printed as "inf", which does not parse
+    for src, literal, offset in [("1e400 * x", "1e400", 0), ("x + 2.5E+308", "2.5E+308", 4)]:
+        with pytest.raises(qg.ParseError) as err:
+            qg.parse_expression(src, ("x",))
+        message = f"number literal {literal!r} overflows a float"
+        assert str(err.value) == f"{message} (byte offset {offset})" and err.value.offset == offset
+    # the largest float parses; a literal that underflows is 0
+    largest = qg.parse_expression("1.7976931348623157e308 + 1e-400", ())
+    assert qg.evaluate(largest, {}) == np.finfo(float).max

@@ -392,6 +392,19 @@ class TestPlaquetteFluxGrid:
         with pytest.raises(qg.InputError, match=f"^{message}$"):
             qg.plaquette_flux_grid(self._real_states(np.zeros((3, 4))), closure, *poles)
 
+    @pytest.mark.parametrize("min_link, message", [
+        (float("nan"), "^min_link must be a finite number, not nan$"),
+        ("x", "^min_link must be a finite number, not 'x'$"),
+        (-1.0, r"^min_link must be in \[0, 1\], not -1.0$"),
+        (1.5, r"^min_link must be in \[0, 1\], not 1.5$"),
+    ], ids=["nan", "string", "negative", "above-one"])
+    def test_min_link_is_a_number_in_the_unit_interval(self, spin_model, min_link, message):
+        grid = qg.SurfaceGrid.sphere(spin_model, "theta", "phi", (6, 6))
+        with pytest.raises(qg.InputError, match=message):
+            qg.berry_flux(spin_model, 0, grid, min_link=min_link)
+        with pytest.raises(qg.StepError, match=r"^link overlap 0\.876 below 0\.99 along nu "):
+            qg.berry_flux(spin_model, 0, grid, min_link=0.99)
+
 
 def _offset_spin_model():
     """Spin-1/2 in a unit field plus 0.8 (cos phi, sin phi, 0): at theta = 0
