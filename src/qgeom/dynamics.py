@@ -17,6 +17,8 @@ Diagnostics:
   of the level.
 """
 
+import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -131,6 +133,14 @@ def _step_maps(hs: np.ndarray, steps: int, dt: float) -> np.ndarray:
     return maps
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not report them."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+
+
 def evolve(
     model: ModelSpec,
     sched: Curve,
@@ -144,7 +154,9 @@ def evolve(
     Requires dt * (spectral radius of H(t0)) < 0.1; the bound is re-checked
     along the run and a warning is emitted if the spectrum grows past it.
     The raw propagated state is never renormalized; a drift of the norm
-    beyond 1e-6 aborts with a suggested smaller step.
+    beyond 1e-6 aborts with a suggested smaller step.  A step count whose
+    records would not fit in physical memory is an InputError, raised before
+    anything is allocated.
     """
     if sched.parameters != model.parameters:
         raise InputError("schedule was built for a different parameter list")
@@ -156,6 +168,12 @@ def evolve(
     n = int(round(real_number((t1 - t0) / dt, "(t1 - t0) / dt")))
     if n < 1:
         raise InputError("time span shorter than one step")
+    # the records: raw, H-applied and normalized states; times, H times and their points, norms
+    need = 8 * (n + 1) * (6 * model.dim + 4 + 2 * model.n_parameters)
+    if need > (memory := _physical_memory()):
+        raise InputError(f"{n} steps need {need / 2**30:.3g} GiB of records, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory; use a larger dt or "
+                         "a shorter span")
     psi = state_vector(psi0)
     if psi.size != model.dim:
         raise InputError(f"state dimension {psi.size} does not match model dim {model.dim}")

@@ -31,6 +31,11 @@ group-of-one case.  Every route solves its points through one blocked core,
 test and the sum-over-states tensors of the whole block.  States alone come
 from :func:`level_states`: from ``STATE_SOLVE_MIN_DIM`` up by ``eigvalsh`` and a
 shifted solve per point, under the same isolation test.
+
+The two finite-difference routes share solved states but not formulas:
+:func:`solve_displaced` solves a centre and the points of any number of
+:func:`fd_offsets` steps in one walk, and each route takes its own rows,
+overlap floor and formula from that.
 """
 
 from dataclasses import dataclass
@@ -51,10 +56,15 @@ __all__ = [
     "derivative_matrices",
     "qgt_from_eigensystem",
     "qgt_sum_over_states",
+    "DisplacedStates",
+    "fd_offsets",
+    "solve_displaced",
     "aligned_neighbor_states",
     "derivative_states_from_neighbors",
     "qgt_projector",
+    "projector_from_solved",
     "qgt_projector_fd",
+    "overlap_from_solved",
     "qgt_overlap_fd",
     "nonabelian_from_eigensystem",
     "qgt_nonabelian",
@@ -259,19 +269,59 @@ def qgt_sum_over_states(model: ModelSpec, lam, level: int) -> QgtTensor:
 # phase-aligned finite differences
 
 
-def _aligned_states(
-    model: ModelSpec, lam, level: int, h: float, floor: float, *extra
-) -> tuple[EigenSystem, np.ndarray]:
-    """The eigensystem at ``lam`` (validated before h) and the ``level`` states at
-    ``lam`` plus each row of :func:`_central_steps`, then of ``extra``.
+@dataclass(frozen=True)
+class DisplacedStates:
+    """The eigensystem at a centre and, per row of ``offsets``, the ``level`` state of
+    the displaced point (in an arbitrary phase), its overlap <state|centre state>, and
+    whether another column matches the centre state better."""
 
-    Each displaced state is rephased so its overlap with the centre state is real and
-    positive.  An overlap modulus below ``floor`` means the step is too large (or the
-    level crossed another inside the step); the first such step raises StepError.
+    center: EigenSystem
+    offsets: np.ndarray  # (n, k)
+    swapped: np.ndarray  # (n,) bool
+    overlaps: np.ndarray  # (n,) complex
+    states: np.ndarray  # (n, d)
+
+
+def fd_offsets(model: ModelSpec, lam, h: float) -> np.ndarray:
+    """Displacements of both finite-difference routes at step ``h``, one per row.
+
+    Rows +h e_0, -h e_0, +h e_1, ... lead (the projector route's 2k rows); the
+    overlap route adds +-h (e_m + e_n), then the corners of the h x h plaquette
+    centred on ``lam``, counterclockwise, per (m, n) plane, m < n.  A step under
+    which a displaced coordinate rounds to the centre's, or h * h to 0, raises
+    StepError naming the parameter.
     """
     lam = parameter_point(model, lam)
-    points = lam + np.vstack([np.zeros(lam.size), _central_steps(lam.size, h), *extra])
+    k = lam.size
+    if not h > 0:
+        raise InputError("step h must be positive")
+    m, n = np.triu_indices(k, 1)  # the (m, n) planes
+    e_m, e_n = np.eye(k)[m], np.eye(k)[n]
+    diag, a, b = h * (e_m + e_n), 0.5 * h * e_m, 0.5 * h * e_n
+    offsets = np.vstack([h * np.stack([np.eye(k), -np.eye(k)], axis=1).reshape(2 * k, k),
+                         *np.stack([diag, -diag], axis=1),
+                         *np.stack([-a - b, a - b, a + b, -a + b], axis=1)])
+    lost = (offsets != 0) & (lam + offsets == lam)
+    if lost.any() or h * h == 0:
+        p = int(lost.any(axis=0).argmax())  # the first parameter with a lost coordinate, else 0
+        raise StepError(f"step h = {h:.3g} vanishes at parameter {model.parameters[p]!r} = "
+                        f"{lam[p]:.17g} (a displaced coordinate rounds to it, or h*h to 0); "
+                        "increase the step")
+    return offsets
+
+
+def solve_displaced(model: ModelSpec, lam, level: int, offsets) -> DisplacedStates:
+    """Solve ``level`` at ``lam`` and at ``lam`` plus each row of ``offsets`` in one
+    :func:`level_blocks` walk, the centre first.
+
+    The first point where the level is not isolated raises DegeneracyError.
+    """
+    lam = parameter_point(model, lam)
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim != 2 or offsets.shape[1] != lam.size:
+        raise InputError(f"offsets have shape {offsets.shape}, expected (n, {lam.size})")
     es, parts = None, []
+    points = lam + np.vstack([np.zeros(lam.size), offsets])
     for energies, vectors, _ in level_blocks(model, points, level):  # one block kept at a time
         if es is None:  # the centre leads the first block
             tol = default_degeneracy_tol(energies[0])
@@ -279,7 +329,20 @@ def _aligned_states(
         center = es.vectors[:, level]
         parts.append((np.abs(center @ vectors.conj()).argmax(axis=1) != level,
                       np.vecdot(vectors[:, :, level], center), vectors[:, :, level].copy()))
-    swapped, o, states = (np.concatenate(part)[1:] for part in zip(*parts))
+    swapped, overlaps, states = (np.concatenate(part)[1:] for part in zip(*parts))
+    return DisplacedStates(es, offsets, swapped, overlaps, states)
+
+
+def _aligned(solved: DisplacedStates, level: int, rows: slice, floor: float) -> np.ndarray:
+    """The states of ``rows``, each rephased so its overlap with the centre state is
+    real and positive.
+
+    An overlap modulus below ``floor`` means the step is too large (or the level
+    crossed another inside the step); the first such row raises StepError.
+    """
+    if (rows.stop or 0) > len(solved.states):
+        raise InputError(f"rows up to {rows.stop} asked of {len(solved.states)} solved points")
+    swapped, o, states = solved.swapped[rows], solved.overlaps[rows], solved.states[rows]
     modulus = np.hypot(o.real, o.imag)  # rounds like abs() of one complex number
     bad = np.flatnonzero(swapped | (modulus < floor))
     if bad.size and swapped[bad[0]]:
@@ -291,14 +354,7 @@ def _aligned_states(
         raise StepError(
             f"neighbor overlap {modulus[bad[0]]:.3f} below {floor}; reduce the step"
         )
-    return es, states * (o / modulus)[:, None]
-
-
-def _central_steps(k: int, h: float) -> np.ndarray:
-    """Rows +h e_0, -h e_0, +h e_1, -h e_1, ..."""
-    if not h > 0:
-        raise InputError("step h must be positive")
-    return h * np.stack([np.eye(k), -np.eye(k)], axis=1).reshape(2 * k, k)
+    return states * (o / modulus)[:, None]
 
 
 def aligned_neighbor_states(model: ModelSpec, lam, level: int,
@@ -310,7 +366,8 @@ def aligned_neighbor_states(model: ModelSpec, lam, level: int,
     the simplest smooth gauge near the point.  An overlap below 0.5 raises
     StepError.
     """
-    _, states = _aligned_states(model, lam, level, h, 0.5)
+    offsets = fd_offsets(model, lam, h)[:2 * model.n_parameters]
+    states = _aligned(solve_displaced(model, lam, level, offsets), level, slice(None), 0.5)
     return list(zip(states[0::2], states[1::2]))
 
 
@@ -337,13 +394,46 @@ def qgt_projector(es: EigenSystem, derivative_states, level: int) -> QgtTensor:
     return QgtTensor(hermitian(q, asymmetry_tol=1e-8), near)
 
 
+def projector_from_solved(solved: DisplacedStates, level: int, h: float,
+                          start: int = 0) -> QgtTensor:
+    """Projector-route QGT at step ``h`` from the 2k rows of ``solved`` from ``start``
+    on, laid out as by :func:`fd_offsets`; an overlap below 0.5 raises StepError."""
+    k = solved.offsets.shape[1]
+    states = _aligned(solved, level, slice(start, start + 2 * k), 0.5)
+    neighbors = zip(states[0::2], states[1::2])
+    return qgt_projector(solved.center, derivative_states_from_neighbors(neighbors, h), level)
+
+
 def qgt_projector_fd(
     model: ModelSpec, lam, level: int, h: float = DEFAULT_FD_STEP
 ) -> QgtTensor:
     """Convenience wrapper: aligned neighbors -> derivatives -> projector QGT."""
-    es, states = _aligned_states(model, lam, level, h, 0.5)
-    neighbors = zip(states[0::2], states[1::2])
-    return qgt_projector(es, derivative_states_from_neighbors(neighbors, h), level)
+    offsets = fd_offsets(model, lam, h)[:2 * model.n_parameters]
+    return projector_from_solved(solve_displaced(model, lam, level, offsets), level, h)
+
+
+def overlap_from_solved(solved: DisplacedStates, level: int, h: float,
+                        start: int = 0) -> QgtTensor:
+    """Overlap-route QGT (see :func:`qgt_overlap_fd`) at step ``h`` from the rows of
+    ``solved`` from ``start`` on, laid out as by :func:`fd_offsets`."""
+    es, k = solved.center, solved.offsets.shape[1]
+    m, n = np.triu_indices(k, 1)  # the (m, n) planes
+    # overlap decay along each axis, then each diagonal; then the plaquette corners
+    states = _aligned(solved, level, slice(start, start + 2 * k + 6 * m.size), 0.9)
+    near = _near_degenerate(es.energies, level)
+
+    o = np.vecdot(states[:2 * (k + m.size)], es.vectors[:, level])
+    moduli = np.hypot(o.real, o.imag)
+    decay = (2.0 - moduli[0::2] - moduli[1::2]) / h**2  # symmetrized 2(1 - |overlap|)
+    g = np.diag(decay[:k])
+    g[m, n] = g[n, m] = (decay[k:] - decay[m] - decay[n]) / 2.0
+
+    loops = states[2 * (k + m.size):].reshape(m.size, 4, es.dim)
+    phases = -np.angle(np.prod(np.vecdot(loops, np.roll(loops, -1, axis=1)), axis=1)) / h**2
+    f = np.zeros((k, k))
+    f[m, n], f[n, m] = phases, -phases
+
+    return QgtTensor(g - 0.5j * f, near)
 
 
 def qgt_overlap_fd(
@@ -360,28 +450,8 @@ def qgt_overlap_fd(
 
     Requires every involved overlap modulus to exceed 0.9.
     """
-    k = model.n_parameters
-    m, n = np.triu_indices(k, 1)  # the (m, n) planes
-    e_m, e_n = np.eye(k)[m], np.eye(k)[n]
-    diag, a, b = h * (e_m + e_n), 0.5 * h * e_m, 0.5 * h * e_n
-    # overlap decay along each axis, then each diagonal; then, per plane, the
-    # corners of the centered plaquette, counterclockwise in the (m, n) plane
-    es, states = _aligned_states(model, lam, level, h, 0.9, *np.stack([diag, -diag], axis=1),
-                                 *np.stack([-a - b, a - b, a + b, -a + b], axis=1))
-    near = _near_degenerate(es.energies, level)
-
-    o = np.vecdot(states[:2 * (k + m.size)], es.vectors[:, level])
-    moduli = np.hypot(o.real, o.imag)
-    decay = (2.0 - moduli[0::2] - moduli[1::2]) / h**2  # symmetrized 2(1 - |overlap|)
-    g = np.diag(decay[:k])
-    g[m, n] = g[n, m] = (decay[k:] - decay[m] - decay[n]) / 2.0
-
-    loops = states[2 * (k + m.size):].reshape(m.size, 4, model.dim)
-    phases = -np.angle(np.prod(np.vecdot(loops, np.roll(loops, -1, axis=1)), axis=1)) / h**2
-    f = np.zeros((k, k))
-    f[m, n], f[n, m] = phases, -phases
-
-    return QgtTensor(g - 0.5j * f, near)
+    return overlap_from_solved(solve_displaced(model, lam, level, fd_offsets(model, lam, h)),
+                               level, h)
 
 
 # --------------------------------------------------------------------------

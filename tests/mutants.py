@@ -161,6 +161,17 @@ ROWS = [
     ("term errors without their prefix", "model.py", 'InputError(f"term {k}: {exc}") from None',
      'InputError(f"{exc}") from None',
      ["tests/test_model.py::TestModelSpecValidation::test_a_term_error_is_prefixed_once"]),
+    # one solve for every check step
+    ("a step's rows taken from another step", "cli.py",
+     "range(0, len(solved.states), len(offsets[0]))",
+     "range(0, len(solved.states), len(offsets[0]))[::-1]",
+     [CHECK + "test_route_tensors_equal_the_standalone_routes_bit_for_bit"]),
+    ("no vanishing-step guard", "qgt.py", "if lost.any() or h * h == 0:", "if False:",
+     ["tests/test_qgt.py::test_a_vanishing_step_is_a_step_error",
+      CHECK + "test_a_vanishing_step_exits_2_and_writes_nothing"]),
+    ("no record-size guard", "dynamics.py", "if need > (memory := _physical_memory()):",
+     "if need > (memory := _physical_memory()) and False:", [DYN + "::"
+     "test_records_past_physical_memory_are_an_input_error_before_any_allocation"]),
     # the check verdict
     ("verdict order threshold below a constant error's order", "cli.py",
      "slope is not None and slope < 1.5 and", "slope is not None and slope < -0.5 and",

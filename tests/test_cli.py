@@ -13,9 +13,9 @@ from _pytest.assertion import util as assertion_util
 
 from qgeom import cli
 from qgeom.cli import main
-from qgeom.model import load_model_spec
-from qgeom.qgt import DEFAULT_FD_STEP, qgt_sum_over_states
-from conftest import pytest_assertrepr_compare
+from qgeom.model import load_model_spec, two_band_lattice
+from qgeom.qgt import DEFAULT_FD_STEP, qgt_overlap_fd, qgt_projector_fd, qgt_sum_over_states
+from conftest import pytest_assertrepr_compare, random_trig_model
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -489,6 +489,16 @@ class TestDistanceCommand:
 
 
 class TestEvolveCommand:
+    def test_a_step_count_past_physical_memory_exits_1_and_writes_nothing(self, tmp_path,
+                                                                           capsys):
+        cfg = _write_config(tmp_path, {"model": SPIN,
+                                       "evolve": {**EVOLVE, "t1": 1e12, "dt": 1e-3}})
+        out = tmp_path / "evolve.csv"
+        code, _, err = _run(capsys, "evolve", "--config", str(cfg), "--output", str(out))
+        assert code == 1 and not out.exists()
+        assert err.startswith("error: 1000000000000000 steps need ")
+        assert err.endswith(" GiB of physical memory; use a larger dt or a shorter span\n")
+
     def test_precession_table(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
             "model": SPIN,
@@ -593,8 +603,8 @@ class TestCheckCommand:
     def test_a_route_that_does_not_converge_exits_2_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch):
         # Q conjugated flips F's sign: the error no longer falls as h shrinks (order ~ 0)
-        route = cli.qgt_projector_fd
-        monkeypatch.setattr(cli, "qgt_projector_fd", lambda *args: dataclasses.replace(
+        route = cli.projector_from_solved
+        monkeypatch.setattr(cli, "projector_from_solved", lambda *args: dataclasses.replace(
             q := route(*args), matrix=q.matrix.conj()))
         code, err, out = self._run_lattice_check(tmp_path, capsys)
         assert code == 2 and not out.exists()
@@ -604,14 +614,58 @@ class TestCheckCommand:
     def test_an_order_fitted_to_a_rounding_floor_error_passes(self, tmp_path, capsys,
                                                                monkeypatch):
         # a constant 1e-12 error fits order ~ 0, but lies below 1e-9 max(1, max|Q|)
-        monkeypatch.setattr(cli, "qgt_projector_fd", lambda model, lam, level, h: (
-            dataclasses.replace(q := qgt_sum_over_states(model, lam, level),
-                                matrix=q.matrix + 1e-12)))
+        q = qgt_sum_over_states(two_band_lattice(1.0), list(self.LATTICE_POINT.values()), 0)
+        monkeypatch.setattr(cli, "projector_from_solved", lambda *args: (
+            dataclasses.replace(q, matrix=q.matrix + 1e-12)))
         code, err, out = self._run_lattice_check(tmp_path, capsys)
         assert (code, err) == (0, "")
         slope = float(next(line for line in out.read_text().splitlines()
                            if line.startswith("# slope_projector: ")).split(": ")[1])
         assert abs(slope) < 0.1
+
+    def test_each_distinct_point_is_solved_once(self, tmp_path, capsys, monkeypatch):
+        # the centre, then per step 2k axis points, k(k-1) diagonals and 2k(k-1) plaquette
+        # corners: 1 + 4 * 10 matrices at k = 2 (65 when each route call solved its own)
+        stacks, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(len(a)) or eigh(a))
+        cfg = _write_config(tmp_path, {"model": SPIN,
+                                       "check": {"level": 1, "point": {"theta": 1.0, "phi": 0.3}}})
+        code, _, err = _run(capsys, "check", "--config", str(cfg),
+                            "--output", str(tmp_path / "check.csv"))
+        assert (code, err) == (0, "")
+        assert stacks == [41]
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_route_tensors_equal_the_standalone_routes_bit_for_bit(self, tmp_path,
+                                                                   monkeypatch, dim):
+        rng = np.random.default_rng(70 + dim)
+        model = random_trig_model(rng, dim)
+        lam = rng.uniform(-1.0, 1.0, model.n_parameters)
+        seen = {}
+
+        def record(name):
+            route = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args: seen.setdefault(name, []).append(
+                q := route(*args)) or q)
+
+        record("projector_from_solved")
+        record("overlap_from_solved")
+        block = {"level": 0, "point": dict(zip(model.parameters, lam.tolist())), "h": 2e-4}
+        cli._run_check(model, block, {}, tmp_path / "check.csv", "csv", [])
+        steps = (2e-4, *(cli.ORDER_BASE_H / np.array([1.0, 2.0, 4.0])))
+        for route, name in ((qgt_projector_fd, "projector_from_solved"),
+                            (qgt_overlap_fd, "overlap_from_solved")):
+            assert len(seen[name]) == len(steps)
+            for h, q in zip(steps, seen[name]):
+                assert q.matrix.tobytes() == route(model, lam, 0, h).matrix.tobytes(), (name, h)
+
+    def test_a_vanishing_step_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"model": SPIN, "check": {
+            "level": 1, "point": {"theta": 1.0, "phi": 0.3}, "h": 1e-300}})
+        out = tmp_path / "check.csv"
+        code, _, err = _run(capsys, "check", "--config", str(cfg), "--output", str(out))
+        assert code == 2 and not out.exists()
+        assert err.startswith("numerical error: step h = 1e-300 vanishes at parameter 'theta' = 1 ")
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -462,3 +463,18 @@ def test_adiabatic_rates_and_leakage_round_as_at_one_point(monkeypatch, dim):
 def test_evolve_reads_its_times_as_finite_numbers(spin_model, t0, t1, dt, message):
     with pytest.raises(qg.InputError, match=message):
         qg.evolve(spin_model, _static_schedule(spin_model), [1.0, 0.0], t0, t1, dt)
+
+
+def test_records_past_physical_memory_are_an_input_error_before_any_allocation(
+        spin_model, monkeypatch):
+    # 1e5 steps at dim 2 need 1e5 * 8 * (12 + 4 + 4) B = 16 MB of records, here over 1 MB
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(qg.InputError, match=r"^100000 steps need 0\.0149 GiB of records, "
+                           r"more than the 0\.000977 GiB of physical memory; "):
+            qg.evolve(spin_model, _static_schedule(spin_model), [1.0, 0.0], 0.0, 100.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16

@@ -511,6 +511,28 @@ def test_a_degenerate_block_has_no_scalar_reduction():
         na.as_abelian()
 
 
+@pytest.mark.parametrize("route", [qg.qgt_projector_fd, qg.qgt_overlap_fd])
+@pytest.mark.parametrize("lam, h, where", [
+    ((1.0, 0.3), 1e-17, "'theta' = 1 "),  # 1 + h rounds to 1: Q was all zero
+    ((0.0, 0.0), 1e-200, "'theta' = 0 "),  # h*h underflows to 0
+    ((0.0, 1e3), 1e-14, "'phi' = 1000 "),  # only phi + h rounds to phi
+], ids=["rounded-coordinate", "underflowing-square", "second-parameter"])
+def test_a_vanishing_step_is_a_step_error(spin_model, route, lam, h, where):
+    with pytest.raises(qg.StepError, match=f"^step h = {h:.3g} vanishes at parameter {where}"):
+        route(spin_model, lam, 1, h)
+
+
+def test_a_route_asked_for_rows_that_were_not_solved_is_an_input_error(spin_model):
+    axes = qg.fd_offsets(spin_model, LAM, 1e-3)[:4]  # the projector's rows alone
+    solved = qg.solve_displaced(spin_model, LAM, 1, axes)
+    assert qg.projector_from_solved(solved, 1, 1e-3).matrix.tobytes() == \
+        qg.qgt_projector_fd(spin_model, LAM, 1, 1e-3).matrix.tobytes()
+    with pytest.raises(qg.InputError, match=r"^rows up to 10 asked of 4 solved points$"):
+        qg.overlap_from_solved(solved, 1, 1e-3)
+    with pytest.raises(qg.InputError, match=r"^offsets have shape \(4,\), expected \(n, 2\)$"):
+        qg.solve_displaced(spin_model, LAM, 1, axes[0].repeat(2))
+
+
 def test_projector_route_needs_a_positive_step(spin_model):
     with pytest.raises(qg.InputError, match=r"^step h must be positive$"):
         qg.qgt_projector_fd(spin_model, LAM, 0, h=0.0)
