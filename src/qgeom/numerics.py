@@ -28,6 +28,16 @@ __all__ = [
 ]
 
 STATE_SOLVES = 3  # shifted solves per state before level_eigenvectors gives up
+# nonzero real and imaginary parts of a dim-2 stack that _eigh solves itself: inside it no
+# zheevd, dsteqr or zlarfg rescaling fires (they start near 1.4e-146, 1.2e-122 and 2e-292
+# from below, 7e145 and 2.2e153 from above)
+EIGH2_RANGE = (1e-120, 1e145)
+# shorter dim-2 stacks go to LAPACK, whose cost per call is lower: best of 9 per call on a
+# 2-core Xeon, BLAS on one thread, _eigh / eigh took 0.105 / 0.006 ms at 1 matrix, 0.096 /
+# 0.036 at 41, 0.117 / 0.091 at 96, 0.123 / 0.122 at 128, 0.127 / 0.181 at 192 and
+# 0.254 / 0.875 at 1,024
+EIGH2_MIN_STACK = 128
+LAPACK_EPS, LAPACK_SAFMIN = 2.0 ** -53, np.finfo(float).tiny  # dlamch('E'), dlamch('S')
 
 
 def complex_matrix(entries) -> np.ndarray:
@@ -126,7 +136,10 @@ class EigenSystem:
         Orthonormal eigenvectors as columns; ``vectors[:, i]`` belongs to
         ``energies[i]``.  Each column's overall phase is arbitrary and MUST
         NOT be relied on: a different machine or library version may return
-        different phases for the same matrix.
+        different phases for the same matrix.  Dim-2 blocks solved by
+        ``qgt`` carry the phases of this LAPACK build (its n = 2 steps are
+        replayed in numpy); under another LAPACK they may differ from that
+        build's in the last bits, as any ``eigh`` result may.
     groups : tuple[tuple[int, ...], ...]
         Partition of level indices into maximal degenerate clusters,
         ordered by energy.
@@ -197,6 +210,67 @@ def hermitian_eigensystem(h: np.ndarray, degeneracy_tol: float | None = None) ->
     energies, vectors = np.linalg.eigh(m)
     tol = degeneracy_tol if degeneracy_tol is not None else default_degeneracy_tol(energies)
     return EigenSystem(energies, vectors, degeneracy_groups(energies, tol))
+
+
+def _eigh(h):
+    """``np.linalg.eigh(h)`` of a stack (n, d, d), bit for bit; at d = 2 by LAPACK's steps.
+
+    ``eigh`` runs ``zheevd('V', 'L')``.  At n = 2 that is ``zlarfg`` on A(2,1), the
+    ``zhetd2`` update of A(2,2), ``dsteqr``'s split test or ``dlaev2`` rotation, its
+    ascending sort and the ``zunm2r`` back-transform of row 2.  Each is done here in the
+    same floating-point operations, in their order, over the whole stack, which skips
+    LAPACK's cost per matrix.  Any other d, a stack shorter than ``EIGH2_MIN_STACK``,
+    and any entry that is not finite or has a nonzero part outside ``EIGH2_RANGE``
+    (where LAPACK would rescale) go to ``eigh``.
+    """
+    if h.shape[-1] != 2 or h.dtype != complex or len(h) < EIGH2_MIN_STACK:
+        return np.linalg.eigh(h)
+    parts = np.abs(np.ascontiguousarray(h).view(float))  # real and imaginary parts
+    if not np.all((parts == 0) | (parts >= EIGH2_RANGE[0]) & (parts <= EIGH2_RANGE[1])):  # or NaN
+        return np.linalg.eigh(h)
+    d1, d2, ar, ai = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 1, 0].real, h[:, 1, 0].imag
+    eps = LAPACK_EPS
+    with np.errstate(invalid="ignore", divide="ignore"):  # rows that take no step are masked
+        # zlarfg: beta = -sign(ar) dlapy3(ar, ai, 0), tau = ((beta - ar) / beta, -ai / beta)
+        big = np.maximum(np.abs(ar), np.abs(ai))
+        norm = big * np.sqrt((np.abs(ar) / big) ** 2 + (np.abs(ai) / big) ** 2)  # dlapy3
+        beta = -np.copysign(norm, ar)
+        reflect = ai != 0  # else tau = 0 and e = ar
+        tr = np.where(reflect, (beta - ar) / beta, 0.0)
+        ti = np.where(reflect, -ai / beta, 0.0)
+        e = np.where(reflect, beta, ar)
+        # zhetd2: w = tau d2 - tau conj(tau d2) / 2, then A(2,2) = (d2 - Re w) - Re w
+        wr = tr * d2 + ((-0.5 * tr) * (tr * d2) - (-0.5 * ti) * -(ti * d2))
+        dd = np.where(reflect, (d2 - wr) - wr, d2)
+        # dsteqr: the split test, then its QL one (they differ at rounding's edge)
+        a1, a2 = np.abs(d1), np.abs(dd)
+        split = ((np.abs(e) <= np.sqrt(a1) * np.sqrt(a2) * eps)
+                 | (e * e <= eps * eps * a1 * a2 + LAPACK_SAFMIN))
+        # dlaev2(d1, e, dd): rt1, rt2 and the rt1 eigenvector (c, s)
+        sm, df, tb = d1 + dd, d1 - dd, e + e
+        adf, ab = np.abs(df), np.abs(tb)
+        hi, lo = np.maximum(adf, ab), np.minimum(adf, ab)
+        rt = hi * np.sqrt(1.0 + (lo / hi) ** 2)  # ab sqrt(2) when adf == ab
+        rt1 = 0.5 * (sm + np.where(sm < 0, -rt, rt))
+        first = a1 > a2
+        acmx, acmn = np.where(first, d1, dd), np.where(first, dd, d1)
+        rt2 = np.where(sm == 0, -0.5 * rt, (acmx / rt1) * acmn - (e / rt1) * e)
+        cs = df + np.where(df >= 0, rt, -rt)
+        over = np.abs(cs) > ab  # ab == 0 only where e == 0, a split row
+        t = np.where(over, -tb / cs, -cs / tb)
+        r = 1.0 / np.sqrt(1.0 + t * t)
+        c, s = np.where(over, t * r, r), np.where(over, r, t * r)
+        c, s = np.where((sm < 0) == (df < 0), (-s, c), (c, s))  # sgn1 == sgn2
+    energies = np.where(split[:, None], np.stack([d1, dd], 1), np.stack([rt1, rt2], 1))
+    z = np.where(split[:, None, None], np.eye(2), np.stack([c, -s, s, c], 1).reshape(-1, 2, 2))
+    swap = energies[:, 1] < energies[:, 0]  # the selection sort
+    energies = np.where(swap[:, None], energies[:, ::-1], energies)
+    z = np.where(swap[:, None, None], z[:, :, ::-1], z)
+    # zunm2r: row 2 becomes z - tau z, its imaginary part 0.0 + (-ti z)
+    vectors = z.astype(complex)
+    vectors[:, 1].real -= tr[:, None] * z[:, 1]
+    vectors[:, 1].imag = 0.0 - ti[:, None] * z[:, 1]
+    return energies, vectors
 
 
 def level_eigenvectors(h, energies, level: int, where) -> np.ndarray:

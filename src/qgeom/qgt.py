@@ -27,10 +27,11 @@ The non-Abelian variant generalizes the sum formula to a degenerate level:
 each tensor entry becomes a d x d block over the level's internal basis and
 transforms by conjugation under basis rotations; the Abelian tensor is its
 group-of-one case.  Every route solves its points through one blocked core,
-:func:`level_blocks`: one ``eigh`` per block of H, a vectorised isolation
-test and the sum-over-states tensors of the whole block.  States alone come
-from :func:`level_states`: from ``STATE_SOLVE_MIN_DIM`` up by ``eigvalsh`` and a
-shifted solve per point, under the same isolation test.
+:func:`level_blocks`: one eigensolve per block of H (``eigh``; at dim 2,
+LAPACK's own n = 2 steps run over the whole block, with ``eigh``'s bits), a
+vectorised isolation test and the sum-over-states tensors of the whole block.
+States alone come from :func:`level_states`: from ``STATE_SOLVE_MIN_DIM`` up by
+``eigvalsh`` and a shifted solve per point, under the same isolation test.
 
 The two finite-difference routes share solved states but not formulas:
 :func:`solve_displaced` solves a centre and the points of any number of
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DegeneracyError, InputError, StepError
 from .model import ModelSpec, hamiltonian_blocks, parameter_point
-from .numerics import (EigenSystem, default_degeneracy_tol, degeneracy_groups, hermitian,
+from .numerics import (EigenSystem, _eigh, default_degeneracy_tol, degeneracy_groups, hermitian,
                        hermitian_eigensystem, integer_index, level_eigenvectors)
 
 __all__ = [
@@ -73,7 +74,11 @@ __all__ = [
 
 NEAR_DEGENERACY_FACTOR = 1e-6  # warn when gap < factor * spectral scale
 DEFAULT_FD_STEP = 1e-4
-STATE_SOLVE_MIN_DIM = 6  # per point, solve/eigh: 1.5 at d = 2, 1.15 at 5, 0.97 at 6, 0.8 at 64
+# largest rounding floor 2 (d + 2) eps / h^2 of the overlap metric, relative to max(1, max|g|):
+# each modulus rounds by up to about (d + 2) eps, and 1 - |o| is divided by h^2
+OVERLAP_FLOOR_SHARE = 1e-2
+# per point, solve / LAPACK eigh: 1.5 at d = 2, 1.15 at 5, 0.97 at 6, 0.8 at 64
+STATE_SOLVE_MIN_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ def _solved_blocks(model: ModelSpec, points, level: int, where, directions, vect
     integer_index(level, model.dim, "level")
     start = 0
     for h, dh in hamiltonian_blocks(model, points, directions):
-        energies, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+        energies, v = _eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
         tol = default_degeneracy_tol(energies)
         bad = np.flatnonzero(level_gap(energies, level) <= tol)
         if bad.size:
@@ -427,6 +432,13 @@ def overlap_from_solved(solved: DisplacedStates, level: int, h: float,
     decay = (2.0 - moduli[0::2] - moduli[1::2]) / h**2  # symmetrized 2(1 - |overlap|)
     g = np.diag(decay[:k])
     g[m, n] = g[n, m] = (decay[k:] - decay[m] - decay[n]) / 2.0
+    floor = 2 * (es.dim + 2) * np.finfo(float).eps / h**2
+    if floor > OVERLAP_FLOOR_SHARE and floor > OVERLAP_FLOOR_SHARE * np.abs(g).max():
+        scale = max(1.0, np.abs(g).max())  # the bound is OVERLAP_FLOOR_SHARE * scale
+        raise StepError(f"step h = {h:.3g} is too small for the overlap route: the rounding "
+                        f"floor 2(d+2) eps/h^2 = {floor:.3e} of its metric exceeds "
+                        f"{OVERLAP_FLOOR_SHARE:g} max(1, max|g|) = "
+                        f"{OVERLAP_FLOOR_SHARE * scale:.3e}; increase the step")
 
     loops = states[2 * (k + m.size):].reshape(m.size, 4, es.dim)
     phases = -np.angle(np.prod(np.vecdot(loops, np.roll(loops, -1, axis=1)), axis=1)) / h**2
@@ -448,7 +460,9 @@ def qgt_overlap_fd(
     the h x h cell centered on lambda) / h^2.  Only overlap moduli and
     closed-loop phases enter, so eigenvector phases cannot matter.
 
-    Requires every involved overlap modulus to exceed 0.9.
+    Requires every involved overlap modulus to exceed 0.9, and the metric's rounding
+    floor 2 (d + 2) eps / h^2 to stay within ``OVERLAP_FLOOR_SHARE`` max(1, max|g|);
+    otherwise StepError.
     """
     return overlap_from_solved(solve_displaced(model, lam, level, fd_offsets(model, lam, h)),
                                level, h)

@@ -51,6 +51,7 @@ WILSON = GEO + "::TestPlaquetteFluxGrid::test_each_plaquette_matches_a_direct_wi
 ONE_POINT = DYN + "::test_adiabatic_rates_and_leakage_round_as_at_one_point"
 WRITER = "tests/test_cli.py::test_table_writer_axes_match_a_per_value_reference"
 CHECK = "tests/test_cli.py::TestCheckCommand::"
+EIGH2 = "tests/test_numerics.py::test_dim2_eigh_equals_lapack_bit_for_bit"
 
 ROWS = [
     # the tensor and its isolation rule
@@ -189,6 +190,25 @@ ROWS = [
     ('indexing="xy" in the JSON expansion', "cli.py", 'np.meshgrid(*axes, indexing="ij")',
      'np.meshgrid(*axes, indexing="xy")', [WRITER]),
     ('", " row separator', "cli.py", 'row_fmt = ",".join(', 'row_fmt = ", ".join(', [WRITER]),
+    # LAPACK's n = 2 steps
+    ("A(2,2) updated as d2 - 2 Re w", "numerics.py", "np.where(reflect, (d2 - wr) - wr, d2)",
+     "np.where(reflect, d2 + (-2 * wr), d2)", [EIGH2 + "[torus]"]),
+    ("no split test", "numerics.py", "split = ((np.abs(e) <= np.sqrt(a1) * np.sqrt(a2) * eps)\n"
+     "                 | (e * e <= eps * eps * a1 * a2 + LAPACK_SAFMIN))", "split = e == 0",
+     [EIGH2 + "[branches]"]),
+    ("no sort swap", "numerics.py", "swap = energies[:, 1] < energies[:, 0]",
+     "swap = energies[:, 1] < -np.inf", [EIGH2 + "[branches]"]),
+    ("beta signed as the imaginary part", "numerics.py", "beta = -np.copysign(norm, ar)",
+     "beta = -np.copysign(norm, ai)", [EIGH2 + "[branches]"]),
+    ("NaN solved at dim 2", "numerics.py",
+     "if not np.all((parts == 0) | (parts >= EIGH2_RANGE[0]) & (parts <= EIGH2_RANGE[1])):",
+     "if np.any((parts > 0) & (parts < EIGH2_RANGE[0]) | (parts > EIGH2_RANGE[1])):",
+     ["tests/test_numerics.py::test_dim2_eigh_leaves_what_lapack_would_rescale_to_lapack"]),
+    ("no overlap rounding floor", "qgt.py",
+     "if floor > OVERLAP_FLOOR_SHARE and floor > OVERLAP_FLOOR_SHARE * np.abs(g).max():",
+     "if False:",
+     ["tests/test_qgt.py::TestOverlapMethod::test_a_step_below_the_rounding_floor_raises",
+      CHECK + "test_a_step_below_the_overlap_rounding_floor_exits_2_and_writes_nothing"]),
 ]
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from _pytest.assertion import util as assertion_util
 
-from qgeom import cli
+from qgeom import cli, qgt
 from qgeom.cli import main
 from qgeom.model import load_model_spec, two_band_lattice
 from qgeom.qgt import DEFAULT_FD_STEP, qgt_overlap_fd, qgt_projector_fd, qgt_sum_over_states
@@ -626,8 +626,8 @@ class TestCheckCommand:
     def test_each_distinct_point_is_solved_once(self, tmp_path, capsys, monkeypatch):
         # the centre, then per step 2k axis points, k(k-1) diagonals and 2k(k-1) plaquette
         # corners: 1 + 4 * 10 matrices at k = 2 (65 when each route call solved its own)
-        stacks, eigh = [], np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(len(a)) or eigh(a))
+        stacks, eigh = [], qgt._eigh
+        monkeypatch.setattr(qgt, "_eigh", lambda a: stacks.append(len(a)) or eigh(a))
         cfg = _write_config(tmp_path, {"model": SPIN,
                                        "check": {"level": 1, "point": {"theta": 1.0, "phi": 0.3}}})
         code, _, err = _run(capsys, "check", "--config", str(cfg),
@@ -666,6 +666,15 @@ class TestCheckCommand:
         code, _, err = _run(capsys, "check", "--config", str(cfg), "--output", str(out))
         assert code == 2 and not out.exists()
         assert err.startswith("numerical error: step h = 1e-300 vanishes at parameter 'theta' = 1 ")
+
+    def test_a_step_below_the_overlap_rounding_floor_exits_2_and_writes_nothing(self, tmp_path,
+                                                                             capsys):
+        cfg = _write_config(tmp_path, {"model": SPIN, "check": {
+            "level": 1, "point": {"theta": 1.0, "phi": 0.3}, "h": 1e-8}})
+        out = tmp_path / "check.csv"
+        code, _, err = _run(capsys, "check", "--config", str(cfg), "--output", str(out))
+        assert code == 2 and not out.exists()
+        assert err.startswith("numerical error: step h = 1e-08 is too small for the overlap route")
 
 
 class TestValidation:

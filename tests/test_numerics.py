@@ -4,6 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qgeom as qg
+from qgeom import numerics
 from conftest import SX, SZ, random_hermitian
 
 
@@ -170,3 +171,91 @@ def test_a_gap_equal_to_the_tolerance_joins_one_cluster(energies, tol):
 def test_state_vector_rejects_empty_and_non_finite_amplitudes(amplitudes, message):
     with pytest.raises(qg.InputError, match=message):
         qg.state_vector(amplitudes)
+
+
+# --------------------------------------------------------------------------
+# the dim-2 eigensolver: LAPACK's own n = 2 steps
+
+
+def _stack(d1, d2, re, im):
+    """2x2 Hermitian matrices with diagonal d1, d2 and A(2,1) = re + i im, sign bits kept."""
+    h = np.zeros((len(d1), 2, 2), complex)
+    h[:, 0, 0].real, h[:, 1, 1].real = d1, d2
+    h[:, 1, 0].real, h[:, 1, 0].imag = re, im
+    h[:, 0, 1].real, h[:, 0, 1].imag = re, -im
+    return h
+
+
+def _branch_stack(n=256):
+    """Seeded rows for every step of ``numerics._eigh``, one block per case."""
+    rng = np.random.default_rng(2)
+    d1, d2, re, im = rng.normal(size=(4, n))
+    edge = np.sqrt(np.abs(d1)) * np.sqrt(np.abs(d2)) * 2.0**-53  # where |e| meets the split test
+    signed_zeros = 0.0 * rng.choice([-1.0, 1.0], size=(4, n))
+    ones = np.ones(n)
+    return np.concatenate([
+        _stack(d1, d2, re, im),  # a reflection (tau != 0), then the dlaev2 rotation
+        _stack(d1, d2, re, 0 * im),  # tau = 0: e is A(2,1) itself
+        _stack(d1, d2, re, 1e-17 * im),  # tau just off 0
+        _stack(d1, d2, 1e-20 * re, 1e-20 * im),  # split rows
+        *(_stack(d1, d2, edge * (1 + k * 2.0**-52), 0 * im) for k in (-1, 0, 1)),  # each test
+        _stack(d1, -d1, re, im),  # sm == 0
+        _stack(ones, ones + 2.0**-52, re, im),  # |cs| <= |tb|
+        _stack(d1, d2, 0 * re, 0 * im),  # diagonal: e == 0, sorted or swapped
+        _stack(d1, d1, 0 * re, 0 * im),  # scalar
+        _stack(0 * d1, 0 * d2, re, im),  # zero diagonal
+        _stack(*signed_zeros),  # +-0.0 everywhere, the zero matrix among them
+        _stack(signed_zeros[0], d2, re, signed_zeros[3]),
+        _stack(d1, signed_zeros[1], signed_zeros[2], im),
+        _stack(0.99e145 * np.tanh(d1), 0.99e145 * np.tanh(d2), 1e-120 * (1 + re**2),
+               1e145 * np.tanh(im)),  # EIGH2_RANGE's edges
+    ])
+
+
+def _torus_stack():
+    ks = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    points = np.stack(np.meshgrid(ks, ks, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.concatenate([h for h, _ in qg.hamiltonian_blocks(qg.two_band_lattice(1.0), points)])
+
+
+def _sphere_stack():
+    theta, phi = np.linspace(0.0, np.pi, 65), np.linspace(0.0, 2 * np.pi, 65)  # poles included
+    points = np.stack(np.meshgrid(theta, phi, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.concatenate([h for h, _ in qg.hamiltonian_blocks(qg.spin_half(1.0), points)])
+
+
+@pytest.mark.parametrize("stack", [_branch_stack, _torus_stack, _sphere_stack],
+                         ids=["branches", "torus", "sphere"])
+def test_dim2_eigh_equals_lapack_bit_for_bit(monkeypatch, stack):
+    h = stack()
+    want = np.linalg.eigh(h)
+
+    def no_lapack(a):
+        raise AssertionError("np.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_lapack)
+    got = numerics._eigh(h)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        differ = (g != w) | (np.signbit(g.real) != np.signbit(w.real)) | (
+            np.signbit(g.imag) != np.signbit(w.imag))
+        assert not differ.any(), f"{differ.reshape(len(h), -1).any(axis=1).sum()} matrices differ"
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1j * np.nan, 9.9e-121, -2e145,
+                                   1j * 2e145, 1e-300j], ids=repr)
+def test_dim2_eigh_leaves_what_lapack_would_rescale_to_lapack(monkeypatch, entry):
+    h = _branch_stack(numerics.EIGH2_MIN_STACK)
+    h[5, 1, 0] = entry
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or "eigh")
+    assert numerics._eigh(h) == "eigh" and calls[0] is h
+
+
+@pytest.mark.parametrize("dim, n", [(3, 200), (2, numerics.EIGH2_MIN_STACK - 1)])
+def test_dim2_eigh_leaves_other_dims_and_short_stacks_to_lapack(monkeypatch, dim, n):
+    rng = np.random.default_rng(dim)
+    h = np.stack([qg.hermitian(random_hermitian(rng, dim)) for _ in range(n)])
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or "eigh")
+    assert numerics._eigh(h) == "eigh" and calls[0] is h

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qgeom as qg
+import qgeom.qgt as qgt_mod
 from conftest import (
     analytic_qgt_two_level,
     doubled_spin_half,
@@ -15,9 +16,9 @@ from conftest import (
 
 
 def _rephase_eigh(monkeypatch, rng):
-    """Give every eigenvector from np.linalg.eigh a random phase; return the call log."""
+    """Give every eigenvector from the blocked eigensolver a random phase; return the call log."""
     calls = []
-    true_eigh = np.linalg.eigh
+    true_eigh = qgt_mod._eigh
 
     def rephased(h):
         calls.append(np.shape(h))
@@ -25,7 +26,7 @@ def _rephase_eigh(monkeypatch, rng):
         shape = vectors.shape[:-2] + (1, vectors.shape[-1])
         return energies, vectors * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
 
-    monkeypatch.setattr(np.linalg, "eigh", rephased)
+    monkeypatch.setattr(qgt_mod, "_eigh", rephased)
     return calls
 
 
@@ -171,6 +172,23 @@ class TestOverlapMethod:
         q = qg.qgt_overlap_fd(spin_model, lam, 1, h=h).matrix
         assert calls
         assert np.abs(q - reference).max() <= 2e-15 / h**2
+
+    @pytest.mark.parametrize("h", [1e-8, 1e-9])
+    def test_a_step_below_the_rounding_floor_raises(self, spin_model, h):
+        # g_00 = 0.25 here; without the floor the route returned -2.22 at 1e-8 and
+        # 0.0 (with g_01 = 111) at 1e-9, while the projector route stays within 1e-7
+        with pytest.raises(qg.StepError, match=f"^step h = {h:.3g} is too small for the overlap"):
+            qg.qgt_overlap_fd(spin_model, [1.0, 0.3], 1, h)
+        assert abs(qg.qgt_projector_fd(spin_model, [1.0, 0.3], 1, h).metric[0, 0] - 0.25) <= 1e-7
+
+    @pytest.mark.parametrize("h", [qgt_mod.DEFAULT_FD_STEP, 4e-3, 2e-3, 1e-3])
+    def test_the_rounding_floor_admits_the_default_and_fit_steps_at_dim_64(self, h):
+        # the floor 2 (d + 2) eps / h^2 is largest at the largest dim and smallest step
+        rng = np.random.default_rng(64)
+        model = random_trig_model(rng, 64)
+        lam = rng.uniform(-1.0, 1.0, model.n_parameters)
+        reference = qg.qgt_sum_over_states(model, lam, 0).matrix
+        assert np.abs(qg.qgt_overlap_fd(model, lam, 0, h).matrix - reference).max() <= 1e-4
 
     def test_single_parameter_no_two_form(self):
         model = qg.model_spec(
