@@ -19,14 +19,16 @@ convention notes.  Every table goes to one writer as 1-D arrays: its leading
 grid columns as their axes, whose product it expands row-major (in parameter
 order), then one array per column.  A CSV value is formatted by its dtype
 (bool and integer values as integers, booleans as 1/0; floats with 17
-significant digits, so values round-trip exactly), each axis value once, many
-rows per ``%`` operation; JSON rows carry the same values as numbers and booleans.
+significant digits, so values round-trip exactly), each axis value once; large
+chunks of rows are assembled in numpy with the bytes of ``%``.  JSON rows carry
+the same values as numbers and booleans, with null for a value that is not finite.
 """
 
 import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -171,7 +173,14 @@ def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
 # output plumbing
 
 
-CHUNK_ROWS = 1024  # rows per % formatting call; bounds the Python values alive at once
+CHUNK_ROWS = 1024  # rows per CSV chunk at most
+CHUNK_VALUES = 3072  # cells per CSV chunk at most, which bounds a chunk's arrays (~0.5 MB)
+# A CSV chunk with fewer column values than this (rows times columns, axes not counted) is
+# formatted by % alone.  Best of 300 on a 2-core Xeon, one table, % / numpy at 128, 256
+# and 512 column values: 1 column and 2 axes 0.125 / 0.184, 0.221 / 0.226 and 0.414 /
+# 0.322 ms; 5 columns and 2 axes 0.097 / 0.169, 0.177 / 0.201 and 0.479 / 0.334 ms;
+# 8 columns 0.113 / 0.153, 0.222 / 0.176 and 0.412 / 0.228 ms.
+KERNEL_MIN_VALUES = 256
 
 
 def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list[Path],
@@ -179,35 +188,248 @@ def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list
     """Write the row-major product of 1-D ``axes``, then equal-length 1-D ``columns``,
     as CSV, or as JSON rows passed through ``data``.
 
-    A CSV value's format follows its dtype: bool and integer values print with ``%d``
-    (booleans as 1/0), float values with ``%.17g``; each axis value is formatted once.
+    A CSV value's format follows its dtype: bool and integer values print as ``%d``
+    (booleans as 1/0), float values as ``%.17g``, and each axis value is formatted once.
+    The body is written in chunks of rows.  A chunk of at least ``KERNEL_MIN_VALUES``
+    column values is assembled in numpy by ``_CsvKernel``, with the same bytes, and a
+    smaller one by one ``%``.  A JSON row holds numbers and booleans, with null for a
+    value that is not finite (JSON has no inf or nan).
     An unwritable path is an InputError; a path joins ``written`` once open.
     """
     axes, columns = [np.asarray(a) for a in axes], [np.asarray(c) for c in columns]
     if fmt == "json":
         columns = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] + columns
-        records = [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
+        values = [[v if np.isfinite(v) else None for v in c.tolist()]
+                  if c.dtype.kind == "f" and not np.isfinite(c).all() else c.tolist()
+                  for c in columns]
+        records = [dict(zip(names, row)) for row in zip(*values)]
         lines = [json.dumps({"meta": meta, "data": data(records)}, indent=2)]
     else:
         lines = [f"# {k}: {v}" for k, v in meta.items()]
         lines.append(",".join(names))
-        formats = ["%.17g" if c.dtype.kind == "f" else "%d" for c in (*axes, *columns)]
-        texts = [np.array([f % v for v in a.tolist()], dtype=object)
-                 for f, a in zip(formats, axes)]
-        row_fmt = ",".join(["%s"] * len(axes) + formats[len(axes):])
-        for start in range(0, n := len(columns[0]), CHUNK_ROWS):
-            rows = np.arange(start, min(start + CHUNK_ROWS, n))
-            lead = np.unravel_index(rows, [a.size for a in axes]) if axes else ()
-            chunk = [t[i].tolist() for t, i in zip(texts, lead)]
-            chunk += [c[start:start + CHUNK_ROWS].tolist() for c in columns]
-            lines.append("\n".join([row_fmt] * len(rows))
-                         % tuple(chain.from_iterable(zip(*chunk))))
+        lines += _csv_chunks(axes, columns)
     try:
         with path.open("w") as out:
             written.append(path)
             out.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _csv_chunks(axes, columns):
+    """The CSV text of each chunk of rows, without its last newline."""
+    cols = (*axes, *columns)
+    formats = ["%.17g" if c.dtype.kind == "f" else "%d" for c in cols]
+    texts = [np.array([f % v for v in a.tolist()], dtype=object) for f, a in zip(formats, axes)]
+    row_fmt = ",".join(["%s"] * len(axes) + formats[len(axes):])
+    step, kernel = max(1, min(CHUNK_ROWS, CHUNK_VALUES // len(cols))), None
+    for start in range(0, n := len(columns[0]), step):
+        rows = np.arange(start, min(start + step, n))
+        lead = np.unravel_index(rows, [a.size for a in axes]) if axes else ()
+        if rows.size * len(columns) >= KERNEL_MIN_VALUES:
+            kernel = kernel or _CsvKernel(texts, columns, formats[len(axes):], min(step, n))
+            yield kernel.chunk(lead, start, rows.size)
+        else:
+            chunk = [t[i].tolist() for t, i in zip(texts, lead)]
+            chunk += [c[start:start + step].tolist() for c in columns]
+            yield "\n".join([row_fmt] * len(rows)) % tuple(chain.from_iterable(zip(*chunk)))
+
+
+# A CSV cell is assembled in a slot of 56 bytes, and a mask per slot picks its bytes in
+# order.  Bytes 0-5 hold "-0.000", 6 "-", 7-23 the 17 digits D0..D16 of N, 24 ".", 25 "-",
+# 26 D0 again, 27 "." and 28-43 D1..D16 again; 44-51 end with the exponent ("e-308"),
+# and byte 52 is the separator.  Each %g layout is then a mask of few runs: 0.00DDD from
+# 0-5 and 7-23, D.DDD and D.DDDe-308 from 25-43 and 44-52, DD.DDD from 6-24 and 28-43.
+# A cell that % writes ends at byte 51 instead.
+_SLOT, _SEP_AT = 56, 52
+_CLASSES = 23  # layouts: %f with E = -4..16, then %e with a 2- and a 3-digit exponent
+_TEXT_KEY = 2 * _CLASSES * 17  # keys are (sign, layout, significant digits), then texts
+_E_OFF = 260  # the exponent tables below hold E = -260..261 at E + _E_OFF
+# |x| the kernel formats; in it Dekker's product and the scaled |x| stay normal and finite
+_KERNEL_RANGE = (1e-250, 1e250)
+# A fraction of N within this of 1/2 is left to %: the product's error is below 2**-47
+# (1e16 <= N < 1e17), and it is exact where 10**(16 - E) is, which holds every exact tie.
+_TIE_MARGIN = 2.0 ** -40
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for 53-bit significands
+_TEN_FLOOR = np.full(2 * _E_OFF + 2, np.nan)  # the least double >= 10**E
+_SCALE = np.full((4, 2 * _E_OFF + 2), np.nan)  # hi, its two halves and lo
+
+
+def _fill_exponents(e_min: int, e_max: int) -> None:
+    """Fill the exponent tables for E = e_min..e_max, each entry once, from exact integers:
+    10**k is num / den, and a quotient of Python integers is correctly rounded.  An entry
+    of _TEN_FLOOR is written last, so a filled one means its _SCALE entry is filled."""
+    if not np.isnan(_TEN_FLOOR[e_min + _E_OFF:e_max + _E_OFF + 1]).any():
+        return
+    for e in range(e_min, e_max + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)  # the rest 10**(16 - e) - hi, rounded
+        big = _SPLIT * hi - (_SPLIT * hi - hi)
+        _SCALE[:, e + _E_OFF] = hi, big, hi - big, lo
+        num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+        floor = num / den  # at most one step below 10**e
+        a, b = floor.as_integer_ratio()
+        _TEN_FLOOR[e + _E_OFF] = floor if a * den >= num * b else np.nextafter(floor, np.inf)
+
+
+@cache
+def _csv_tables():
+    """The 4-digit words, the words of D0 at bytes 4-7 and 24-27, the significant digits
+    each 4-digit group ends at, each exponent's key base and suffix, and each key's mask."""
+    g = np.arange(10000, dtype=np.uint16)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=-1)
+    words = (digits.astype(np.uint8) + ord("0")).view(np.uint32).ravel()
+    last = (4 - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0)) * (g > 0)  # 0 for 0000
+    ends = np.where(last > 0, 1 + 4 * np.arange(4, dtype=np.uint8)[:, None] + last, 0)
+    ends = ends.astype(np.uint8).ravel()
+
+    e = np.arange(-_E_OFF, _E_OFF + 2)
+    layout = np.where((e >= -4) & (e < 17), e + 4, 21 + (np.abs(e) >= 100))
+    suffix = np.frombuffer(b"".join((b"e%+03d" % k).rjust(8, b"\0") for k in e.tolist()),
+                           np.uint32).reshape(-1, 2).T  # right-aligned in bytes 44-51
+    first = np.frombuffer(b"".join(b"00-%d.-%d." % (d, d) for d in range(10)), np.uint32)
+
+    c = np.arange(_SLOT)
+    neg = np.array([False, True])[:, None, None, None]
+    cls = np.arange(_CLASSES)[:, None, None]
+    nsig = np.arange(1, 18)[:, None]
+    e, fixed = cls - 4, cls < 21
+    b_led = ~fixed | (e == 0)  # D0.D1... from bytes 26-43
+    zeros = np.where(fixed & (e < 0), -1 - e, 0)
+    mask = ((c == _SEP_AT)
+            | b_led & ((c == 25) & neg | (c >= 26) & (c < np.where(nsig > 1, 27 + nsig, 27)))
+            | fixed & (e < 0) & ((c == 0) & neg | (c >= 1) & (c < 3 + zeros)
+                                 | (c >= 7) & (c < 7 + nsig))
+            | fixed & (e > 0) & ((c == 6) & neg | (c >= 7) & (c < 8 + e)
+                                 | (nsig > e + 1) & ((c == 24) | (c >= 28 + e) & (c < 27 + nsig)))
+            | ~fixed & (c >= _SEP_AT - 4 - (cls == 22)) & (c < _SEP_AT))
+    texts = (c >= _SEP_AT - np.arange(25)[:, None]) & (c <= _SEP_AT)
+    masks = np.concatenate([mask.reshape(-1, _SLOT), texts])
+    return words, first.reshape(-1, 2).T, ends, layout * 17 - 1, suffix, masks
+
+
+class _CsvKernel:
+    """Assembles the CSV chunks of one table in numpy, in buffers kept across chunks."""
+
+    def __init__(self, texts, columns, formats, rows: int):
+        self.columns, self.formats, self.n_axes = columns, formats, len(texts)
+        self.values = np.empty((rows, len(columns)))
+        self.body = np.zeros((rows, len(columns), _SLOT), np.uint8)  # the columns' cells
+        self.body[..., :4] = np.frombuffer(b"-0.0", np.uint8)
+        self.body[..., _SEP_AT] = ord(",")
+        self.body[:, -1, _SEP_AT] = ord("\n")
+        self.body_keys = np.empty((rows, len(columns)), np.intp)
+        self.axes = []  # each axis value's slot and key, from its one text
+        for t in texts:
+            slots, keys = np.zeros((len(t), _SLOT), np.uint8), np.empty(len(t), np.intp)
+            slots[:, _SEP_AT] = ord(",")
+            _place_texts(t.tolist(), slots, keys, np.arange(len(t)))
+            self.axes.append((slots, keys))
+        m = len(texts) + len(columns)
+        self.slots = np.empty((rows, m, _SLOT), np.uint8) if texts else self.body
+        self.keys = np.empty((rows, m), np.intp) if texts else self.body_keys
+
+    def chunk(self, lead, start: int, rows: int) -> str:
+        values, body, body_keys = self.values[:rows], self.body[:rows], self.body_keys[:rows]
+        for j, c in enumerate(self.columns):  # an integer of 2**53 or more goes to %
+            c = c[start:start + rows]
+            values[:, j] = c if c.dtype.kind == "f" else np.where(
+                (c > -2 ** 53) & (c < 2 ** 53), c, np.nan)
+        flat, flat_keys = body.reshape(-1, _SLOT), body_keys.reshape(-1)
+        spill = np.flatnonzero(_kernel_cells(values.reshape(-1), flat, flat_keys))
+        if spill.size:
+            row, j = np.divmod(spill, len(self.columns))
+            _place_texts([self.formats[k] % self.columns[k][start + i]
+                          for i, k in zip(row.tolist(), j.tolist())], flat, flat_keys, spill)
+        slots, keys = self.slots[:rows], self.keys[:rows]
+        if self.axes:
+            for j, ((axis_slots, axis_keys), i) in enumerate(zip(self.axes, lead)):
+                slots[:, j], keys[:, j] = axis_slots[i], axis_keys[i]
+            slots[:, self.n_axes:], keys[:, self.n_axes:] = body, body_keys
+        *_, masks = _csv_tables()
+        return slots[masks.take(keys, axis=0)][:-1].tobytes().decode("ascii")
+
+
+def _place_texts(texts, slots, keys, cells) -> None:
+    """Write each text into its cell's slot, ending before the separator, and its key."""
+    data = np.frombuffer("".join(texts).encode("ascii"), np.uint8)
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    starts = np.cumsum(lengths) - lengths
+    at = np.repeat(cells * _SLOT + _SEP_AT - lengths - starts, lengths) + np.arange(data.size)
+    slots.reshape(-1)[at] = data
+    keys[cells] = _TEXT_KEY + lengths
+
+
+def _kernel_cells(x, slots, keys):
+    """Write each float of the 1-D ``x`` into its slot (a row of ``slots``) as
+    ``'%.17g' % v`` would, set its key, and return where % must write it instead."""
+    words, first, ends, layout, suffix, _ = _csv_tables()
+    digits, e, spill = _digits(x)  # its temporaries are freed before the stores
+    wide = slots.view(np.uint32)
+    wide[:, 1], wide[:, 6] = first.take(digits[0], axis=1)
+    for k, word in enumerate(words.take(digits[1:])):
+        wide[:, 2 + k] = wide[:, 7 + k] = word
+    wide[:, 11], wide[:, 12] = suffix.take(e, axis=1)
+    nsig = ends.take(digits[1:] + np.arange(0, 40000, 10000)[:, None]).max(axis=0, initial=1)
+    keys[:] = layout.take(e) + np.signbit(x) * (_CLASSES * 17) + nsig
+    return spill
+
+
+def _digits(x):
+    """D0 and the four 4-digit groups of N = round(|x| 10**(16 - E)), the index of E in
+    the exponent tables, and where % must write x.
+
+    E = floor(log10|x|) is exact, and N comes from Dekker's exact product with the
+    (hi, lo) pair of 10**(16 - E), so that N holds the correctly rounded 17 digits; ±0
+    give N = 0 at E = 0.  % writes x if it is not finite, subnormal or outside
+    _KERNEL_RANGE, or if the rounding of N is a tie or too close to one to tell.
+    """
+    mag = np.abs(x)
+    kept = (mag >= _KERNEL_RANGE[0]) & (mag <= _KERNEL_RANGE[1])
+    mag[~kept] = 1.0
+    e = np.floor(np.log10(mag)).astype(np.intp) + _E_OFF
+    _fill_exponents(int(e.min()) - _E_OFF - 1, int(e.max()) - _E_OFF + 1)
+    e += mag >= _TEN_FLOOR[e + 1]  # log10 may be one off next to a power of ten
+    e -= mag < _TEN_FLOOR[e]
+    p, r, margin = _scaled(mag, e)
+    whole = np.floor(r)
+    r -= whole  # the fraction of N
+    up = r - margin > 0.5
+    spill = ~up & (r + margin >= 0.5) | ~kept & (x != 0)
+    # N = p + whole + up = top 1e8 + low: every step below is exact in doubles
+    top = np.floor(p / 1e8)
+    low = p - top * 1e8
+    low += whole
+    low += up
+    over = np.floor(low / 1e8)
+    top += over
+    low -= over * 1e8
+    nonzero = x != 0
+    top *= nonzero
+    low *= nonzero
+    carry = top == 1e9  # N rounded up to 1e17: the digits of 1e16 at E + 1
+    top -= carry * 9e8
+    e += carry
+    d0 = np.floor(top / 1e8)
+    top -= d0 * 1e8
+    high, below = np.floor(top / 1e4), np.floor(low / 1e4)
+    return np.array([d0, high, top - high * 1e4, below, low - below * 1e4], np.intp), e, spill
+
+
+def _scaled(mag, e):
+    """|x| 10**(16 - E) = p + r: p = fl(|x| hi), and r adds the rest q of the exact
+    product |x| hi = p + q to |x| lo.  numpy has no fused multiply-add, so q comes from
+    Dekker's product of Veltkamp halves (Numer. Math. 18 (1971) 224).  Also the tie
+    margin of each value: 0 where lo is 0, as p + r is then exact."""
+    hi, hi_big, hi_small, lo = _SCALE.take(e, axis=1)
+    split = _SPLIT * mag
+    big = split - (split - mag)
+    small = mag - big
+    p = mag * hi
+    r = ((big * hi_big - p) + big * hi_small + small * hi_big) + small * hi_small + mag * lo
+    return p, r, (lo != 0) * _TIE_MARGIN
 
 
 # --------------------------------------------------------------------------

@@ -50,6 +50,7 @@ ASSEMBLY = "tests/test_batch.py::test_assembly_matches_a_term_by_term_loop"
 WILSON = GEO + "::TestPlaquetteFluxGrid::test_each_plaquette_matches_a_direct_wilson_loop"
 ONE_POINT = DYN + "::test_adiabatic_rates_and_leakage_round_as_at_one_point"
 WRITER = "tests/test_cli.py::test_table_writer_axes_match_a_per_value_reference"
+EXACT = "tests/test_cli.py::test_csv_numbers_are_written_exactly_as_percent_formats_them"
 CHECK = "tests/test_cli.py::TestCheckCommand::"
 EIGH2 = "tests/test_numerics.py::test_dim2_eigh_equals_lapack_bit_for_bit"
 
@@ -183,13 +184,29 @@ ROWS = [
     # the table writer
     ("integers written as floats", "cli.py", '"%.17g" if c.dtype.kind == "f" else "%d"',
      '"%.17g" if c.dtype.kind != "b" else "%d"', [WRITER]),
-    ("overlapping chunks", "cli.py", "range(0, n := len(columns[0]), CHUNK_ROWS)",
-     "range(0, n := len(columns[0]), CHUNK_ROWS - 1)", [WRITER]),
+    ("overlapping chunks", "cli.py", "range(0, n := len(columns[0]), step)",
+     "range(0, n := len(columns[0]), step - 1)", [WRITER]),
     ("Fortran-order axis indices", "cli.py", "np.unravel_index(rows, [a.size for a in axes])",
      'np.unravel_index(rows, [a.size for a in axes], order="F")', [WRITER]),
     ('indexing="xy" in the JSON expansion', "cli.py", 'np.meshgrid(*axes, indexing="ij")',
      'np.meshgrid(*axes, indexing="xy")', [WRITER]),
-    ('", " row separator', "cli.py", 'row_fmt = ",".join(', 'row_fmt = ", ".join(', [WRITER]),
+    ('", " row separator', "cli.py", 'row_fmt = ",".join(', 'row_fmt = ", ".join(', [EXACT]),
+    ('";" separator in numpy chunks', "cli.py", 'self.body[..., _SEP_AT] = ord(",")',
+     'self.body[..., _SEP_AT] = ord(";")', [WRITER]),
+    # the numpy formatting of a float
+    ("no tie fallback", "cli.py", "spill = ~up & (r + margin >= 0.5) | ~kept & (x != 0)",
+     "spill = ~kept & (x != 0)", [EXACT]),
+    (">= for > at the half", "cli.py", "up = r - margin > 0.5", "up = r - margin >= 0.5",
+     [EXACT]),
+    ("exponent form from E >= 16", "cli.py", "np.where((e >= -4) & (e < 17), e + 4,",
+     "np.where((e >= -4) & (e < 16), e + 4,", [EXACT]),
+    ("the - of -0 dropped", "cli.py", "np.signbit(x) * (_CLASSES * 17)",
+     "(x < 0) * (_CLASSES * 17)", [EXACT]),
+    ("integers of 2**53 or more left to numpy", "cli.py", "(c > -2 ** 53) & (c < 2 ** 53)",
+     "(c > -2 ** 63) & (c < 2 ** 63)", [EXACT]),
+    ("no +-1 exponent correction", "cli.py",
+     "e += mag >= _TEN_FLOOR[e + 1]  # log10 may be one off next to a power of ten\n"
+     "    e -= mag < _TEN_FLOOR[e]", "pass", [EXACT]),
     # LAPACK's n = 2 steps
     ("A(2,2) updated as d2 - 2 Re w", "numerics.py", "np.where(reflect, (d2 - wr) - wr, d2)",
      "np.where(reflect, d2 + (-2 * wr), d2)", [EIGH2 + "[torus]"]),

@@ -266,16 +266,18 @@ def test_results_do_not_depend_on_eigenvector_phases(monkeypatch, spin_model):
 
     reference = results()
     rng = np.random.default_rng(31)
-    true_eigh = np.linalg.eigh
+    true_eigh, stacks = qgt_mod._eigh, []
 
-    def rephased(h):
+    def rephased(h):  # the eigensolver of every level walk, at dim 2 too
+        stacks.append(len(h))
         energies, vectors = true_eigh(h)
         shape = vectors.shape[:-2] + (1, vectors.shape[-1])
         return energies, vectors * np.exp(1j * rng.uniform(0, 2 * np.pi, shape))
 
-    monkeypatch.setattr(np.linalg, "eigh", rephased)
+    monkeypatch.setattr(qgt_mod, "_eigh", rephased)
     for got, want, tol in zip(results(), reference, (1e-15, 1e-12, 2e-15 / 1e-6, 1e-14)):
         assert np.abs(got - want).max() <= tol
+    assert stacks[-1] == 12 * 12 + 2  # the flux's sphere points and poles, rephased
 
 
 @pytest.mark.parametrize("route", ["eigh", "solve"])

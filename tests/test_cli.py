@@ -774,7 +774,7 @@ def test_table_writer_matches_a_per_value_reference(tmp_path, fmt):
             return bool(v)
         if isinstance(v, (int, np.integer)):
             return int(v)
-        return float(v)
+        return float(v) if np.isfinite(v) else None  # JSON has no inf or nan
 
     if fmt == "csv":
         lines = [f"# {k}: {v}" for k, v in meta.items()] + [",".join(names)]
@@ -815,14 +815,83 @@ def test_table_writer_axes_match_a_per_value_reference(tmp_path, fmt):
         lines += [",".join(map(csv_value, row)) for row in rows]
         expected = "\n".join(lines) + "\n"
     else:
-        expected = json.dumps({"meta": meta, "data": [dict(zip(names, row)) for row in rows]},
-                              indent=2) + "\n"
+        def json_value(v):  # JSON has no inf or nan
+            return None if isinstance(v, float) and not np.isfinite(v) else v
+        data = [dict(zip(names, map(json_value, row))) for row in rows]
+        expected = json.dumps({"meta": meta, "data": data}, indent=2) + "\n"
     path, written = tmp_path / f"table.{fmt}", []
     cli._write_table(path, fmt, meta, names, list(columns.values()), written,
                      axes=list(axes.values()))
     assert written == [path]
     text = path.read_text()  # compared by line, so that a failure reports its first line
     assert text.endswith("\n") and text.splitlines() == expected.splitlines()
+
+
+def _hard_floats():
+    """Doubles next to each rounding, exponent and layout rule of %.17g, each with both
+    neighbours and negated."""
+    # ties of 17 digits: m + 2**-17 rounds half to even downwards, and the odd multiples
+    # of 2**-17 tie in both directions; c 2**-24 and c 2**-25 tie where 10**k is inexact
+    ties = [m + 2.0 ** -j for m in (1, 3, 5, 7, 9) for j in range(14, 53)]
+    ties += (np.arange(2 ** 17 + 1, 2 ** 17 + 20_001, 2) * 2.0 ** -17).tolist()
+    ties += [c * 2.0 ** -j for j in (24, 25) for c in range(1, 18, 2)]
+    tens = [float(f"1e{k}") for k in range(-320, 309)]
+    edges = [1e-05, 0.0001, 1e16, 9.9999999999999995e16, 1e17, 0.5, 1.0, 9.5, 10.0]
+    near = np.array(ties + tens + edges)
+    near = np.concatenate([near, np.nextafter(near, 0), np.nextafter(near, np.inf)])
+    specials = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, np.inf, np.nan, 1e-250, 1e250]
+    return np.concatenate([near, specials, -near, np.negative(specials)])
+
+
+def test_csv_numbers_are_written_exactly_as_percent_formats_them(tmp_path):
+    # every cell must equal '%.17g' % v or '%d' % v, whichever path wrote its chunk
+    rng = np.random.default_rng(24)
+    hard = _hard_floats()
+    values = np.concatenate([
+        hard, rng.integers(0, 2 ** 64, 300_000, dtype=np.uint64).view(np.float64),
+        (rng.standard_normal((61, 11000)) * 10.0 ** np.arange(-30, 31)[:, None]).ravel()])
+    values = np.concatenate([values, np.zeros(-len(values) % 4)])
+    assert len(values) > 1_000_000
+    limit = [2 ** 53 + k for k in range(-3, 4)] + [10 ** 16 + k for k in range(-3, 4)]
+    ints = np.concatenate([[0, 1, -1, 2 ** 63 - 1, -2 ** 63], limit, np.negative(limit),
+                           rng.integers(-2 ** 63, 2 ** 63 - 1, 1000), np.arange(-5000, 5000)])
+    # one table of four float and one integer column; then a chunk at the crossover, which
+    # goes to numpy, and one just below it, which goes to %
+    at, below = cli.KERNEL_MIN_VALUES // 2, (cli.KERNEL_MIN_VALUES - 1) // 3
+    assert (2 * at, 3 * below) == (cli.KERNEL_MIN_VALUES, cli.KERNEL_MIN_VALUES - 1)
+    tables = [[*values.reshape(4, -1), np.resize(ints, len(values) // 4)],
+              [hard[:at], ints[:at]], [hard[:below], hard[below:2 * below], ints[:below]]]
+    for k, table in enumerate(tables):
+        path = tmp_path / f"t{k}.csv"
+        cli._write_table(path, "csv", {"t": k}, [f"c{j}" for j in range(len(table))], table, [])
+        row = ",".join("%.17g" if c.dtype.kind == "f" else "%d" for c in table)
+        expected = "\n".join([row] * len(table[0])) % tuple(
+            itertools.chain.from_iterable(zip(*(c.tolist() for c in table))))
+        assert path.read_text().split("\n", 2)[2] == expected + "\n"
+
+
+def test_json_output_is_strict_json_with_null_for_non_finite_values(tmp_path, capsys):
+    # a dim-1 model has no other level, so its min_gap is infinite
+    model = tmp_path / "line.json"
+    model.write_text(json.dumps({"name": "line", "dim": 1, "parameters": ["x"],
+                                 "terms": [{"matrix": [[[1, 0]]], "coeff": "x*x"}]}))
+    cfg = _write_config(tmp_path, {"model": str(model), "format": "json",
+                                   "grid": {"level": 0, "axes": {"x": [0, 1, 3]}}})
+    out = tmp_path / "grid.json"
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out))
+    assert code == 0, err
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["data"]
+    assert [row["min_gap"] for row in rows] == [None] * 3
+    assert [row["x"] for row in rows] == [0.0, 0.5, 1.0]
+    csv = tmp_path / "grid.csv"
+    assert _run(capsys, "grid", "--config", str(cfg), "--output", str(csv),
+                "--format", "csv")[0] == 0
+    assert [line.split(",")[-1] for line in csv.read_text().splitlines()[-3:]] == ["inf"] * 3
 
 
 @pytest.mark.parametrize("command, block, message", [
