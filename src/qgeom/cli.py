@@ -11,22 +11,25 @@ Commands, the keys of ``COMMANDS`` (one JSON config block each, named alike):
 
 The config is one JSON document, read as a model file is by ``read_json``, so
 a run is reproducible from one artifact; the only flags are the config path
-and output path/format overrides.  Exit codes: 0 success, 1 validation error,
-2 numerical error (degeneracy, step failure); error text names the point or time.
+and output path/format overrides.  Exit codes: 0 success, 1 validation error
+(including a grid, surface or step count too large for memory), 2 numerical
+error (degeneracy, step failure); error text names the point or time.
 
 Outputs embed a header with the tool version, the config hash and the
 convention notes.  Every table goes to one writer as 1-D arrays: its leading
 grid columns as their axes, whose product it expands row-major (in parameter
 order), then one array per column.  A CSV value is formatted by its dtype
 (bool and integer values as integers, booleans as 1/0; floats with 17
-significant digits, so values round-trip exactly), each axis value once; large
-chunks of rows are assembled in numpy with the bytes of ``%``.  JSON rows carry
-the same values as numbers and booleans, with null for a value that is not finite.
+significant digits, so values round-trip exactly), each axis value once; the
+body is streamed chunk by chunk, a large chunk assembled in numpy with the
+bytes of ``%``.  JSON rows carry the same values as numbers and booleans, with
+null for a value that is not finite.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import sys
 from functools import cache
 from itertools import chain
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics
 from .dynamics import aa_consistency, adiabatic_diagnostic, evolve, schedule
 from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
@@ -157,6 +160,14 @@ def _level(block: dict, command: str, model: ModelSpec) -> int:
     return integer_index(_require(block, "level", command), model.dim, f"{command}: level")
 
 
+def _check_fits(points: int, floats: int, command: str) -> None:
+    """InputError, before anything is allocated, unless ``points`` of ``floats`` doubles
+    each fit in physical memory."""
+    if (need := 8 * points * floats) > (memory := dynamics._physical_memory()):
+        raise InputError(f"{command}: {points} points need {need / 2**30:.3g} GiB, more than "
+                         f"the {memory / 2**30:.3g} GiB of physical memory; use fewer points")
+
+
 def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
     """Parameter vector from a name -> value mapping; unnamed parameters are 0."""
     if not isinstance(mapping, dict):
@@ -190,10 +201,8 @@ def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list
 
     A CSV value's format follows its dtype: bool and integer values print as ``%d``
     (booleans as 1/0), float values as ``%.17g``, and each axis value is formatted once.
-    The body is written in chunks of rows.  A chunk of at least ``KERNEL_MIN_VALUES``
-    column values is assembled in numpy by ``_CsvKernel``, with the same bytes, and a
-    smaller one by one ``%``.  A JSON row holds numbers and booleans, with null for a
-    value that is not finite (JSON has no inf or nan).
+    The body is written chunk by chunk as ``_csv_chunks`` makes them.  A JSON row holds
+    numbers and booleans, with null for a value that is not finite (JSON has no inf or nan).
     An unwritable path is an InputError; a path joins ``written`` once open.
     """
     axes, columns = [np.asarray(a) for a in axes], [np.asarray(c) for c in columns]
@@ -203,36 +212,66 @@ def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list
                   if c.dtype.kind == "f" and not np.isfinite(c).all() else c.tolist()
                   for c in columns]
         records = [dict(zip(names, row)) for row in zip(*values)]
-        lines = [json.dumps({"meta": meta, "data": data(records)}, indent=2)]
+        head, chunks = json.dumps({"meta": meta, "data": data(records)}, indent=2), ()
     else:
-        lines = [f"# {k}: {v}" for k, v in meta.items()]
-        lines.append(",".join(names))
-        lines += _csv_chunks(axes, columns)
+        head = "\n".join([*(f"# {k}: {v}" for k, v in meta.items()), ",".join(names)])
+        chunks = _csv_chunks(axes, columns)
     try:
         with path.open("w") as out:
             written.append(path)
-            out.write("\n".join(lines) + "\n")
+            out.write(head + "\n")
+            for chunk in chunks:
+                out.write(chunk)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _csv_chunks(axes, columns):
-    """The CSV text of each chunk of rows, without its last newline."""
+    """The CSV text of each chunk of rows, each ending with its newline.
+
+    A chunk of at least ``KERNEL_MIN_VALUES`` column values is assembled in numpy, with
+    the bytes of ``%``, in one slot buffer of the table's cells kept across its chunks;
+    a smaller one is formatted by one ``%``.
+    """
     cols = (*axes, *columns)
     formats = ["%.17g" if c.dtype.kind == "f" else "%d" for c in cols]
     texts = [np.array([f % v for v in a.tolist()], dtype=object) for f, a in zip(formats, axes)]
     row_fmt = ",".join(["%s"] * len(axes) + formats[len(axes):])
-    step, kernel = max(1, min(CHUNK_ROWS, CHUNK_VALUES // len(cols))), None
+    step, slots = max(1, min(CHUNK_ROWS, CHUNK_VALUES // len(cols))), None
     for start in range(0, n := len(columns[0]), step):
         rows = np.arange(start, min(start + step, n))
         lead = np.unravel_index(rows, [a.size for a in axes]) if axes else ()
-        if rows.size * len(columns) >= KERNEL_MIN_VALUES:
-            kernel = kernel or _CsvKernel(texts, columns, formats[len(axes):], min(step, n))
-            yield kernel.chunk(lead, start, rows.size)
-        else:
+        if rows.size * len(columns) < KERNEL_MIN_VALUES:
             chunk = [t[i].tolist() for t, i in zip(texts, lead)]
             chunk += [c[start:start + step].tolist() for c in columns]
-            yield "\n".join([row_fmt] * len(rows)) % tuple(chain.from_iterable(zip(*chunk)))
+            yield "".join([row_fmt + "\n"] * len(rows)) % tuple(chain.from_iterable(zip(*chunk)))
+            continue
+        if slots is None:  # each cell's slot and key, with each axis value's from its one text
+            slots = np.zeros((min(step, n), len(cols), _SLOT), np.uint8)
+            slots[:, len(axes):, :4] = np.frombuffer(b"-0.0", np.uint8)
+            slots[:, len(axes):, _SEP_AT] = ord(",")
+            slots[:, -1, _SEP_AT] = ord("\n")
+            keys = np.empty(slots.shape[:2], np.intp)
+            lead_cells = [(np.zeros((len(t), _SLOT), np.uint8), np.empty(len(t), np.intp))
+                          for t in texts]
+            for t, (axis_slots, axis_keys) in zip(texts, lead_cells):
+                axis_slots[:, _SEP_AT] = ord(",")
+                _place_texts(t.tolist(), axis_slots, axis_keys, np.arange(len(t)))
+        chunk, chunk_keys = slots[:rows.size], keys[:rows.size]
+        for j, ((axis_slots, axis_keys), i) in enumerate(zip(lead_cells, lead)):
+            chunk[:, j], chunk_keys[:, j] = axis_slots[i], axis_keys[i]
+        values = np.empty((rows.size, len(columns)))
+        for j, c in enumerate(columns):  # an integer of 2**53 or more goes to %
+            c = c[start:start + rows.size]
+            values[:, j] = c if c.dtype.kind == "f" else np.where(
+                (c > -2 ** 53) & (c < 2 ** 53), c, np.nan)
+        row, j = np.nonzero(_kernel_cells(values, chunk[:, len(axes):], chunk_keys[:, len(axes):]))
+        if row.size:  # the cells % writes
+            _place_texts([formats[len(axes) + k] % columns[k][start + i] for i, k in
+                          zip(row.tolist(), j.tolist())], chunk.reshape(-1, _SLOT),
+                         chunk_keys.reshape(-1), row * len(cols) + len(axes) + j)
+        *_, masks = _csv_tables()
+        yield chunk[masks.take(chunk_keys, axis=0)].tobytes().decode("ascii")
 
 
 # A CSV cell is assembled in a slot of 56 bytes, and a mask per slot picks its bytes in
@@ -244,40 +283,24 @@ def _csv_chunks(axes, columns):
 _SLOT, _SEP_AT = 56, 52
 _CLASSES = 23  # layouts: %f with E = -4..16, then %e with a 2- and a 3-digit exponent
 _TEXT_KEY = 2 * _CLASSES * 17  # keys are (sign, layout, significant digits), then texts
-_E_OFF = 260  # the exponent tables below hold E = -260..261 at E + _E_OFF
+_E_OFF = 260  # the exponent tables hold E = -260..261 at E + _E_OFF
 # |x| the kernel formats; in it Dekker's product and the scaled |x| stay normal and finite
 _KERNEL_RANGE = (1e-250, 1e250)
 # A fraction of N within this of 1/2 is left to %: the product's error is below 2**-47
 # (1e16 <= N < 1e17), and it is exact where 10**(16 - E) is, which holds every exact tie.
 _TIE_MARGIN = 2.0 ** -40
 _SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for 53-bit significands
-_TEN_FLOOR = np.full(2 * _E_OFF + 2, np.nan)  # the least double >= 10**E
-_SCALE = np.full((4, 2 * _E_OFF + 2), np.nan)  # hi, its two halves and lo
-
-
-def _fill_exponents(e_min: int, e_max: int) -> None:
-    """Fill the exponent tables for E = e_min..e_max, each entry once, from exact integers:
-    10**k is num / den, and a quotient of Python integers is correctly rounded.  An entry
-    of _TEN_FLOOR is written last, so a filled one means its _SCALE entry is filled."""
-    if not np.isnan(_TEN_FLOOR[e_min + _E_OFF:e_max + _E_OFF + 1]).any():
-        return
-    for e in range(e_min, e_max + 1):
-        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        lo = (num * b - a * den) / (den * b)  # the rest 10**(16 - e) - hi, rounded
-        big = _SPLIT * hi - (_SPLIT * hi - hi)
-        _SCALE[:, e + _E_OFF] = hi, big, hi - big, lo
-        num, den = (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
-        floor = num / den  # at most one step below 10**e
-        a, b = floor.as_integer_ratio()
-        _TEN_FLOOR[e + _E_OFF] = floor if a * den >= num * b else np.nextafter(floor, np.inf)
 
 
 @cache
 def _csv_tables():
     """The 4-digit words, the words of D0 at bytes 4-7 and 24-27, the significant digits
-    each 4-digit group ends at, each exponent's key base and suffix, and each key's mask."""
+    each 4-digit group ends at, each exponent's key base and suffix, for each E the least
+    double >= 10**E and the hi, its two halves and lo of 10**(16 - E), and each key's mask.
+
+    The exponent tables come from exact integers: 10**k is num / den, and a quotient of
+    Python integers is correctly rounded.
+    """
     g = np.arange(10000, dtype=np.uint16)
     digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=-1)
     words = (digits.astype(np.uint8) + ord("0")).view(np.uint32).ravel()
@@ -290,6 +313,18 @@ def _csv_tables():
     suffix = np.frombuffer(b"".join((b"e%+03d" % k).rjust(8, b"\0") for k in e.tolist()),
                            np.uint32).reshape(-1, 2).T  # right-aligned in bytes 44-51
     first = np.frombuffer(b"".join(b"00-%d.-%d." % (d, d) for d in range(10)), np.uint32)
+    ten_floor, scale = np.empty(e.size), np.empty((4, e.size))
+    for k in e.tolist():
+        num, den = (10 ** (16 - k), 1) if k <= 16 else (1, 10 ** (k - 16))
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        lo = (num * b - a * den) / (den * b)  # the rest 10**(16 - k) - hi, rounded
+        big = _SPLIT * hi - (_SPLIT * hi - hi)
+        scale[:, k + _E_OFF] = hi, big, hi - big, lo
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        floor = num / den  # at most one step below 10**k
+        a, b = floor.as_integer_ratio()
+        ten_floor[k + _E_OFF] = floor if a * den >= num * b else np.nextafter(floor, np.inf)
 
     c = np.arange(_SLOT)
     neg = np.array([False, True])[:, None, None, None]
@@ -307,49 +342,7 @@ def _csv_tables():
             | ~fixed & (c >= _SEP_AT - 4 - (cls == 22)) & (c < _SEP_AT))
     texts = (c >= _SEP_AT - np.arange(25)[:, None]) & (c <= _SEP_AT)
     masks = np.concatenate([mask.reshape(-1, _SLOT), texts])
-    return words, first.reshape(-1, 2).T, ends, layout * 17 - 1, suffix, masks
-
-
-class _CsvKernel:
-    """Assembles the CSV chunks of one table in numpy, in buffers kept across chunks."""
-
-    def __init__(self, texts, columns, formats, rows: int):
-        self.columns, self.formats, self.n_axes = columns, formats, len(texts)
-        self.values = np.empty((rows, len(columns)))
-        self.body = np.zeros((rows, len(columns), _SLOT), np.uint8)  # the columns' cells
-        self.body[..., :4] = np.frombuffer(b"-0.0", np.uint8)
-        self.body[..., _SEP_AT] = ord(",")
-        self.body[:, -1, _SEP_AT] = ord("\n")
-        self.body_keys = np.empty((rows, len(columns)), np.intp)
-        self.axes = []  # each axis value's slot and key, from its one text
-        for t in texts:
-            slots, keys = np.zeros((len(t), _SLOT), np.uint8), np.empty(len(t), np.intp)
-            slots[:, _SEP_AT] = ord(",")
-            _place_texts(t.tolist(), slots, keys, np.arange(len(t)))
-            self.axes.append((slots, keys))
-        m = len(texts) + len(columns)
-        self.slots = np.empty((rows, m, _SLOT), np.uint8) if texts else self.body
-        self.keys = np.empty((rows, m), np.intp) if texts else self.body_keys
-
-    def chunk(self, lead, start: int, rows: int) -> str:
-        values, body, body_keys = self.values[:rows], self.body[:rows], self.body_keys[:rows]
-        for j, c in enumerate(self.columns):  # an integer of 2**53 or more goes to %
-            c = c[start:start + rows]
-            values[:, j] = c if c.dtype.kind == "f" else np.where(
-                (c > -2 ** 53) & (c < 2 ** 53), c, np.nan)
-        flat, flat_keys = body.reshape(-1, _SLOT), body_keys.reshape(-1)
-        spill = np.flatnonzero(_kernel_cells(values.reshape(-1), flat, flat_keys))
-        if spill.size:
-            row, j = np.divmod(spill, len(self.columns))
-            _place_texts([self.formats[k] % self.columns[k][start + i]
-                          for i, k in zip(row.tolist(), j.tolist())], flat, flat_keys, spill)
-        slots, keys = self.slots[:rows], self.keys[:rows]
-        if self.axes:
-            for j, ((axis_slots, axis_keys), i) in enumerate(zip(self.axes, lead)):
-                slots[:, j], keys[:, j] = axis_slots[i], axis_keys[i]
-            slots[:, self.n_axes:], keys[:, self.n_axes:] = body, body_keys
-        *_, masks = _csv_tables()
-        return slots[masks.take(keys, axis=0)][:-1].tobytes().decode("ascii")
+    return words, first.reshape(-1, 2).T, ends, layout * 17 - 1, suffix, ten_floor, scale, masks
 
 
 def _place_texts(texts, slots, keys, cells) -> None:
@@ -363,21 +356,22 @@ def _place_texts(texts, slots, keys, cells) -> None:
 
 
 def _kernel_cells(x, slots, keys):
-    """Write each float of the 1-D ``x`` into its slot (a row of ``slots``) as
+    """Write each float of the 2-D ``x`` into its slot (``slots[i, j]``) as
     ``'%.17g' % v`` would, set its key, and return where % must write it instead."""
-    words, first, ends, layout, suffix, _ = _csv_tables()
-    digits, e, spill = _digits(x)  # its temporaries are freed before the stores
+    words, first, ends, layout, suffix, ten_floor, scale, _ = _csv_tables()
+    digits, e, spill = _digits(x, ten_floor, scale)  # its temporaries are freed here
     wide = slots.view(np.uint32)
-    wide[:, 1], wide[:, 6] = first.take(digits[0], axis=1)
+    wide[..., 1], wide[..., 6] = first.take(digits[0], axis=1)
     for k, word in enumerate(words.take(digits[1:])):
-        wide[:, 2 + k] = wide[:, 7 + k] = word
-    wide[:, 11], wide[:, 12] = suffix.take(e, axis=1)
-    nsig = ends.take(digits[1:] + np.arange(0, 40000, 10000)[:, None]).max(axis=0, initial=1)
+        wide[..., 2 + k] = wide[..., 7 + k] = word
+    wide[..., 11], wide[..., 12] = suffix.take(e, axis=1)
+    nsig = ends.take(digits[1:] + np.arange(0, 40000, 10000)[:, None, None]).max(
+        axis=0, initial=1)
     keys[:] = layout.take(e) + np.signbit(x) * (_CLASSES * 17) + nsig
     return spill
 
 
-def _digits(x):
+def _digits(x, ten_floor, scale):
     """D0 and the four 4-digit groups of N = round(|x| 10**(16 - E)), the index of E in
     the exponent tables, and where % must write x.
 
@@ -390,10 +384,9 @@ def _digits(x):
     kept = (mag >= _KERNEL_RANGE[0]) & (mag <= _KERNEL_RANGE[1])
     mag[~kept] = 1.0
     e = np.floor(np.log10(mag)).astype(np.intp) + _E_OFF
-    _fill_exponents(int(e.min()) - _E_OFF - 1, int(e.max()) - _E_OFF + 1)
-    e += mag >= _TEN_FLOOR[e + 1]  # log10 may be one off next to a power of ten
-    e -= mag < _TEN_FLOOR[e]
-    p, r, margin = _scaled(mag, e)
+    e += mag >= ten_floor[e + 1]  # log10 may be one off next to a power of ten
+    e -= mag < ten_floor[e]
+    p, r, margin = _scaled(mag, scale.take(e, axis=1))
     whole = np.floor(r)
     r -= whole  # the fraction of N
     up = r - margin > 0.5
@@ -418,12 +411,13 @@ def _digits(x):
     return np.array([d0, high, top - high * 1e4, below, low - below * 1e4], np.intp), e, spill
 
 
-def _scaled(mag, e):
-    """|x| 10**(16 - E) = p + r: p = fl(|x| hi), and r adds the rest q of the exact
-    product |x| hi = p + q to |x| lo.  numpy has no fused multiply-add, so q comes from
-    Dekker's product of Veltkamp halves (Numer. Math. 18 (1971) 224).  Also the tie
-    margin of each value: 0 where lo is 0, as p + r is then exact."""
-    hi, hi_big, hi_small, lo = _SCALE.take(e, axis=1)
+def _scaled(mag, scale):
+    """|x| 10**(16 - E) = p + r from ``scale``, the hi, its two halves and lo of
+    10**(16 - E) at each value: p = fl(|x| hi), and r adds the rest q of the exact product
+    |x| hi = p + q to |x| lo.  numpy has no fused multiply-add, so q comes from Dekker's
+    product of Veltkamp halves (Numer. Math. 18 (1971) 224).  Also the tie margin of each
+    value: 0 where lo is 0, as p + r is then exact."""
+    hi, hi_big, hi_small, lo = scale
     split = _SPLIT * mag
     big = split - (split - mag)
     small = mag - big
@@ -464,6 +458,7 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
         values.append(np.linspace(lo, hi, n))
 
     k = model.n_parameters
+    _check_fits(math.prod(v.size for v in values), k * k + k + 1, "grid")  # points and table
     points = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, k)  # row-major
     (gi, gj), (fi, fj) = np.triu_indices(k), np.triu_indices(k, 1)
     rows = []
@@ -499,6 +494,8 @@ def _build_surface(model, surface) -> SurfaceGrid:
 def _run_chern(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "chern", model)
     grid = _build_surface(model, _require(block, "surface", "chern"))
+    _check_fits(grid.mu_values.size * grid.nu_values.size,  # points, states and fluxes
+                model.n_parameters + 2 * model.dim + 1, "chern")
     result = berry_flux(model, level, grid)
 
     fluxes = result.plaquette_fluxes

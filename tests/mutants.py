@@ -50,6 +50,8 @@ ASSEMBLY = "tests/test_batch.py::test_assembly_matches_a_term_by_term_loop"
 WILSON = GEO + "::TestPlaquetteFluxGrid::test_each_plaquette_matches_a_direct_wilson_loop"
 ONE_POINT = DYN + "::test_adiabatic_rates_and_leakage_round_as_at_one_point"
 WRITER = "tests/test_cli.py::test_table_writer_axes_match_a_per_value_reference"
+PERCENT_TAIL = "tests/test_cli.py::test_an_axes_table_whose_last_chunk_is_formatted_by_percent"
+WRITER_MEMORY = "tests/test_cli.py::test_csv_writer_memory_is_bounded_by_its_chunk_not_by_the_table"
 EXACT = "tests/test_cli.py::test_csv_numbers_are_written_exactly_as_percent_formats_them"
 CHECK = "tests/test_cli.py::TestCheckCommand::"
 EIGH2 = "tests/test_numerics.py::test_dim2_eigh_equals_lapack_bit_for_bit"
@@ -191,8 +193,13 @@ ROWS = [
     ('indexing="xy" in the JSON expansion', "cli.py", 'np.meshgrid(*axes, indexing="ij")',
      'np.meshgrid(*axes, indexing="xy")', [WRITER]),
     ('", " row separator', "cli.py", 'row_fmt = ",".join(', 'row_fmt = ", ".join(', [EXACT]),
-    ('";" separator in numpy chunks', "cli.py", 'self.body[..., _SEP_AT] = ord(",")',
-     'self.body[..., _SEP_AT] = ord(";")', [WRITER]),
+    ('";" separator in numpy chunks', "cli.py", 'slots[:, len(axes):, _SEP_AT] = ord(",")',
+     'slots[:, len(axes):, _SEP_AT] = ord(";")', [WRITER]),
+    ("no newline after a % row", "cli.py", '"".join([row_fmt + "\\n"] * len(rows))',
+     '"".join([row_fmt] * len(rows))', [PERCENT_TAIL]),
+    ("the whole CSV text written at once", "cli.py",
+     "for chunk in chunks:\n                out.write(chunk)", 'out.write("".join(chunks))',
+     [WRITER_MEMORY]),
     # the numpy formatting of a float
     ("no tie fallback", "cli.py", "spill = ~up & (r + margin >= 0.5) | ~kept & (x != 0)",
      "spill = ~kept & (x != 0)", [EXACT]),
@@ -205,8 +212,8 @@ ROWS = [
     ("integers of 2**53 or more left to numpy", "cli.py", "(c > -2 ** 53) & (c < 2 ** 53)",
      "(c > -2 ** 63) & (c < 2 ** 63)", [EXACT]),
     ("no +-1 exponent correction", "cli.py",
-     "e += mag >= _TEN_FLOOR[e + 1]  # log10 may be one off next to a power of ten\n"
-     "    e -= mag < _TEN_FLOOR[e]", "pass", [EXACT]),
+     "e += mag >= ten_floor[e + 1]  # log10 may be one off next to a power of ten\n"
+     "    e -= mag < ten_floor[e]", "pass", [EXACT]),
     # LAPACK's n = 2 steps
     ("A(2,2) updated as d2 - 2 Re w", "numerics.py", "np.where(reflect, (d2 - wr) - wr, d2)",
      "np.where(reflect, d2 + (-2 * wr), d2)", [EIGH2 + "[torus]"]),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from _pytest.assertion import util as assertion_util
 
-from qgeom import cli, qgt
+from qgeom import cli, dynamics, qgt
 from qgeom.cli import main
 from qgeom.model import load_model_spec, two_band_lattice
 from qgeom.qgt import DEFAULT_FD_STEP, qgt_overlap_fd, qgt_projector_fd, qgt_sum_over_states
@@ -456,6 +457,22 @@ def test_chern_on_a_one_parameter_model_is_a_validation_error(tmp_path, capsys):
     assert code == 1 and "has no parameter None" in err
 
 
+@pytest.mark.parametrize("command, block", [
+    ("grid", {"level": 1, "axes": {"theta": [0.1, 3, 200], "phi": [0, 6, 200]}}),
+    ("chern", {"level": 1, "surface": {"closure": "sphere", "shape": [200, 200]}}),
+])
+def test_points_past_physical_memory_exit_1_before_any_allocation(tmp_path, capsys,
+                                                                  monkeypatch, command, block):
+    # 40,000 points of 7 doubles each (spin_half: 2 parameters and 2 levels) are 2.24 MB
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2**20)
+    cfg = _write_config(tmp_path, {"model": SPIN, command: block})
+    out = tmp_path / "out.csv"
+    code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(out))
+    assert code == 1 and list(tmp_path.iterdir()) == [cfg]
+    assert err == (f"error: {command}: 40000 points need 0.00209 GiB, more than the "
+                   "0.000977 GiB of physical memory; use fewer points\n")
+
+
 class TestDistanceCommand:
     def test_meridian_angle(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -825,6 +842,37 @@ def test_table_writer_axes_match_a_per_value_reference(tmp_path, fmt):
     assert written == [path]
     text = path.read_text()  # compared by line, so that a failure reports its first line
     assert text.endswith("\n") and text.splitlines() == expected.splitlines()
+
+
+def test_an_axes_table_whose_last_chunk_is_formatted_by_percent(tmp_path):
+    axes = [np.array([-0.5, 0.0, 2.5]), np.linspace(-1e-5, 3e17, 350)]
+    rng = np.random.default_rng(26)
+    value = rng.normal(size=1050) * 10.0 ** rng.integers(-30, 30, 1050)
+    # 3 cells a row: one numpy chunk of 1,024 rows, then 26 rows of 26 values for %
+    step = min(cli.CHUNK_ROWS, cli.CHUNK_VALUES // 3)
+    assert 1050 - step == 26 < cli.KERNEL_MIN_VALUES <= step
+    rows = [(*lead, v) for lead, v in zip(itertools.product(*(a.tolist() for a in axes)),
+                                          value.tolist())]
+    expected = ["# tool: qgeom", "x,y,value"]
+    expected += [",".join(format(v, ".17g") for v in row) for row in rows]
+    path = tmp_path / "table.csv"
+    cli._write_table(path, "csv", {"tool": "qgeom"}, ["x", "y", "value"], [value], [], axes=axes)
+    text = path.read_text()
+    assert text.endswith("\n") and text.splitlines() == expected
+
+
+def test_csv_writer_memory_is_bounded_by_its_chunk_not_by_the_table(tmp_path):
+    columns = list(np.random.default_rng(27).normal(size=(3, 100_000)))
+    cli._csv_tables()  # built once per process, at the first numpy chunk
+    path = tmp_path / "table.csv"
+    tracemalloc.start()
+    try:
+        cli._write_table(path, "csv", {"tool": "qgeom"}, ["a", "b", "c"], columns, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 5 * 2**20
+    assert peak < 2 * 2**20
 
 
 def _hard_floats():
