@@ -160,12 +160,16 @@ def _level(block: dict, command: str, model: ModelSpec) -> int:
     return integer_index(_require(block, "level", command), model.dim, f"{command}: level")
 
 
-def _check_fits(points: int, floats: int, command: str) -> None:
-    """InputError, before anything is allocated, unless ``points`` of ``floats`` doubles
-    each fit in physical memory."""
-    if (need := 8 * points * floats) > (memory := dynamics._physical_memory()):
-        raise InputError(f"{command}: {points} points need {need / 2**30:.3g} GiB, more than "
-                         f"the {memory / 2**30:.3g} GiB of physical memory; use fewer points")
+def _check_fits(counts, floats: int, command: str) -> None:
+    """InputError unless the points of the integer ``counts`` (their product, a negative
+    count read as 0), ``floats`` doubles each, fit in physical memory.  It reads only the
+    counts, so a caller runs it before it builds any array of them."""
+    counts = [max(n, 0) for n in counts]
+    need = 8.0 * floats * math.prod(map(float, counts))  # inf past the float range
+    if need > (memory := dynamics._physical_memory()):
+        raise InputError(f"{command}: {math.prod(counts)} points need {need / 2**30:.3g} GiB, "
+                         f"more than the {memory / 2**30:.3g} GiB of physical memory; "
+                         "use fewer points")
 
 
 def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
@@ -443,10 +447,9 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     if set(fixed) & set(axes):
         raise InputError("grid: a parameter cannot be both fixed and gridded")
 
-    values = []  # one axis per parameter in model order; a fixed parameter's holds its value
-    for p, name in enumerate(model.parameters):
+    spans = {}  # (lo, hi, n) of each gridded parameter, in model order
+    for name in model.parameters:
         if name not in axes:
-            values.append(base[p:p + 1])
             continue
         what, spec = f"grid: axis {name!r}", axes[name]
         if not isinstance(spec, list) or len(spec) != 3:
@@ -455,10 +458,13 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
         n = real_number(spec[2], f"{what} count", int)
         if n < 1:
             raise InputError(f"{what} count must be at least 1, not {n}")
-        values.append(np.linspace(lo, hi, n))
+        spans[name] = lo, hi, n
 
     k = model.n_parameters
-    _check_fits(math.prod(v.size for v in values), k * k + k + 1, "grid")  # points and table
+    _check_fits([n for *_, n in spans.values()], k * k + k + 1, "grid")  # points and table
+    # one axis per parameter in model order; a fixed parameter's holds its value
+    values = [np.linspace(*spans[name]) if name in spans else base[p:p + 1]
+              for p, name in enumerate(model.parameters)]
     points = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, k)  # row-major
     (gi, gj), (fi, fj) = np.triu_indices(k), np.triu_indices(k, 1)
     rows = []
@@ -485,6 +491,9 @@ def _build_surface(model, surface) -> SurfaceGrid:
     # a missing direction is named in the grid's error; the grid's defaults fill other keys
     axes = ("polar", "azimuth") if sphere else ("mu", "nu")
     mu, nu = (surface.get(key, name) for key, name in zip(axes, (*model.parameters, None)))
+    if "shape" in surface:  # points, states and fluxes, checked before the grid is laid out
+        _check_fits(SurfaceGrid._pair(surface["shape"], "shape", int),
+                    model.n_parameters + 2 * model.dim + 1, "chern")
     keys = ("shape",) if sphere else ("shape", "mu_range", "nu_range")
     build = {"sphere": SurfaceGrid.sphere, "torus": SurfaceGrid.torus,
              "open": SurfaceGrid.open_grid}[closure]
@@ -494,8 +503,6 @@ def _build_surface(model, surface) -> SurfaceGrid:
 def _run_chern(model, block, meta, out_path, fmt, written) -> None:
     level = _level(block, "chern", model)
     grid = _build_surface(model, _require(block, "surface", "chern"))
-    _check_fits(grid.mu_values.size * grid.nu_values.size,  # points, states and fluxes
-                model.n_parameters + 2 * model.dim + 1, "chern")
     result = berry_flux(model, level, grid)
 
     fluxes = result.plaquette_fluxes
@@ -515,6 +522,8 @@ def _run_distance(model, block, meta, out_path, fmt, written) -> None:
     exprs = _require(block, "path", "distance")
     samples = _number(block, "samples", "distance", 201, int)
     path = path_spec(model, level, exprs, samples)
+    k = model.n_parameters  # the refined path's nodes: points, rates, metrics, states, speeds
+    _check_fits([2 * (path.samples | 1) - 1], k * k + 2 * k + 2 * model.dim + 2, "distance")
     length, angle = path_quantum_length(path)
 
     ends = level_states(model, path.curve.sample([0.0, 1.0])[0], level, lambda i: f"s = {i}")

@@ -108,6 +108,40 @@ def _spectral_radii(hs) -> np.ndarray:
     return np.abs(np.linalg.eigvalsh(hs)).max(axis=-1)
 
 
+def _radius_bounds(hs: np.ndarray) -> np.ndarray:
+    """An upper bound on the spectral radius of each Hermitian H in the stack ``hs``, from
+    one product: rho(H)^2 = rho(H^2) <= ||H^2||_F.  A non-finite H gets a NaN or inf bound.
+
+    Each H is scaled by the power of two that brings its largest real or imaginary part into
+    [1/2, 1), so that rho >= 1/2 (rho >= |H_ij| for a Hermitian H) and H^2 neither
+    overflows nor underflows; an H whose largest part is below 2**-1024 scales to inf and
+    gets a NaN bound.  The scaling is exact, and a part that falls below the normal range
+    loses at most 2**-1074, far below u rho^2 (u = eps / 2).  With gamma(n) = n u / (1 - n u)
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, sections 3.1 and 3.6),
+    the complex product errs by at most gamma(d + 2) ||H||_F^2 <= gamma(d + 2) d rho^2 in
+    the Frobenius norm, and its computed norm N, a root of a sum of 2 d^2 squares, by a
+    factor gamma(2 d^2 + 2).  So rho^2 <= N (1 + gamma(2 d^2 + 2)) / (1 - d gamma(d + 2))
+    < N (1 + 2 (d + 1)^2 eps).  The margin 1 + 4 (d + 1)^2 eps covers that and the rounding
+    of the margin's product and of the root, and leaves about (d + 1)^2 eps of rho for the
+    backward error of eigvalsh itself.
+    """
+    top = np.maximum(np.abs(hs.real), np.abs(hs.imag)).max(axis=(-2, -1))
+    e = np.frexp(top)[1]
+    scaled = hs * np.ldexp(1.0, -e)[:, None, None]
+    margin = 1.0 + 4.0 * (hs.shape[-1] + 1) ** 2 * np.finfo(float).eps
+    return np.ldexp(np.sqrt(np.linalg.norm(scaled @ scaled, axis=(-2, -1)) * margin), e)
+
+
+def _radii(hs: np.ndarray, dt: float) -> np.ndarray:
+    """The spectral radius of each H in the stack ``hs``: exact (eigvalsh) where dt times
+    its bound reaches STABILITY_LIMIT, else the bound, which certifies it below the limit."""
+    radii = _radius_bounds(hs)
+    uncertain = ~(dt * radii < STABILITY_LIMIT)  # a NaN bound too: a non-finite H is solved
+    if uncertain.any():
+        radii[uncertain] = _spectral_radii(hs[uncertain])
+    return radii
+
+
 def _check_drift(psis: np.ndarray, times: np.ndarray, dt: float, hs) -> None:
     """Raise StepError naming the first record whose norm is off 1 by more than MAX_NORM_DRIFT.
 
@@ -153,6 +187,10 @@ def evolve(
 
     Requires dt * (spectral radius of H(t0)) < 0.1; the bound is re-checked
     along the run and a warning is emitted if the spectrum grows past it.
+    Each check first tests a certified upper bound on the radius from one
+    matrix product (``_radius_bounds``), and solves for the exact radius
+    (``eigvalsh``) only where that bound reaches the limit, so the error and
+    the warning name the exact radius.
     The raw propagated state is never renormalized; a drift of the norm
     beyond 1e-6 aborts with a suggested smaller step.  A step count whose
     records would not fit in physical memory is an InputError, raised before
@@ -196,7 +234,7 @@ def evolve(
     with np.errstate(over="ignore", invalid="ignore"):
         for block, _ in hamiltonian_blocks(model, sched.sample(h_times)[0]):
             hs = np.concatenate((carry, block))  # step k0 + j: H at hs[2j], hs[2j + 1], hs[2j + 2]
-            if k0 == 0 and dt * (radius := _spectral_radii(hs[0])) >= STABILITY_LIMIT:
+            if k0 == 0 and dt * (radius := _radii(hs[:1], dt)[0]) >= STABILITY_LIMIT:
                 raise StepError(f"dt * spectral radius = {dt * radius:.3g} >= {STABILITY_LIMIT}; "
                                 f"use dt < {STABILITY_LIMIT / max(radius, 1e-300):.3g}")
             steps = (len(hs) - 1) // 2
@@ -218,7 +256,7 @@ def evolve(
             _check_drift(psis[span][1:], times[span][1:], dt, hs[2::2])
             marks = range(-k0 % check_every, steps, check_every)
             if len(marks):
-                radii = _spectral_radii(hs[2::2][marks.start::check_every])
+                radii = _radii(hs[2::2][marks.start::check_every], dt)
                 over = np.flatnonzero(dt * radii >= STABILITY_LIMIT)
                 if over.size:
                     k = k0 + marks[over[0]]  # the first mark past the limit, after step k

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, StepError
+from .errors import InputError, NumericalError, StepError
 from .model import Curve, ModelSpec, curve, hamiltonian_blocks, parameter_point
 from .numerics import real_number, state_vector
 from .qgt import level_blocks, level_states, qgt_sum_over_states
@@ -412,7 +412,8 @@ def berry_flux(model: ModelSpec, level: int, grid: SurfaceGrid,
 
     The grid's closure is checked first (:meth:`SurfaceGrid.check_closed`).
     The level must be non-degenerate at every grid point (and at the poles
-    in sphere mode); a degeneracy raises and names the offending point.  A
+    in sphere mode); a degeneracy raises and names the offending point, as
+    does a state that is not finite (NumericalError), as an overflowed H gives.  A
     plaquette flux of magnitude pi (within 1e-9) raises StepError naming
     the plaquette's row and column in ``plaquette_fluxes``.
     """
@@ -426,6 +427,8 @@ def berry_flux(model: ModelSpec, level: int, grid: SurfaceGrid,
         return f"{pole}lambda = {points[i].tolist()}"
 
     states = level_states(model, points, level, where)
+    if (bad := np.flatnonzero(~np.isfinite(states).all(axis=1))).size:  # no link guard sees NaN
+        raise NumericalError(f"level {level} state at {where(bad[0])} is not finite")
     fluxes = plaquette_flux_grid(states[:n_mu * n_nu].reshape(n_mu, n_nu, model.dim),
                                  grid.closure, min_link=min_link,
                                  **dict(zip(poles, states[n_mu * n_nu:])))

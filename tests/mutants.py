@@ -55,6 +55,8 @@ WRITER_MEMORY = "tests/test_cli.py::test_csv_writer_memory_is_bounded_by_its_chu
 EXACT = "tests/test_cli.py::test_csv_numbers_are_written_exactly_as_percent_formats_them"
 CHECK = "tests/test_cli.py::TestCheckCommand::"
 EIGH2 = "tests/test_numerics.py::test_dim2_eigh_equals_lapack_bit_for_bit"
+BOUND = DYN + "::test_the_radius_bound_is_certified"
+SIZES = "tests/test_cli.py::test_a_count_past_physical_memory_exits_1_before_its_arrays_are_built"
 
 ROWS = [
     # the tensor and its isolation rule
@@ -173,9 +175,25 @@ ROWS = [
     ("no vanishing-step guard", "qgt.py", "if lost.any() or h * h == 0:", "if False:",
      ["tests/test_qgt.py::test_a_vanishing_step_is_a_step_error",
       CHECK + "test_a_vanishing_step_exits_2_and_writes_nothing"]),
+    # the certified bound on the spectral radius at the stability marks
+    ("no rounding margin in the radius bound", "dynamics.py",
+     "margin = 1.0 + 4.0 * (hs.shape[-1] + 1) ** 2 * np.finfo(float).eps", "margin = 1.0",
+     [BOUND]),
+    ("no scaling in the radius bound", "dynamics.py",
+     "scaled = hs * np.ldexp(1.0, -e)[:, None, None]", "scaled, e = hs, 0 * e", [BOUND]),
+    ("the radius bound trusted with no exact fallback", "dynamics.py",
+     "radii[uncertain] = _spectral_radii(hs[uncertain])", "pass",
+     [DYN + "::test_the_start_error_names_the_exact_radius",
+      DYN + "::test_the_growth_warning_names_the_first_mark_past_the_limit"]),
     ("no record-size guard", "dynamics.py", "if need > (memory := _physical_memory()):",
      "if need > (memory := _physical_memory()) and False:", [DYN + "::"
      "test_records_past_physical_memory_are_an_input_error_before_any_allocation"]),
+    ("no size check before the arrays", "cli.py",
+     "if need > (memory := dynamics._physical_memory()):",
+     "if need > (memory := dynamics._physical_memory()) and False:", [SIZES]),
+    ("no check of non-finite states", "geometry.py",
+     "if (bad := np.flatnonzero(~np.isfinite(states).all(axis=1))).size:", "if False:",
+     ["tests/test_cli.py::test_a_state_that_is_not_finite_exits_2_naming_its_point"]),
     # the check verdict
     ("verdict order threshold below a constant error's order", "cli.py",
      "slope is not None and slope < 1.5 and", "slope is not None and slope < -0.5 and",

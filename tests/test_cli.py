@@ -473,6 +473,57 @@ def test_points_past_physical_memory_exit_1_before_any_allocation(tmp_path, caps
                    "0.000977 GiB of physical memory; use fewer points\n")
 
 
+LATTICE = {"builtin": "two_band_lattice", "mass": 1.0}
+
+
+@pytest.mark.parametrize("command, doc, points, gib", [
+    ("grid", {"model": SPIN, "grid": {"level": 0, "axes": {"theta": [0, 1, 1e12]}}},
+     10**12, "5.22e+04"),
+    ("grid", {"model": SPIN, "grid": {"level": 0, "axes": {"theta": [0, 1, 2**63]}}},
+     2**63, "4.81e+11"),
+    ("chern", {"model": LATTICE, "chern": {"level": 0, "surface": {
+        "closure": "torus", "shape": [128, 1e12]}}}, 128 * 10**12, "6.68e+06"),
+    ("chern", {"model": LATTICE, "chern": {"level": 0, "surface": {
+        "closure": "torus", "shape": [2**63, 128]}}}, 2**70, "6.16e+13"),
+    ("distance", {"model": SPIN, "distance": {"level": 0, "samples": 1e11, "path": {
+        "theta": "s", "phi": "0.3"}}}, 2 * 10**11 + 1, "2.09e+04"),
+    ("distance", {"model": SPIN, "distance": {"level": 0, "samples": 2**63, "path": {
+        "theta": "s", "phi": "0.3"}}}, 2**64 + 1, "1.92e+12"),
+], ids=["grid-1e12", "grid-2**63", "chern-1e12", "chern-2**63", "distance-1e11",
+        "distance-2**63"])
+def test_a_count_past_physical_memory_exits_1_before_its_arrays_are_built(tmp_path, command,
+                                                                        doc, points, gib):
+    # in a child whose address space is capped at 4 GiB, so that an array built before
+    # the check fails there, not the machine
+    pytest.importorskip("resource")
+    cfg, out = _write_config(tmp_path, doc), tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    capped = ("import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)); "
+              "runpy.run_module('qgeom.cli', run_name='__main__')")
+    run = subprocess.run([sys.executable, "-c", capped, command, "--config", str(cfg),
+                          "--output", str(out)], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 1 and list(tmp_path.iterdir()) == [cfg]
+    head = f"error: {command}: {points} points need {gib} GiB, more than the "
+    assert run.stderr.startswith(head), run.stderr
+    assert run.stderr.endswith(" GiB of physical memory; use fewer points\n")
+    assert run.stderr.count("\n") == 1
+
+
+def test_a_state_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys):
+    # mu_times_b = -1e308 overflows the model's terms, so every state is NaN; no link
+    # overlap falls below min_link (NaN < 0.2 is False), and the flux would be NaN
+    cfg = _write_config(tmp_path, {"model": {"builtin": "spin_half", "mu_times_b": -1e308},
+                                   "chern": {"level": 0, "surface": {"shape": [24, 24]}}})
+    with pytest.warns(RuntimeWarning):  # numpy reports the overflow and its NaNs
+        code, _, err = _run(capsys, "chern", "--config", str(cfg),
+                            "--output", str(tmp_path / "chern.csv"))
+    assert code == 2 and list(tmp_path.iterdir()) == [cfg]
+    assert err == ("numerical error: level 0 state at lambda = [0.06544984694978735, 0.0] "
+                   "is not finite\n")
+
+
 class TestDistanceCommand:
     def test_meridian_angle(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qgeom as qg
 import qgeom.dynamics as dynamics
@@ -478,3 +480,82 @@ def test_records_past_physical_memory_are_an_input_error_before_any_allocation(
     finally:
         tracemalloc.stop()
     assert peak < 2**16
+
+
+def _spin_terms(spin: float, seed: int):
+    """Sx, Sy and Sz of a spin, conjugated by one seeded random unitary and symmetrized."""
+    d = int(round(2 * spin)) + 1
+    m = spin - np.arange(d)
+    up = np.diag(np.sqrt(spin * (spin + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rotated = [q @ s @ q.conj().T for s in ((up + up.T) / 2, (up - up.T) / 2j, np.diag(m))]
+    return [(a + a.conj().T) / 2 for a in rotated]
+
+
+def _ramp(dim: int):
+    """x times Sz of spin (dim - 1) / 2, and a state whose level |m| is least (no drift)."""
+    sz = SZ if dim == 2 else _spin_terms((dim - 1) / 2, 63)[2]
+    return qg.model_spec("ramp", dim, ("x",), [(sz, "x")]), np.linalg.eigh(sz)[1][:, dim // 2]
+
+
+@pytest.mark.parametrize("dim, dt, message", [
+    (2, 0.05, "dt * spectral radius = 0.15 >= 0.1; use dt < 0.0333"),
+    (64, 0.004, "dt * spectral radius = 0.126 >= 0.1; use dt < 0.00317"),
+])
+def test_the_start_error_names_the_exact_radius(dim, dt, message):
+    model, psi0 = _ramp(dim)
+    with pytest.raises(qg.StepError, match=f"^{re.escape(message)}$"):
+        qg.evolve(model, qg.schedule(model, {"x": "3" if dim == 2 else "1"}), psi0, 0.0, 1.0, dt)
+
+
+@pytest.mark.parametrize("dim, x, t1, dt, message", [
+    (2, "1 + 1.4*t", 1.0, 0.05, "dt * spectral radius grew to 0.102 at t = 0.75; "),
+    # the bound certifies the marks up to t = 0.33, and eigvalsh solves those after it
+    (64, "1 + 2*t", 1.5, 0.001, "dt * spectral radius grew to 0.101 at t = 1.105; "),
+])
+def test_the_growth_warning_names_the_first_mark_past_the_limit(dim, x, t1, dt, message):
+    model, psi0 = _ramp(dim)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qg.evolve(model, qg.schedule(model, {"x": x}), psi0, 0.0, t1, dt)
+    assert [str(w.message) for w in caught] == [message + "results past here are suspect"]
+
+
+def test_a_stable_dense_evolve_solves_no_spectrum(monkeypatch):
+    # spin 63/2 (dim 64) turning about z: rho = 31.5, and the bound reads 60.5, so
+    # dt * bound = 0.061 certifies the start and all 67 growth marks below 0.1
+    sx, sy, sz = _spin_terms(31.5, 5)
+    model = qg.model_spec("spin-63/2", 64, ("theta", "phi"), [
+        (sx, "sin(theta)*cos(phi)"), (sy, "sin(theta)*sin(phi)"), (sz, "cos(theta)")])
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    sched = qg.schedule(model, {"theta": "1.3", "phi": "0.4 + 2*t"})
+    traj = qg.evolve(model, sched, np.eye(64)[0], 0.0, 0.2, 0.001)
+    assert traj.n_steps == 200 and calls == []
+
+
+# Hermitian stacks: dense, rank one (where ||H^2||_F equals rho^2, so the bound has no
+# slack but its margin), with subnormal entries, or zero; each scaled by 2**k
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2, 3, 8, 64]), kind=st.sampled_from(["dense", "rank one",
+       "subnormal", "zero"]), size=st.integers(1, 4), k=st.integers(-1000, 1000),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_radius_bound_is_certified(dim, kind, size, k, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((size, dim, dim)) + 1j * rng.standard_normal((size, dim, dim))
+    if kind == "rank one":
+        a = a[:, :, :1] @ a[:, :, :1].conj().swapaxes(-1, -2)
+    if kind == "subnormal":
+        a[rng.random(a.shape) < 0.5] *= 2.0 ** -1070
+    hs = np.ldexp(1.0, k) * (a + a.conj().swapaxes(-1, -2)) / 2 * (kind != "zero")
+    assert np.array_equal(hs, hs.conj().swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in evolve
+        bounds = dynamics._radius_bounds(hs)
+    exact = dynamics._spectral_radii(hs)
+    # dt * bound < 0.1 then certifies dt * rho < 0.1 at every dt; a NaN bound certifies nothing
+    assert not (bounds < exact).any(), (bounds, exact)
+    # and it is no looser than ||H^2||_F allows: rho^2 <= ||H^2||_F <= sqrt(d) rho^2
+    top = np.maximum(np.abs(hs.real), np.abs(hs.imag)).max(axis=(-2, -1))
+    normal = top >= 2.0 ** -1022
+    assert (bounds[normal] <= 1.01 * dim ** 0.25 * exact[normal]).all(), (bounds, exact)
