@@ -465,11 +465,14 @@ def _run_grid(model, block, meta, out_path, fmt, written) -> None:
     # one axis per parameter in model order; a fixed parameter's holds its value
     values = [np.linspace(*spans[name]) if name in spans else base[p:p + 1]
               for p, name in enumerate(model.parameters)]
-    points = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, k)  # row-major
+    def where(i: int) -> str:  # the point of row i, row-major
+        at = np.unravel_index(i, [v.size for v in values])
+        return f"lambda = {[v[j].item() for v, j in zip(values, at)]}"
+
     (gi, gj), (fi, fj) = np.triu_indices(k), np.triu_indices(k, 1)
     rows = []
-    for energies, _, q in level_blocks(model, points, level, tensors=True,
-                                       where=lambda i: f"lambda = {points[i].tolist()}"):
+    for energies, _, q in level_blocks(model, dict(zip(model.parameters, np.ix_(*values))),
+                                       level, tensors=True, where=where):
         g, f = q.real, -2.0 * q.imag
         rows.append(np.column_stack([g[:, gi, gj], f[:, fi, fj], level_gap(energies, level)]))
 

@@ -83,7 +83,7 @@ FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 class Dual:
     """First-order dual number: value plus directional derivative.
 
-    Either a float each, or N point values and a (k, N) array of partials.
+    Either a float each, or point values of shape S and a (k, *S) array of partials.
     """
 
     value: float | np.ndarray
@@ -347,17 +347,20 @@ def evaluate_with_derivative(
 def evaluate_gradient(
     ast: ExprNode, columns: Mapping[str, np.ndarray], directions: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values (N,) and partials (k, N) at N points, from one walk of the tree.
+    """Values (*S) and partials (k, *S) at the points of shape S, from one walk of the tree.
 
-    ``columns`` maps each parameter to a 1-D array of its N values; partial
+    ``columns`` maps each parameter to an array of its values; the arrays
+    broadcast together to the shape S of the points (N values each, or a
+    product grid's axes such as (n, 1) and (1, m), or a scalar).  Partial
     row i is seeded with 1 on ``directions[i]``.  A domain error at any
     point raises, naming a failing value but not the point; a non-finite
     value is named before a non-finite partial.
     """
     columns = {name: np.asarray(c, dtype=float) for name, c in columns.items()}
     shape = np.broadcast_shapes(*(c.shape for c in columns.values()))
+    seeds = (-1, *[1] * len(shape))  # one partial row per direction, over the points' shape
     env = {
-        name: Dual(c, np.array([float(d == name) for d in directions]).reshape(-1, 1))
+        name: Dual(c, np.array([float(d == name) for d in directions]).reshape(seeds))
         for name, c in columns.items()
     }
     with np.errstate(all="ignore"):  # domain errors raise; nothing else warns

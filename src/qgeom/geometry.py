@@ -261,7 +261,9 @@ class SurfaceGrid:
         A torus range must be one period, not several: H on the first edge
         must not repeat at 1/p of it, for each prime p up to the direction's
         grid count (m periods repeat at 1/p for each prime p | m), unless H
-        does not depend on that direction.
+        does not depend on that direction.  The primes come from a sieve, and
+        all probes are compared with the edge in one pass at its first point,
+        then the probes that still repeat in one pass over the whole edge.
 
         Raises
         ------
@@ -302,17 +304,16 @@ class SurfaceGrid:
             return
         for name, (lo, hi), along_mu, others in ((mu_name, self.mu_range, True, self.nu_values),
                                                  (nu_name, self.nu_range, False, self.mu_values)):
-            n = (self.mu_values if along_mu else self.nu_values).size
-            primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, int(p**0.5) + 1))]
-            xs = np.array([lo, lo + (hi - lo) * FLAT_PROBE, *(lo + (hi - lo) / p for p in primes)])
-            rows = list(range(len(xs)))  # lo, the flat probe, then one per prime
+            primes = _primes((self.mu_values if along_mu else self.nu_values).size)
+            xs = np.concatenate([[lo, lo + (hi - lo) * FLAT_PROBE], lo + (hi - lo) / primes])
+            rows = np.arange(len(xs))  # lo, the flat probe, then one per prime
             for edge in (others[:1], others):  # one edge point already rules most primes out
                 at = xs[rows, None]
                 points = self._at(at, edge) if along_mu else self._at(edge, at)
-                h = np.split(np.concatenate([b for b, _ in hamiltonian_blocks(model, points)]),
-                             len(rows))
-                same = [not _mismatch(h[0], hx)[1].any() for hx in h[1:]]
-                rows = rows[:2] + [r for r, repeats in zip(rows[2:], same[1:]) if repeats]
+                h = np.concatenate([b for b, _ in hamiltonian_blocks(model, points)])
+                h = h.reshape(len(rows), len(edge), *h.shape[1:])  # (probe, edge point, H)
+                same = ~_mismatch(h[:1], h[1:])[1].any(axis=1)  # each probe row against lo's
+                rows = rows[np.r_[True, True, same[1:]]]
                 if len(rows) == 2:
                     break
             if len(rows) > 2 and not same[0]:  # a direction H does not depend on has no flux
@@ -323,10 +324,18 @@ class SurfaceGrid:
 
 
 def _mismatch(ha: np.ndarray, hb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per point max|Ha - Hb|, and whether it exceeds 1e-9 * max(1, max|H|)."""
-    mismatch = np.abs(ha - hb).max(axis=(1, 2))
-    scale = np.maximum(1.0, np.maximum(np.abs(ha), np.abs(hb)).max(axis=(1, 2)))
+    """Per broadcast point max|Ha - Hb|, and whether it exceeds 1e-9 * max(1, max|H|)."""
+    mismatch = np.abs(ha - hb).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.maximum(np.abs(ha), np.abs(hb)).max(axis=(-2, -1)))
     return mismatch, mismatch > 1e-9 * scale
+
+
+def _primes(n: int) -> np.ndarray:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = np.arange(n + 1) > 1
+    for p in range(2, int(n**0.5) + 1):  # a composite p crosses out multiples of its factors
+        sieve[p * p::p] = False
+    return np.flatnonzero(sieve)
 
 
 @dataclass(frozen=True)
@@ -420,11 +429,15 @@ def berry_flux(model: ModelSpec, level: int, grid: SurfaceGrid,
     grid.check_closed(model)
     n_mu, n_nu = grid.mu_values.size, grid.nu_values.size
     poles = grid.poles()
-    points = np.vstack([grid._at(grid.mu_values[:, None], grid.nu_values), *poles.values()])
+    names = model.parameters  # the grid's axes, its base elsewhere; poles join its last block
+    points = (np.vstack([grid._at(grid.mu_values[:, None], grid.nu_values), *poles.values()])
+              if poles else {**dict(zip(names, grid.base)), names[grid.mu]: grid.mu_values[:, None],
+                             names[grid.nu]: grid.nu_values})
 
     def where(i: int) -> str:
         pole = f"{list(poles)[i - n_mu * n_nu]} pole, " if i >= n_mu * n_nu else ""
-        return f"{pole}lambda = {points[i].tolist()}"
+        at = list(poles.values())[i - n_mu * n_nu] if pole else grid.point(*divmod(i, n_nu))
+        return f"{pole}lambda = {at.tolist()}"
 
     states = level_states(model, points, level, where)
     if (bad := np.flatnonzero(~np.isfinite(states).all(axis=1))).size:  # no link guard sees NaN

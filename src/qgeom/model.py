@@ -135,28 +135,29 @@ def parameter_point(model: ModelSpec, values) -> np.ndarray:
     return lam
 
 
-def _evaluate_all(asts, names, points: np.ndarray, directions, located):
-    """Values (A, N) and partials (A, N, k) of A trees at the rows of ``points``.
+def _evaluate_all(asts, columns, directions, located):
+    """Values (A, N) and partials (A, N, k) of A trees at the N points of ``columns``.
 
+    ``columns`` maps each name to its values; they broadcast together (see
+    :func:`expr.evaluate_gradient`), and the points are flattened row-major.
     A domain error is located after the batch, point by point (each tree's
     values, then its partials one direction at a time), and the error raised
     is ``located(tree index, binding, point-wise error)``.
     """
     try:
-        pairs = [expr.evaluate_gradient(ast, dict(zip(names, points.T)), directions)
-                 for ast in asts]
+        pairs = [expr.evaluate_gradient(ast, columns, directions) for ast in asts]
     except EvaluationError:
-        for row in points:
-            env = dict(zip(names, row.tolist()))
+        for row in np.stack(np.broadcast_arrays(*columns.values()), -1).reshape(-1, len(columns)):
+            env = dict(zip(columns, row.tolist()))
             for k, ast in enumerate(asts):
                 try:
                     for seeds in [(), *zip(directions)]:  # values, then each direction
-                        expr.evaluate_gradient(ast, dict(zip(names, row[:, None])), seeds)
+                        expr.evaluate_gradient(ast, dict(zip(columns, row[:, None])), seeds)
                 except EvaluationError as exc:
                     raise located(k, env, exc) from None
         raise
-    values = np.array([np.broadcast_to(v, len(points)) for v, _ in pairs])
-    return values, np.array([p.T for _, p in pairs])
+    values = np.array([v.ravel() for v, _ in pairs])
+    return values, np.array([p.reshape(len(directions), values.shape[1]).T for _, p in pairs])
 
 
 def _assemble(terms: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
@@ -172,23 +173,31 @@ def _assemble(terms: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 
 def hamiltonian_blocks(model: ModelSpec, points, directions=()):
-    """Yield (H, dH) for consecutive blocks of the (N, k) parameter ``points``.
+    """Yield (H, dH) for consecutive blocks of the parameter ``points``.
 
-    H is (n, dim, dim) and dH/d(directions) is (n, len(directions), dim, dim),
-    or None without directions.  A domain error names the term and the first
-    point where it occurs.
+    ``points`` is an (N, k) array, or a mapping of every parameter name to its
+    column of values, such as a product grid's axes (n, 1) and (1, m) and a
+    fixed parameter's scalar: the points are their broadcast, flattened
+    row-major.  H is (n, dim, dim) and dH/d(directions) is
+    (n, len(directions), dim, dim), or None without directions.  A domain
+    error names the term and the first point where it occurs.
     """
-    lam = np.asarray(points, dtype=float)
-    if lam.ndim != 2 or lam.shape[1] != model.n_parameters or not np.isfinite(lam).all():
-        raise InputError(f"parameter points must be finite, of shape (N, "
-                         f"{model.n_parameters}); got shape {lam.shape}")
+    if not isinstance(points, Mapping):  # an (N, k) array is its k columns
+        lam = np.asarray(points, dtype=float)
+        if lam.ndim != 2 or lam.shape[1] != model.n_parameters or not np.isfinite(lam).all():
+            raise InputError(f"parameter points must be finite, of shape (N, "
+                             f"{model.n_parameters}); got shape {lam.shape}")
+        points = dict(zip(model.parameters, lam.T))
+    columns = {p: points.get(p, np.nan) for p in model.parameters}  # a missing one is not finite
+    if points.keys() - columns.keys() or not all(np.isfinite(c).all() for c in columns.values()):
+        raise InputError(f"parameter columns must be finite, one for each of {model.parameters}")
     values, partials = _evaluate_all(
-        [ast for _, ast in model.terms], model.parameters, lam, directions,
+        [ast for _, ast in model.terms], columns, directions,
         lambda k, env, e: EvaluationError(f"term {k} ({model.coeff_sources[k]!r}) at {env}: {e}"),
     )
     terms = np.array([matrix for matrix, _ in model.terms])
     step = min(BLOCK_POINTS, max(1, BLOCK_ENTRIES // model.dim**2))
-    for lo in range(0, len(lam), step):
+    for lo in range(0, values.shape[1], step):
         block = slice(lo, lo + step)
         dh = _assemble(terms, partials[:, block]) if directions else None
         yield _assemble(terms, values[:, block]), dh
@@ -225,8 +234,8 @@ class Curve:
     def sample(self, xs, rates: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
         """lambda(x) (N, k) at every x, and d lambda / dx (N, k) if ``rates``, else None."""
         directions = (self.variable,) if rates else ()
-        lam, rate = _evaluate_all(self.coords, (self.variable,), np.reshape(xs, (-1, 1)),
-                                  directions, self._located)
+        lam, rate = _evaluate_all(self.coords, {self.variable: np.ravel(xs)}, directions,
+                                  self._located)
         return lam.T, (rate[:, :, 0].T if rates else None)
 
     def _located(self, k: int, env: dict, exc: EvaluationError) -> EvaluationError:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, InputError, StepError
+from .errors import DegeneracyError, InputError, NumericalError, StepError
 from .model import ModelSpec, hamiltonian_blocks, parameter_point
 from .numerics import (EigenSystem, _eigh, default_degeneracy_tol, degeneracy_groups, hermitian,
                        hermitian_eigensystem, integer_index, level_eigenvectors)
@@ -204,20 +204,28 @@ def _solved_blocks(model: ModelSpec, points, level: int, where, directions, vect
 
 
 def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False, where=None):
-    """Yield (energies (n, d), eigenvectors (n, d, d), Q (n, k, k) or None) per H block.
+    """Yield (energies (n, d), eigenvectors (n, d, d), Q (n, k, k) or None) per H block
+    of the ``points`` (as :func:`~qgeom.model.hamiltonian_blocks` takes them).
 
     Q, the sum-over-states tensor of ``level``, comes with ``tensors``.  The
     first point where the level is not isolated (as by :func:`degeneracy_groups`
     with :func:`default_degeneracy_tol`) raises DegeneracyError, prefixed
-    "at {where(i)}: " when ``where`` is given.
+    "at {where(i)}: " when ``where`` is given; the first point whose Q is not
+    finite, as an overflowed H gives, raises NumericalError naming
+    ``where(i)`` (or "point i").
     """
     directions = model.parameters if tensors else ()
-    for _, _, dh, e, v in _solved_blocks(model, points, level, where, directions, True):
-        yield e, v, _abelian(e, v, dh, level) if tensors else None
+    for start, _, dh, e, v in _solved_blocks(model, points, level, where, directions, True):
+        q = _abelian(e, v, dh, level) if tensors else None
+        if tensors and (bad := np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))).size:
+            label = where(start + bad[0]) if where else f"point {start + bad[0]}"
+            raise NumericalError(f"level {level} tensor at {label} is not finite")
+        yield e, v, q
 
 
 def level_states(model: ModelSpec, points, level: int, where=None) -> np.ndarray:
-    """Unit ``level`` eigenstates (N, d) at the points, each in an arbitrary phase.
+    """Unit ``level`` eigenstates (N, d) at the ``points`` (as :func:`level_blocks` takes
+    them), each in an arbitrary phase.
 
     Isolation is checked as by :func:`level_blocks`.  Below ``STATE_SOLVE_MIN_DIM``
     the states are ``eigh``'s columns; from it up they come from ``eigvalsh`` and

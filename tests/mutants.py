@@ -57,6 +57,7 @@ CHECK = "tests/test_cli.py::TestCheckCommand::"
 EIGH2 = "tests/test_numerics.py::test_dim2_eigh_equals_lapack_bit_for_bit"
 BOUND = DYN + "::test_the_radius_bound_is_certified"
 SIZES = "tests/test_cli.py::test_a_count_past_physical_memory_exits_1_before_its_arrays_are_built"
+AXES = "tests/test_batch.py::test_axes_evaluate_as_their_row_major_points"
 
 ROWS = [
     # the tensor and its isolation rule
@@ -116,6 +117,13 @@ ROWS = [
     ("prime probe on full edges again", "geometry.py", "for edge in (others[:1], others):",
      "for edge in (others,):",
      [GEO + "::test_torus_period_probe_evaluates_one_edge_point_per_prime"]),
+    ("a sieve that drops p = n", "geometry.py", "sieve = np.arange(n + 1) > 1",
+     "sieve = np.arange(n) > 1",
+     [GEO + "::test_torus_period_probe_primes_match_trial_division"]),
+    ("a probe comparison over the first edge point only", "geometry.py",
+     "same = ~_mismatch(h[:1], h[1:])[1].any(axis=1)",
+     "same = ~_mismatch(h[:1], h[1:])[1][:, :1].any(axis=1)",
+     [GEO + "::test_torus_period_probe_decides_on_the_full_edge"]),
     # evolution
     ("misaligned growth marks", "dynamics.py",
      "marks = range(-k0 % check_every, steps, check_every)",
@@ -134,6 +142,14 @@ ROWS = [
      "@ np.concatenate(g).astype(complex).real @", [ONE_POINT]),
     ("C-contiguous level states", "geometry.py", "np.concatenate(columns, axis=1).T",
      "np.ascontiguousarray(np.concatenate(columns, axis=1).T)", [ONE_POINT + "[8]"]),
+    # coefficients walked once per grid axis
+    ("column-major flattening", "model.py", "values = np.array([v.ravel() for v, _ in pairs])\n"
+     "    return values, np.array([p.reshape(len(directions), values.shape[1]).T",
+     'values = np.array([v.ravel("F") for v, _ in pairs])\n'
+     '    return values, np.array([p.reshape(len(directions), values.shape[1], order="F").T',
+     [AXES]),
+    ("seeds left at (-1, 1)", "expr.py", "seeds = (-1, *[1] * len(shape))", "seeds = (-1, 1)",
+     [AXES]),
     # expressions
     ("chain folded right to left", "expr.py", "for op in reversed(spine):", "for op in spine:",
      ["tests/test_expr.py::test_a_long_chain_evaluates_as_a_left_fold",
@@ -194,6 +210,9 @@ ROWS = [
     ("no check of non-finite states", "geometry.py",
      "if (bad := np.flatnonzero(~np.isfinite(states).all(axis=1))).size:", "if False:",
      ["tests/test_cli.py::test_a_state_that_is_not_finite_exits_2_naming_its_point"]),
+    ("no check of non-finite tensors", "qgt.py",
+     "if tensors and (bad := np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))).size:",
+     "if False:", ["tests/test_cli.py::test_a_tensor_that_is_not_finite_exits_2_naming_its_point"]),
     # the check verdict
     ("verdict order threshold below a constant error's order", "cli.py",
      "slope is not None and slope < 1.5 and", "slope is not None and slope < -0.5 and",

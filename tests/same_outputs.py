@@ -7,14 +7,17 @@ OLD_SRC and NEW_SRC are directories that each hold a ``qgeom`` package
 workloads (``perfbench/workloads.build``: lattice, dense and drive, seeds
 1-3) once, into a temporary directory; the configs must be shared because
 the dense model's file path enters every ``config_sha256``.  Beside them it
-writes its own: for seeds 1-3, one spin_half ``evolve`` and one ``distance``
-whose curves move theta and phi together, which no benchmark curve does.
-Each tree's ``qgeom.cli.main`` then runs every config in CSV and in JSON, in
-its own ``python -B`` interpreter with BLAS on one thread: 120 output files
-per tree.  Every file is compared byte for byte.  The first difference is
-printed (file and line), and the exit code is 1 on any difference or on a
-run that does not exit 0.  It reads ``perfbench/`` and writes nothing there;
-pytest does not collect it.  Needs the standard library and numpy.
+writes its own for seeds 1-3: one spin_half ``evolve`` and one ``distance``
+whose curves move theta and phi together, which no benchmark curve does; and,
+on a three-parameter model file, a ``grid`` with a fixed parameter and a
+length-1 axis, an open ``chern`` surface and a torus with a fixed third
+parameter, which no workload lays out.  Each tree's ``qgeom.cli.main`` then
+runs every config in CSV and in JSON, in its own ``python -B`` interpreter
+with BLAS on one thread: 150 output files per tree.  Every file is compared
+byte for byte.  The first difference is printed (file and line), and the
+exit code is 1 on any difference or on a run that does not exit 0.  It reads
+``perfbench/`` and writes nothing there; pytest does not collect it.  Needs
+the standard library and numpy.
 """
 
 import json
@@ -52,6 +55,29 @@ def two_parameter_curves(seed: int) -> list[tuple[str, dict]]:
                                                        "path": path}})]
 
 
+def axes_configs(seed: int, folder: Path) -> list[tuple[str, dict]]:
+    """(command, config) of a three-parameter model file's grid with a fixed parameter and
+    a length-1 axis, its open chern surface and its torus with a fixed third parameter."""
+    pauli = ([[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+             [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]])
+    coeffs = ("sin(kx) + 0.1*m^2*sin(ky)", "sin(ky)", "m + cos(kx) + exp(cos(ky)) - 1")
+    model = folder / "three_parameter_model.json"
+    model.write_text(json.dumps({"name": "three-parameter lattice", "dim": 2,
+                                 "parameters": ["kx", "ky", "m"],
+                                 "terms": [{"matrix": p, "coeff": c}
+                                           for p, c in zip(pauli, coeffs)]}))
+    mass, ky = 0.6 + 0.3 * seed, 0.4 * seed
+    grid = {"level": 0, "axes": {"kx": [-3.0, 3.0, 9 + seed], "ky": [ky, ky, 1]},
+            "fixed": {"m": mass}}
+    open_surface = {"closure": "open", "mu": "kx", "nu": "m", "shape": [10, 12 + seed],
+                    "mu_range": [-1.0, 1.0], "nu_range": [0.5, 1.5], "fixed": {"ky": ky}}
+    torus = {"closure": "torus", "mu": "kx", "nu": "ky", "shape": [20, 23 + seed],
+             "fixed": {"m": mass}}
+    return [("grid", {"model": str(model), "grid": grid}),
+            *(("chern", {"model": str(model), "chern": {"level": 0, "surface": surface}})
+              for surface in (open_surface, torus))]
+
+
 def write_configs(work: Path) -> list[tuple[str, list[str]]]:
     """(output name, argv without --output) for every config, seed and format."""
     sys.path.insert(0, str(PERFBENCH))
@@ -59,11 +85,12 @@ def write_configs(work: Path) -> list[tuple[str, list[str]]]:
     import workloads
 
     jobs = []
-    for name in [*workloads.WORKLOADS, "two_parameter"]:
+    for name in [*workloads.WORKLOADS, "two_parameter", "axes"]:
         for seed in SEEDS:
             folder = work / f"{name}_{seed}"
             folder.mkdir()
             configs = (two_parameter_curves(seed) if name == "two_parameter" else
+                       axes_configs(seed, folder) if name == "axes" else
                        [(inv.command, inv.config)
                         for inv in workloads.build(name, seed, folder).invocations])
             for k, (command, doc) in enumerate(configs):

@@ -73,6 +73,37 @@ def test_gradient_walk_matches_the_pointwise_walk(src, points, directions):
     np.testing.assert_allclose(got, np.array(expected), rtol=1e-14, atol=0)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_axes_evaluate_as_their_row_major_points(data):
+    # a product grid's axes, a fixed parameter's scalar among them, against the (N, k)
+    # points they flatten to: the same bits, or the same error naming the same first point
+    names = PARAMS[:data.draw(st.integers(1, 3))]
+    exprs = st.recursive(st.one_of(st.sampled_from(names), _constants), _extend, max_leaves=8)
+    coeffs = data.draw(st.lists(exprs, min_size=1, max_size=3))
+    units = np.eye(len(coeffs))  # H = diag(coefficients)
+    model = qg.model_spec("axes", len(coeffs), names, list(zip(map(np.diag, units), coeffs)))
+    # an axis (a list, perhaps of length 1) two times in three, else a fixed scalar
+    axis = st.lists(COORDINATE, min_size=1, max_size=4)
+    values = [data.draw(st.sampled_from([axis, axis, COORDINATE]).flatmap(lambda s: s))
+              for _ in names]
+    axes = iter(np.ix_(*[np.array(v) for v in values if isinstance(v, list)]))
+    columns = {p: next(axes) if isinstance(v, list) else v for p, v in zip(names, values)}
+    grids = np.meshgrid(*map(np.atleast_1d, values), indexing="ij")
+    points = np.stack(grids, axis=-1).reshape(-1, len(names))
+    directions = tuple(data.draw(st.lists(st.sampled_from(names), max_size=3, unique=True)))
+
+    def evaluated(at):
+        try:
+            h, dh = zip(*qg.hamiltonian_blocks(model, at, directions))
+        except qg.EvaluationError as exc:
+            return str(exc)
+        return np.concatenate(h).tobytes(), directions and np.concatenate(dh).tobytes()
+
+    assert evaluated(columns) == evaluated(points)
+
+
 def _pinch_model():
     # H = x sz + y sx is degenerate only at x = y = 0
     return qg.model_spec("pinch", 2, ("x", "y"), [(SZ, "x"), (SX, "y")])

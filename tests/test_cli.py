@@ -524,6 +524,24 @@ def test_a_state_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys):
                    "is not finite\n")
 
 
+@pytest.mark.parametrize("command, block, where", [
+    ("grid", {"level": 0, "axes": {"theta": [0.1, 3, 3], "phi": [0, 6, 2]}},
+     "lambda = [0.1, 0.0]"),
+    ("distance", {"level": 0, "path": {"theta": "s", "phi": "0.3"}}, "s = 0"),
+])
+def test_a_tensor_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys, command, block,
+                                                              where):
+    # mu_times_b = 1e308 overflows the model's terms, so every Q is NaN; unchecked, grid
+    # writes NaN rows and distance fails later on its end states, naming no point
+    cfg = _write_config(tmp_path, {"model": {"builtin": "spin_half", "mu_times_b": 1e308},
+                                   command: block})
+    with pytest.warns(RuntimeWarning):  # numpy reports the overflow and its NaNs
+        code, _, err = _run(capsys, command, "--config", str(cfg),
+                            "--output", str(tmp_path / "out.csv"))
+    assert code == 2 and list(tmp_path.iterdir()) == [cfg]
+    assert err == f"numerical error: level 0 tensor at {where} is not finite\n"
+
+
 class TestDistanceCommand:
     def test_meridian_angle(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {

@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 import qgeom as qg
+import qgeom.model as model_mod
 from conftest import SX, SY, SZ, bloch_overlap, random_trig_model, upper_state
 
 
@@ -564,6 +566,25 @@ def test_torus_period_probe_decides_on_the_full_edge(monkeypatch):
     periods = qg.SurfaceGrid.torus(model, "kx", "ky", (16, 16), mu_range=(0.0, 6 * np.pi))
     with pytest.raises(qg.InputError, match="along 'kx'.* repeats at 1/3 of the range"):
         periods.check_closed(model)
+
+
+def test_torus_period_probe_primes_match_trial_division():
+    for n in range(2, 301):
+        expected = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+        assert qg.geometry._primes(n).tolist() == expected, n
+
+
+def test_torus_period_probe_compares_once_per_pass_whatever_the_prime_count(monkeypatch):
+    # ky probes lo, the flat point and the 17,984 primes up to 200,000: one comparison per
+    # pass (one edge point, then the whole edge), not one per prime; the seams compare
+    # once per block of H
+    model = qg.two_band_lattice(1.0)
+    grid = qg.SurfaceGrid.torus(model, "kx", "ky", (3, 200_000))
+    calls, mismatch = [], qg.geometry._mismatch
+    monkeypatch.setattr(qg.geometry, "_mismatch", lambda *h: calls.append(1) or mismatch(*h))
+    grid.check_closed(model)
+    seam_blocks = 1 + math.ceil(200_000 / model_mod.BLOCK_POINTS)
+    assert seam_blocks < len(calls) <= seam_blocks + 4
 
 
 def test_small_separation_check_needs_one_entry_per_parameter(spin_model):
