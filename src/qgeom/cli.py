@@ -27,7 +27,6 @@ null for a value that is not finite.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -94,7 +93,7 @@ def _cleanup(written: list[Path]) -> None:
 
 
 def run(command: str, config_path, output, fmt, written: list[Path]) -> None:
-    raw_bytes, cfg = read_json(Path(config_path), "config")
+    digest, cfg = read_json(Path(config_path), "config")
     if not isinstance(cfg, dict):
         raise InputError("config top level must be an object")
 
@@ -124,7 +123,7 @@ def run(command: str, config_path, output, fmt, written: list[Path]) -> None:
         "version": __version__,
         "command": command,
         "model": model.name,
-        "config_sha256": hashlib.sha256(raw_bytes).hexdigest(),
+        "config_sha256": digest.hex(),
         "conventions": "; ".join(CONVENTIONS),
     }
 

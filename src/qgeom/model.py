@@ -31,6 +31,7 @@ dim x dim.  Each matrix must be Hermitian within 1e-12 (relative to its
 largest entry); it is then symmetrized exactly.
 """
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +62,9 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 BLOCK_ENTRIES = 2**14  # complex entries of H in one block: 4 points at dim 64, bounded memory
-BLOCK_POINTS = 1024  # cap on the points in one block; larger ones were no faster at dim 2
+# cap on the points in one block, trading speed for memory: at dim 2 ``numerics._eigh`` costs
+# less per matrix in longer stacks (385 ns at 1,024, 303 at 16,384; best of 40, 2-core Xeon)
+BLOCK_POINTS = 1024
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,7 @@ def model_spec(name: str, dim: int, parameters, terms) -> ModelSpec:
     for k, (matrix, coeff) in enumerate(terms):
         try:  # one prefix for every error of the term; a ParseError is an InputError
             h = hermitian(matrix, asymmetry_tol=1e-12)
+            h.setflags(write=False)  # a spec may be shared (see load_model_spec)
             if h.shape[0] != dim:
                 raise InputError(f"matrix is {h.shape[0]}x{h.shape[0]}, expected {dim}x{dim}")
             built.append((h, expr.parse_expression(coeff, params)))
@@ -316,24 +320,42 @@ def two_band_lattice(mass: float) -> ModelSpec:
     )
 
 
-def read_json(path: Path, what: str) -> tuple[bytes, object]:
-    """The file's bytes and their JSON document (UTF-8, -16 or -32); errors name ``what``
+def read_json(path: Path, what: str, known=(b"", None)) -> tuple[bytes, object]:
+    """The SHA-256 digest of the file's bytes and their JSON document (UTF-8, -16 or -32),
+    or ``known`` itself, undecoded, if that digest is ``known[0]``.  Errors name ``what``
     and the path, quoted with escapes if it holds a control character other than NUL."""
     shown = path if str(path).replace("\0", "").isprintable() else repr(str(path))
     try:
         raw = path.read_bytes()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise InputError(f"cannot read {what} {shown}: {exc}") from None
+    if (digest := hashlib.sha256(raw).digest()) == known[0]:
+        return known
     try:
-        return raw, json.loads(raw)
+        return digest, json.loads(raw)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError, nesting
         raise InputError(f"{what} {shown} is not valid JSON: {exc}") from None
 
 
+_last_decoded = (b"", None)  # SHA-256 digest of the last model-file bytes decoded, and their spec
+
+
 def load_model_spec(path) -> ModelSpec:
-    """Read and validate a model definition file (schema in module docs)."""
-    path = Path(path)
-    _, raw = read_json(path, "model file")
+    """Read and validate a model definition file (schema in module docs).
+
+    The file is read on every call, but decoded only if its bytes differ from the
+    last ones decoded in this process; otherwise their spec is returned again.
+    """
+    global _last_decoded
+    path, last = Path(path), _last_decoded
+    digest, doc = read_json(path, "model file", last)
+    if digest != last[0]:  # an error raises before the slot is set
+        _last_decoded = last = digest, _model_from_document(doc, path)
+    return last[1]
+
+
+def _model_from_document(raw, path: Path) -> ModelSpec:
+    """The spec of a model file's JSON document ``raw``; every error names ``path``."""
     try:  # every error from here on names the file once
         if not isinstance(raw, dict):
             raise InputError("top level must be an object")
@@ -367,7 +389,8 @@ def _parse_complex_matrix(rows, dim: int, where: str) -> np.ndarray:
         pairs = np.array(rows)
     except ValueError:  # ragged nesting
         pairs = np.empty(0)
-    if pairs.shape == (dim, dim, 2) and pairs.dtype.kind in "biuf":
+    if (pairs.shape == (dim, dim, 2) and pairs.dtype.kind in "iuf"  # numpy reads a bool as 1/0
+            and bool not in {type(x) for row in rows for entry in row for x in entry}):
         # the [re, im] float pairs viewed as complex: exactly complex(re, im)
         return pairs.astype(float).view(complex)[..., 0]
     # the entry-by-entry walk names the first malformed entry
@@ -379,7 +402,7 @@ def _parse_complex_matrix(rows, dim: int, where: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(x, (int, float)) for x in entry)
+                or not all(type(x) in (int, float) for x in entry)  # JSON: no bool
             ):
                 raise InputError(
                     f"{where}: entry ({i},{j}) must be a 2-array [re, im]"

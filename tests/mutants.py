@@ -58,6 +58,7 @@ EIGH2 = "tests/test_numerics.py::test_dim2_eigh_equals_lapack_bit_for_bit"
 BOUND = DYN + "::test_the_radius_bound_is_certified"
 SIZES = "tests/test_cli.py::test_a_count_past_physical_memory_exits_1_before_its_arrays_are_built"
 AXES = "tests/test_batch.py::test_axes_evaluate_as_their_row_major_points"
+MODEL = "tests/test_model.py::"
 
 ROWS = [
     # the tensor and its isolation rule
@@ -183,6 +184,31 @@ ROWS = [
     ("term errors without their prefix", "model.py", 'InputError(f"term {k}: {exc}") from None',
      'InputError(f"{exc}") from None',
      ["tests/test_model.py::TestModelSpecValidation::test_a_term_error_is_prefixed_once"]),
+    # a model file decoded once per content
+    ("model-file slot keyed on the path", "model.py",
+     "if (digest := hashlib.sha256(raw).digest()) == known[0]:",
+     "if (digest := str(path).encode()) == known[0]:",
+     [MODEL + "test_a_file_rewritten_with_its_size_and_mtime_is_decoded_again"]),
+    ("model-file error cached", "model.py",
+     "    if digest != last[0]:  # an error raises before the slot is set\n"
+     "        _last_decoded = last = digest, _model_from_document(doc, path)\n",
+     "    if digest != last[0]:\n"
+     "        try:\n"
+     "            _last_decoded = last = digest, _model_from_document(doc, path)\n"
+     "        except InputError as exc:\n"
+     "            _last_decoded = last = digest, exc\n"
+     "    if isinstance(last[1], InputError):\n"
+     "        raise last[1]\n",
+     [MODEL + "test_an_error_is_not_kept_for_the_next_path[schema]"]),
+    ("term matrices left writable", "model.py", "h.setflags(write=False)", "h.setflags(write=True)",
+     [MODEL + "test_term_matrices_are_read_only"]),
+    ("booleans accepted in the fast path", "model.py",
+     'pairs.dtype.kind in "iuf"  # numpy reads a bool as 1/0\n'
+     "            and bool not in {type(x) for row in rows for entry in row for x in entry}):",
+     'pairs.dtype.kind in "biuf"):', [MODEL + "test_a_boolean_matrix_entry_is_an_error"]),
+    ("booleans accepted in the entry walk", "model.py", "type(x) in (int, float) for x in entry",
+     "isinstance(x, (int, float)) for x in entry",
+     [MODEL + "test_a_boolean_matrix_entry_is_an_error[entry-walk]"]),
     # one solve for every check step
     ("a step's rows taken from another step", "cli.py",
      "range(0, len(solved.states), len(offsets[0]))",

@@ -1270,3 +1270,17 @@ def test_a_long_string_mismatch_reports_its_first_differing_line(pytestconfig):
     # pytest's own report is skipped for the long pair alone
     assert assertion_util.assertrepr_compare(pytestconfig, "==", left, right) is None
     assert assertion_util.assertrepr_compare(pytestconfig, "==", "short", "shirt")
+
+
+@pytest.mark.parametrize("entries", [[[True, False], [0, 0]], [[True, 0.5], [0, 0]]],
+                         ids=["bool", "bool-and-float"])
+def test_a_boolean_model_file_entry_exits_1_and_writes_nothing(tmp_path, capsys, entries):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"name": "bits", "dim": 2, "parameters": ["x"], "terms": [
+        {"matrix": [entries, [[0, 0], [False, False]]], "coeff": "x"}]}))
+    cfg = _write_config(tmp_path, {"model": str(model), "check": {"level": 0, "point": [0.5]}})
+    out = tmp_path / "check.csv"
+    code, _, err = _run(capsys, "check", "--config", str(cfg), "--output", str(out))
+    assert (code, err) == (1, f"error: model file {model}: term 0: entry (0,0) must be a "
+                              f"2-array [re, im]\n")
+    assert sorted(tmp_path.iterdir()) == [cfg, model]

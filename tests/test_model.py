@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -351,3 +352,76 @@ def test_matrix_errors_start_with_the_model_file_prefix(tmp_path, mutate, needle
     with pytest.raises(qg.InputError) as err:
         qg.load_model_spec(path)
     assert str(err.value) == f"model file {path}: {needle}"
+
+
+# --------------------------------------------------------------------------
+# a model file is decoded once per content
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    """No model file decoded yet in this process; the slot is restored afterwards."""
+    monkeypatch.setattr(qg.model, "_last_decoded", (b"", None))
+
+
+def test_unchanged_bytes_are_decoded_once_wherever_they_are(tmp_path, monkeypatch, empty_slot):
+    parsed = []
+    parse = qg.model._parse_complex_matrix
+    monkeypatch.setattr(qg.model, "_parse_complex_matrix",
+                        lambda *args: parsed.append(args[2]) or parse(*args))
+    path = _spin_half_file(tmp_path)
+    model = qg.load_model_spec(path)
+    assert parsed == ["term 0", "term 1", "term 2"]
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(path.read_bytes())
+    assert qg.load_model_spec(path) is model and qg.load_model_spec(copy) is model
+    assert len(parsed) == 3
+
+
+def test_a_file_rewritten_with_its_size_and_mtime_is_decoded_again(tmp_path, empty_slot):
+    path = _spin_half_file(tmp_path)
+    before = qg.load_model_spec(path)
+    stat = path.stat()
+    text = path.read_text()
+    assert text.count("[1.0, 0.0]") == 3  # sx twice, then sz at (0, 0)
+    path.write_text(text.replace("[1.0, 0.0]", "[2.0, 0.0]"))
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size and path.stat().st_mtime_ns == stat.st_mtime_ns
+    after = qg.load_model_spec(path)
+    assert np.array_equal(after.terms[0][0], 2 * before.terms[0][0])
+    assert np.array_equal(after.terms[2][0], np.diag([2.0, -1.0]))
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("{nope", "is not valid JSON: "),
+    (json.dumps({"name": "m", "dim": 0, "parameters": ["a"], "terms": []}),
+     ": 'dim' must be a positive integer"),
+], ids=["json", "schema"])
+def test_an_error_is_not_kept_for_the_next_path(tmp_path, empty_slot, text, needle):
+    for name in ("a.json", "b.json"):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(qg.InputError) as err:
+            qg.load_model_spec(path)
+        assert str(path) in str(err.value) and needle in str(err.value)
+    assert qg.model._last_decoded == (b"", None)
+
+
+def test_term_matrices_are_read_only(tmp_path, spin_model):
+    for model in (qg.load_model_spec(_spin_half_file(tmp_path)), spin_model):
+        with pytest.raises(ValueError, match="read-only"):
+            model.terms[0][0][0, 1] = 5.0
+    assert np.array_equal(spin_model.terms[0][0], SX)
+
+
+@pytest.mark.parametrize("matrix, entry", [
+    ([[[True, False], [0, 0]], [[0, 0], [False, False]]], "(0,0)"),
+    ([[[0, 0], [True, 0.5]], [[True, -0.5], [0, 0]]], "(0,1)"),
+    ([[[0, 0], [1, 0]], [[1.0, False], [0, 0]]], "(1,0)"),
+    ([[[2**64, 0], [0, True]], [[0, 0], [1, 0]]], "(0,1)"),
+], ids=["all-bool", "mixed", "one-imaginary-part", "entry-walk"])
+def test_a_boolean_matrix_entry_is_an_error(tmp_path, matrix, entry):
+    path = _spin_half_file(tmp_path, _set_term(0, "matrix", matrix))
+    with pytest.raises(qg.InputError) as err:
+        qg.load_model_spec(path)
+    assert str(err.value) == f"model file {path}: term 0: entry {entry} must be a 2-array [re, im]"
