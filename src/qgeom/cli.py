@@ -164,7 +164,7 @@ def _check_fits(counts, floats: int, command: str) -> None:
     count read as 0), ``floats`` doubles each, fit in physical memory.  It reads only the
     counts, so a caller runs it before it builds any array of them."""
     counts = [max(n, 0) for n in counts]
-    need = 8.0 * floats * math.prod(map(float, counts))  # inf past the float range
+    need = 8.0 * floats * math.prod(float(min(n, 1e308)) for n in counts)  # inf past 1e308
     if need > (memory := dynamics._physical_memory()):
         raise InputError(f"{command}: {math.prod(counts)} points need {need / 2**30:.3g} GiB, "
                          f"more than the {memory / 2**30:.3g} GiB of physical memory; "
@@ -187,7 +187,6 @@ def _point(model: ModelSpec, mapping, where: str) -> np.ndarray:
 # output plumbing
 
 
-CHUNK_ROWS = 1024  # rows per CSV chunk at most
 CHUNK_VALUES = 3072  # cells per CSV chunk at most, which bounds a chunk's arrays (~0.5 MB)
 # A CSV chunk with fewer column values than this (rows times columns, axes not counted) is
 # formatted by % alone.  Best of 300 on a 2-core Xeon, one table, % / numpy at 128, 256
@@ -240,7 +239,7 @@ def _csv_chunks(axes, columns):
     formats = ["%.17g" if c.dtype.kind == "f" else "%d" for c in cols]
     texts = [np.array([f % v for v in a.tolist()], dtype=object) for f, a in zip(formats, axes)]
     row_fmt = ",".join(["%s"] * len(axes) + formats[len(axes):])
-    step, slots = max(1, min(CHUNK_ROWS, CHUNK_VALUES // len(cols))), None
+    step, slots = max(1, CHUNK_VALUES // len(cols)), None
     for start in range(0, n := len(columns[0]), step):
         rows = np.arange(start, min(start + step, n))
         lead = np.unravel_index(rows, [a.size for a in axes]) if axes else ()

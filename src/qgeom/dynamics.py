@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InputError, QgeomError, StepError
-from .geometry import level_along
+from .geometry import level_along, ray_angles
 from .model import Curve, ModelSpec, curve, hamiltonian_blocks
 from .numerics import real_number, state_vector
 
@@ -270,10 +270,8 @@ def evolve(
 
     states = psis / norms[:, None]
     means, uncertainties = _energy_moments(states, h_psis / norms[:, None])
-    overlaps = np.abs(np.einsum("ki,ki->k", states[:-1].conj(), states[1:]))
-    step_angle = 2.0 * np.arccos(np.clip(overlaps, 0.0, 1.0))
-    return Trajectory(times, states, means, uncertainties, step_angle, dt,
-                      float(np.abs(norms - 1.0).max()))
+    return Trajectory(times, states, means, uncertainties, ray_angles(states[:-1], states[1:]),
+                      dt, float(np.abs(norms - 1.0).max()))
 
 
 @dataclass(frozen=True)

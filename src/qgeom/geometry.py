@@ -55,7 +55,14 @@ def fidelity_angle(psi, chi) -> float:
     b = state_vector(chi)
     if a.size != b.size:
         raise InputError(f"state dimensions differ: {a.size} vs {b.size}")
-    return 2.0 * float(np.arccos(np.clip(abs(np.vdot(a, b)), 0.0, 1.0)))
+    return float(ray_angles(a[None], b[None])[0])
+
+
+def ray_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The angle of :func:`fidelity_angle` between each row of the unit states ``a`` and
+    the same row of ``b`` (n, d), unvalidated."""
+    overlaps = np.abs(np.einsum("ki,ki->k", a.conj(), b))
+    return 2.0 * np.arccos(np.clip(overlaps, 0.0, 1.0))
 
 
 # --------------------------------------------------------------------------
@@ -82,11 +89,16 @@ def path_spec(model: ModelSpec, level: int, exprs, samples: int) -> PathSpec:
 def level_along(model: ModelSpec, level: int, curve: Curve, xs, where):
     """Metric speed sqrt(rate . g . rate) (N,) and unit ``level`` state (N, d) at each x,
     from one walk of :func:`level_blocks`.  State rows are strided as ``eigh``'s columns
-    are, so a product with a row rounds as one with that point's column does."""
+    are, so a product with a row rounds as one with that point's column does.  The first
+    x whose squared speed is not finite, as a huge rate gives, raises NumericalError
+    naming ``where(i)``."""
     lam, rate = curve.sample(xs, rates=True)
     g, columns = zip(*[(q.real, v[:, :, level].T.copy())  # no block of eigenvectors kept
                        for _, v, q in level_blocks(model, lam, level, True, where)])
-    speed_sq = (rate[:, None] @ np.concatenate(g) @ rate[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed_sq = (rate[:, None] @ np.concatenate(g) @ rate[:, :, None])[:, 0, 0]
+    if (bad := np.flatnonzero(~np.isfinite(speed_sq))).size:
+        raise NumericalError(f"level {level} metric speed at {where(bad[0])} is not finite")
     return np.sqrt(np.maximum(speed_sq, 0.0)), np.concatenate(columns, axis=1).T
 
 

@@ -112,15 +112,25 @@ def integer_index(i, size: int, what: str):
 
 
 def state_vector(amplitudes) -> np.ndarray:
-    """Validate, normalize and return a complex state vector."""
+    """Validate, normalize and return a complex state vector.
+
+    Only the all-zero vector is refused.  A vector whose 2-norm under- or overflows
+    is first divided by its largest real or imaginary part, which brings the norm into
+    [1, sqrt(2 d)].
+    """
     v = np.array(amplitudes, dtype=complex).ravel()
     if v.size == 0:
         raise InputError("empty state vector")
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise InputError("state vector has non-finite entries")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise InputError("cannot normalize the zero vector")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not 0.0 < norm < np.inf:
+        if not v.any():
+            raise InputError("cannot normalize the zero vector")
+        parts = v.view(float)  # each part divided as a float: a complex divide may overflow
+        v = (parts / np.abs(parts).max()).view(complex)
+        norm = float(np.linalg.norm(v))
     return v / norm
 
 

@@ -79,6 +79,9 @@ DEFAULT_FD_STEP = 1e-4
 OVERLAP_FLOOR_SHARE = 1e-2
 # per point, solve / LAPACK eigh: 1.5 at d = 2, 1.15 at 5, 0.97 at 6, 0.8 at 64
 STATE_SOLVE_MIN_DIM = 6
+# from this spectral spread on, an energy denominator (E0 - E_l)^2 may overflow to inf and
+# turn its terms of Q into 0, which is finite and wrong
+SPREAD_MAX = np.sqrt(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,19 @@ def _sum_over_states(energies, vectors, dh, group) -> np.ndarray:
     return q.reshape(n, k, g, k, g).swapaxes(2, 3)
 
 
+def _too_wide(energies) -> np.ndarray:
+    """Whether each spectrum (..., d), ascending, spreads over SPREAD_MAX or more, or over
+    a spread that is not finite."""
+    return ~(energies[..., -1] - energies[..., 0] < SPREAD_MAX)
+
+
+def _check_spread(es: EigenSystem, what: str) -> None:
+    """NumericalError unless the sum over states of ``es`` has finite energy denominators."""
+    if _too_wide(es.energies):
+        raise NumericalError(f"{what} tensor is not finite: the spectrum spreads over "
+                             f"{es.energies[-1] - es.energies[0]:.3e}, past {SPREAD_MAX:.3e}")
+
+
 def _abelian(energies, vectors, dh, level: int) -> np.ndarray:
     """Q (n, k, k) of an isolated level: the group-of-one case, Hermitian by construction."""
     q = _sum_over_states(energies, vectors, dh, (level,))[..., 0, 0]
@@ -212,14 +228,21 @@ def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False, wh
     with :func:`default_degeneracy_tol`) raises DegeneracyError, prefixed
     "at {where(i)}: " when ``where`` is given; the first point whose Q is not
     finite, as an overflowed H gives, raises NumericalError naming
-    ``where(i)`` (or "point i").
+    ``where(i)`` (or "point i").  So does the first point whose spectrum spreads
+    over ``SPREAD_MAX`` or more, and no Q is formed from it on.
     """
     directions = model.parameters if tensors else ()
     for start, _, dh, e, v in _solved_blocks(model, points, level, where, directions, True):
-        q = _abelian(e, v, dh, level) if tensors else None
-        if tensors and (bad := np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))).size:
-            label = where(start + bad[0]) if where else f"point {start + bad[0]}"
-            raise NumericalError(f"level {level} tensor at {label} is not finite")
+        q = None
+        if tensors:
+            n = int(np.argmax(wide)) if (wide := _too_wide(e)).any() else len(e)
+            with np.errstate(over="ignore", invalid="ignore"):  # what overflows is named below
+                q = _abelian(e[:n], v[:n], dh[:n], level)  # none from the first wide point on
+            bad = np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))
+            if bad.size or n < len(e):
+                i = start + (bad[0] if bad.size else n)
+                label = where(i) if where else f"point {i}"
+                raise NumericalError(f"level {level} tensor at {label} is not finite")
         yield e, v, q
 
 
@@ -264,9 +287,12 @@ def qgt_from_eigensystem(
     Q_mn = sum_{j != level} <level|dH_m|j><j|dH_n|level> / (E_level - E_j)^2.
 
     The result is Hermitian and positive semidefinite by construction and
-    independent of every eigenvector phase.
+    independent of every eigenvector phase.  A spectrum that spreads over
+    ``SPREAD_MAX`` or more, where an energy denominator would overflow, raises
+    NumericalError.
     """
     near = _check_isolated(es, level)
+    _check_spread(es, f"level {level}")
     dh = np.reshape(dh_list, (1, -1, es.dim, es.dim))
     return QgtTensor(_abelian(es.energies[None], es.vectors[None], dh, level)[0], near)
 
@@ -486,6 +512,8 @@ def nonabelian_from_eigensystem(es: EigenSystem, dh_list, group) -> NonAbelianQg
     [Q_mn]_ij = sum_{l outside group} <g_i|dH_m|l><l|dH_n|g_j> / (E0 - E_l)^2
     where E0 is the (common) group energy and the sum runs over every level
     of every other cluster.  Each member of the ``group`` sequence must be a level index.
+    A spectrum that spreads over ``SPREAD_MAX`` or more raises NumericalError, as by
+    :func:`qgt_from_eigensystem`.
     """
     if not isinstance(group, (tuple, list, range, np.ndarray)) or getattr(group, "ndim", 1) == 0:
         raise InputError(f"group must be a sequence of level indices, not {group!r}")
@@ -494,6 +522,7 @@ def nonabelian_from_eigensystem(es: EigenSystem, dh_list, group) -> NonAbelianQg
         raise InputError(
             f"{group} is not a maximal degeneracy cluster; clusters are {es.groups}"
         )
+    _check_spread(es, f"level group {group}")
     dh = np.reshape(dh_list, (1, -1, es.dim, es.dim))
     return NonAbelianQgt(_sum_over_states(es.energies[None], es.vectors[None], dh, group)[0], group)
 

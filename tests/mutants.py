@@ -59,6 +59,7 @@ BOUND = DYN + "::test_the_radius_bound_is_certified"
 SIZES = "tests/test_cli.py::test_a_count_past_physical_memory_exits_1_before_its_arrays_are_built"
 AXES = "tests/test_batch.py::test_axes_evaluate_as_their_row_major_points"
 MODEL = "tests/test_model.py::"
+CONTRACT = "tests/test_cli.py::test_a_mutated_config_exits_0_1_or_2_with_one_error_line"
 
 ROWS = [
     # the tensor and its isolation rule
@@ -139,6 +140,9 @@ ROWS = [
     # one metric speed along a curve
     ("rate replaced by ones", "geometry.py", "speed_sq = (rate[:, None] @",
      "speed_sq = (np.ones_like(rate)[:, None] @", [GEO + "::TestPathLength::test_meridian"]),
+    ("metric speed left unchecked", "geometry.py",
+     "if (bad := np.flatnonzero(~np.isfinite(speed_sq))).size:", "if False:",
+     ["tests/test_cli.py::test_a_metric_speed_that_is_not_finite_exits_2_naming_its_point"]),
     ("metric rate from strided q.real", "geometry.py", "@ np.concatenate(g) @",
      "@ np.concatenate(g).astype(complex).real @", [ONE_POINT]),
     ("C-contiguous level states", "geometry.py", "np.concatenate(columns, axis=1).T",
@@ -178,6 +182,11 @@ ROWS = [
     ("min_link above 1 accepted", "geometry.py", "real_number(min_link, \"min_link\") <= 1.0",
      "real_number(min_link, \"min_link\") <= 2.0",
      [GEO + "::TestPlaquetteFluxGrid::test_min_link_is_a_number_in_the_unit_interval"]),
+    ("an overflowed norm divided by as is", "numerics.py", "if not 0.0 < norm < np.inf:",
+     "if not 0.0 < norm:",
+     ["tests/test_numerics.py::"
+      "test_a_norm_that_under_or_overflows_normalizes_as_the_scaled_vector",
+      "tests/test_cli.py::test_amplitudes_whose_norm_overflows_evolve_as_their_scaled_state"]),
     ("evolve times not read as numbers", "dynamics.py",
      'map(real_number, (t0, t1, dt), ("t0", "t1", "dt"))', "(t0, t1, dt)",
      [DYN + "::test_evolve_reads_its_times_as_finite_numbers"]),
@@ -232,13 +241,16 @@ ROWS = [
      "test_records_past_physical_memory_are_an_input_error_before_any_allocation"]),
     ("no size check before the arrays", "cli.py",
      "if need > (memory := dynamics._physical_memory()):",
-     "if need > (memory := dynamics._physical_memory()) and False:", [SIZES]),
+     "if need > (memory := dynamics._physical_memory()) and False:", [SIZES, CONTRACT]),
     ("no check of non-finite states", "geometry.py",
      "if (bad := np.flatnonzero(~np.isfinite(states).all(axis=1))).size:", "if False:",
      ["tests/test_cli.py::test_a_state_that_is_not_finite_exits_2_naming_its_point"]),
     ("no check of non-finite tensors", "qgt.py",
-     "if tensors and (bad := np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))).size:",
-     "if False:", ["tests/test_cli.py::test_a_tensor_that_is_not_finite_exits_2_naming_its_point"]),
+     "bad = np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))", "bad = np.flatnonzero(q[:0])",
+     ["tests/test_cli.py::test_a_tensor_that_overflows_at_a_finite_spread_exits_2_naming_its_point"]),
+    ("no spread check before Q", "qgt.py",
+     "n = int(np.argmax(wide)) if (wide := _too_wide(e)).any() else len(e)", "n = len(e)",
+     ["tests/test_cli.py::test_a_spectrum_too_wide_for_its_energy_denominators_exits_2"]),
     # the check verdict
     ("verdict order threshold below a constant error's order", "cli.py",
      "slope is not None and slope < 1.5 and", "slope is not None and slope < -0.5 and",

@@ -1,9 +1,13 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _pytest.assertion import util as assertion_util
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeom import cli, dynamics, qgt
 from qgeom.cli import main
@@ -489,8 +495,10 @@ LATTICE = {"builtin": "two_band_lattice", "mass": 1.0}
         "theta": "s", "phi": "0.3"}}}, 2 * 10**11 + 1, "2.09e+04"),
     ("distance", {"model": SPIN, "distance": {"level": 0, "samples": 2**63, "path": {
         "theta": "s", "phi": "0.3"}}}, 2**64 + 1, "1.92e+12"),
+    ("distance", {"model": SPIN, "distance": {"level": 0, "samples": 1e308, "path": {
+        "theta": "s", "phi": "0.3"}}}, 2 * (int(1e308) | 1) - 1, "inf"),  # past a float
 ], ids=["grid-1e12", "grid-2**63", "chern-1e12", "chern-2**63", "distance-1e11",
-        "distance-2**63"])
+        "distance-2**63", "distance-1e308"])
 def test_a_count_past_physical_memory_exits_1_before_its_arrays_are_built(tmp_path, command,
                                                                         doc, points, gib):
     # in a child whose address space is capped at 4 GiB, so that an array built before
@@ -540,6 +548,62 @@ def test_a_tensor_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys, 
                             "--output", str(tmp_path / "out.csv"))
     assert code == 2 and list(tmp_path.iterdir()) == [cfg]
     assert err == f"numerical error: level 0 tensor at {where} is not finite\n"
+
+
+@pytest.mark.parametrize("model, path", [
+    ({"builtin": "spin_half", "mu_times_b": 1e160}, {"theta": "s", "phi": "0.3"}),
+    ({"builtin": "two_band_lattice", "mass": 1e160}, {"kx": "s", "ky": "0.3"}),
+], ids=["spin_half", "two_band_lattice"])
+def test_a_spectrum_too_wide_for_its_energy_denominators_exits_2(tmp_path, capsys, model, path):
+    # (E0 - E1)^2 = 4e320 overflows to inf, which made every Q 0: a length of 0, exit 0
+    cfg = _write_config(tmp_path, {"model": model, "distance": {"level": 0, "path": path}})
+    code, _, err = _run(capsys, "distance", "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 2 and list(tmp_path.iterdir()) == [cfg]
+    assert err == "numerical error: level 0 tensor at s = 0 is not finite\n"
+
+
+def test_a_tensor_that_overflows_at_a_finite_spread_exits_2_naming_its_point(tmp_path, capsys):
+    # H = sigma_z + 1e300 theta sigma_x: a spread of 2, and a Q of 1e600 / 4 at theta = 0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"name": "steep", "dim": 2, "parameters": ["theta", "phi"],
+                                 "terms": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+                                            "coeff": "1"},
+                                           {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+                                            "coeff": "1e300*theta"}]}))
+    cfg = _write_config(tmp_path, {"model": str(model), "grid": {
+        "level": 0, "axes": {"theta": [0, 1e-300, 2], "phi": [0, 1, 2]}}})
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(tmp_path / "o.csv"))
+    assert code == 2 and sorted(tmp_path.iterdir()) == [cfg, model]
+    assert err == "numerical error: level 0 tensor at lambda = [0.0, 0.0] is not finite\n"
+
+
+@pytest.mark.parametrize("command, block, where", [
+    ("distance", {"level": 1, "samples": 201, "path": {"theta": "s^1e308", "phi": "0.3"}},
+     "s = 1"),
+    ("evolve", {"schedule": {"theta": "1 + 1e-150*t^1e308", "phi": "0.3"}, "t0": 0.0,
+                "t1": 1.0, "dt": 0.01, "initial": {"level": 1}}, "t = 1"),
+], ids=["distance", "evolve"])
+def test_a_metric_speed_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys, command,
+                                                                    block, where):
+    # the rate at the end (1e308, 1e158) squares past the float range: distance wrote a
+    # length of inf, and evolve's report held a ratio of 0 at t = 1
+    cfg = _write_config(tmp_path, {"model": SPIN, command: block})
+    code, _, err = _run(capsys, command, "--config", str(cfg), "--output", str(tmp_path / "o.csv"))
+    assert code == 2 and list(tmp_path.iterdir()) == [cfg]
+    assert err == f"numerical error: level 1 metric speed at {where} is not finite\n"
+
+
+def test_amplitudes_whose_norm_overflows_evolve_as_their_scaled_state(tmp_path, capsys):
+    # the norm of [1e308, 1e308] overflows: they were read as the zero vector, exit 1
+    rows = []
+    for scale in (1e308, 1.0):
+        block = {**EVOLVE, "level": 0, "initial": {"amplitudes": [[scale, 0], [scale, 0]]}}
+        cfg = _write_config(tmp_path, {"model": SPIN, "evolve": block})
+        out = tmp_path / "out.csv"
+        assert _run(capsys, "evolve", "--config", str(cfg), "--output", str(out)) == (0, "", "")
+        rows.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
+    assert rows[0] == rows[1] and len(rows[0]) == 11
 
 
 class TestDistanceCommand:
@@ -830,11 +894,11 @@ def test_integer_config_value_must_be_integral(tmp_path, capsys, command, block,
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_table_writer_matches_a_per_value_reference(tmp_path, fmt):
     # more rows than one formatting chunk, so a chunk seam lies inside the table
-    n = 2 * cli.CHUNK_ROWS + 7
+    n = 2 * (cli.CHUNK_VALUES // 3) + 7
     rng = np.random.default_rng(8)
     special = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1, 1e17]
     values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
-    for start in (0, cli.CHUNK_ROWS - 4, n - len(special)):
+    for start in (0, cli.CHUNK_VALUES // 3 - 4, n - len(special)):
         values[start:start + len(special)] = special
     columns = {
         "flag": [bool(v) for v in rng.integers(0, 2, n)],
@@ -884,7 +948,7 @@ def test_table_writer_axes_match_a_per_value_reference(tmp_path, fmt):
         "flag": np.array([True, False]),
     }
     n = int(np.prod([a.size for a in axes.values()]))
-    assert n > 2 * cli.CHUNK_ROWS  # chunk seams fall inside the product
+    assert n > 2 * (cli.CHUNK_VALUES // 3)  # chunk seams fall inside the product
     rng = np.random.default_rng(9)
     columns = {"value": rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n),
                "count": rng.integers(-2**62, 2**62, n, dtype=np.int64)}
@@ -918,7 +982,7 @@ def test_an_axes_table_whose_last_chunk_is_formatted_by_percent(tmp_path):
     rng = np.random.default_rng(26)
     value = rng.normal(size=1050) * 10.0 ** rng.integers(-30, 30, 1050)
     # 3 cells a row: one numpy chunk of 1,024 rows, then 26 rows of 26 values for %
-    step = min(cli.CHUNK_ROWS, cli.CHUNK_VALUES // 3)
+    step = cli.CHUNK_VALUES // 3
     assert 1050 - step == 26 < cli.KERNEL_MIN_VALUES <= step
     rows = [(*lead, v) for lead, v in zip(itertools.product(*(a.tolist() for a in axes)),
                                           value.tolist())]
@@ -1284,3 +1348,71 @@ def test_a_boolean_model_file_entry_exits_1_and_writes_nothing(tmp_path, capsys,
     assert (code, err) == (1, f"error: model file {model}: term 0: entry (0,0) must be a "
                               f"2-array [re, im]\n")
     assert sorted(tmp_path.iterdir()) == [cfg, model]
+
+
+# --------------------------------------------------------------------------
+# the exit contract under mutated configs
+
+CONTRACT_CONFIGS = [
+    ("grid", {"model": SPIN, "grid": {"level": 0, "axes": {"theta": [0.1, 3.0, 3],
+                                                          "phi": [0.0, 6.0, 2]}}}),
+    ("grid", {"model": LATTICE, "grid": {"level": 1, "axes": {"kx": [0.0, 3.0, 4]},
+                                         "fixed": {"ky": 0.5}}}),
+    ("chern", {"model": SPIN, "chern": {"level": 0, "surface": {"shape": [6, 6]}}}),
+    ("chern", {"model": LATTICE, "chern": {"level": 0, "surface": {
+        "closure": "torus", "mu": "kx", "nu": "ky", "shape": [8, 8]}}}),
+    ("distance", {"model": SPIN, "distance": {"level": 0, "samples": 11,
+                                              "path": {"theta": "s", "phi": "0.3"}}}),
+    ("evolve", {"model": SPIN, "evolve": {"schedule": {"theta": "1.0", "phi": "t"}, "t0": 0.0,
+                                          "t1": 0.1, "dt": 0.01, "initial": {"level": 0}}}),
+    ("evolve", {"model": SPIN, "evolve": {"schedule": {"theta": "0.5*t", "phi": "0.3"},
+                                          "t0": 0.0, "t1": 0.1, "dt": 0.01, "level": 1,
+                                          "initial": {"amplitudes": [[1.0, 0.0], [0.0, 1.0]]}}}),
+    ("check", {"model": LATTICE, "check": {"level": 0, "point": {"kx": 0.3, "ky": 0.2}}}),
+]
+CONTRACT_VALUES = [
+    0, -1, 2**63, 1e308, -1e308, 1e-308, 5e-324, 1e160,
+    "theta", None, True, False, [], [1, 2],
+    "s^1e308", "log(0)", "(", "1e400",
+    [[1e308, 0], [1e308, 0]], [[1e-200, 0], [0, 1e-200]],
+]
+
+
+def _nodes(doc, path=()):
+    """The path of every value under the dict or list ``doc``, at every depth."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _nodes(value, (*path, key))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from(CONTRACT_CONFIGS), data=st.data())
+def test_a_mutated_config_exits_0_1_or_2_with_one_error_line(case, data):
+    # One or two values of a small config, or of its model, are replaced from a pool of
+    # sizes, extreme floats, wrong types, malformed expressions and extreme amplitudes.
+    # numpy's RuntimeWarnings are recorded, not raised.  Two sources are known, both on
+    # models of 1e308: numerics.hermitian overflows in (m + m^H) / 2 on such terms, and
+    # a spectrum of +-1e308 overflows its spread in the isolation test.
+    command, doc = case[0], copy.deepcopy(case[1])
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parent, key = data.draw(st.sampled_from(list(_nodes(doc))))
+        node = doc
+        for step in parent:
+            node = node[step]
+        node[key] = copy.deepcopy(data.draw(st.sampled_from(CONTRACT_VALUES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        cfg = _write_config(folder, doc)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg), "--output", str(folder / "out.csv")])
+        assert code in (0, 1, 2)
+        if code:
+            assert list(folder.iterdir()) == [cfg]
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].endswith("\n")
+            assert lines[0].startswith("numerical error: " if code == 2 else "error: ")
+        else:
+            assert err.getvalue() == ""

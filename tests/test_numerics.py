@@ -173,6 +173,22 @@ def test_state_vector_rejects_empty_and_non_finite_amplitudes(amplitudes, messag
         qg.state_vector(amplitudes)
 
 
+@pytest.mark.parametrize("amplitudes, unit", [
+    ([1e-200, 1e-200], [1, 1]),
+    ([1e-170, 0], [1, 0]),
+    ([5e-324, 0], [1, 0]),
+    ([-5e-324j, 5e-324], [-1j, 1]),
+    ([1e308, 1e308], [1, 1]),
+    ([1.7e308 + 1.7e308j, 0], [1 + 1j, 0]),
+], ids=["underflow", "subnormal-square", "least-subnormal", "signed-parts", "overflow",
+        "overflowing-modulus"])
+def test_a_norm_that_under_or_overflows_normalizes_as_the_scaled_vector(amplitudes, unit):
+    # the 2-norm of each is 0 or inf: the first four were "the zero vector", the last two 0
+    v = qg.state_vector(amplitudes)
+    assert np.array_equal(v, qg.state_vector(unit))
+    assert np.array_equal(np.signbit(v.view(float)), np.signbit(qg.state_vector(unit).view(float)))
+
+
 # --------------------------------------------------------------------------
 # the dim-2 eigensolver: LAPACK's own n = 2 steps
 

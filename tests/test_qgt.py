@@ -477,6 +477,25 @@ def test_eigensystem_routes_reject_a_degenerate_level():
         qg.qgt_projector(es, np.zeros((2, 4)), 0)
 
 
+def test_a_spectrum_too_wide_for_its_energy_denominators_raises():
+    # the spread 2e160 squares past the float range, which made every Q 0
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(qg.spin_half(1e160), LAM))
+    dh = qg.derivative_matrices(qg.spin_half(1e160), LAM)
+    message = r"tensor is not finite: the spectrum spreads over 2\.000e\+160, past 1\.341e\+154$"
+    with pytest.raises(qg.NumericalError, match=r"^level 0 " + message):
+        qg.qgt_from_eigensystem(es, dh, 0)
+    with pytest.raises(qg.NumericalError, match=r"^level 0 tensor at point 0 is not finite$"):
+        qg.qgt_sum_over_states(qg.spin_half(1e160), LAM, 0)
+    doubled = doubled_spin_half(1e160)
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(doubled, LAM))
+    with pytest.raises(qg.NumericalError, match=r"^level group \(0, 1\) " + message):
+        qg.nonabelian_from_eigensystem(es, qg.derivative_matrices(doubled, LAM), (0, 1))
+    # just inside the bound, Q keeps its scale-free value
+    wide = qg.spin_half(0.99 * qgt_mod.SPREAD_MAX / 2)
+    q = qg.qgt_sum_over_states(wide, LAM, 0).matrix
+    assert np.allclose(q, qg.qgt_sum_over_states(qg.spin_half(1.0), LAM, 0).matrix, atol=1e-12)
+
+
 def test_overlap_below_the_floor_asks_for_a_smaller_step(spin_model):
     # |<psi(theta)|psi(theta + h)>| = cos(h / 2) = 0.825 < 0.9, still the largest overlap
     with pytest.raises(qg.StepError, match=r"^neighbor overlap 0\.825 below 0\.9; reduce the step$"):
