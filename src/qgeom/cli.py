@@ -31,7 +31,7 @@ import json
 import math
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -204,26 +204,28 @@ def _write_table(path: Path, fmt: str, meta: dict, names, columns, written: list
     A CSV value's format follows its dtype: bool and integer values print as ``%d``
     (booleans as 1/0), float values as ``%.17g``, and each axis value is formatted once.
     The body is written chunk by chunk as ``_csv_chunks`` makes them.  A JSON row holds
-    numbers and booleans, with null for a value that is not finite (JSON has no inf or nan).
-    An unwritable path is an InputError; a path joins ``written`` once open.
+    numbers and booleans, with null for a value that is not finite (JSON has no inf or nan);
+    the rows must fit in memory at 10 doubles a cell, and the document is encoded and
+    written 4,096 pieces at a time.  An unwritable path is an InputError; a path joins
+    ``written`` once open.
     """
     axes, columns = [np.asarray(a) for a in axes], [np.asarray(c) for c in columns]
-    if fmt == "json":
+    if fmt == "json":  # its rows, as Python objects, take about 75 B a cell, not 8 B
+        _check_fits([len(columns[0])], 10 * len(names), meta.get("command", "json"))
         columns = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")] + columns
         values = [[v if np.isfinite(v) else None for v in c.tolist()]
                   if c.dtype.kind == "f" and not np.isfinite(c).all() else c.tolist()
                   for c in columns]
         records = [dict(zip(names, row)) for row in zip(*values)]
-        head, chunks = json.dumps({"meta": meta, "data": data(records)}, indent=2), ()
+        text = json.JSONEncoder(indent=2).iterencode({"meta": meta, "data": data(records)})
+        pieces = chain(iter(lambda: "".join(islice(text, 4096)), ""), ["\n"])
     else:
         head = "\n".join([*(f"# {k}: {v}" for k, v in meta.items()), ",".join(names)])
-        chunks = _csv_chunks(axes, columns)
+        pieces = chain([head + "\n"], _csv_chunks(axes, columns))
     try:
         with path.open("w") as out:
             written.append(path)
-            out.write(head + "\n")
-            for chunk in chunks:
-                out.write(chunk)
+            out.writelines(pieces)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 

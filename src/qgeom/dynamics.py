@@ -145,16 +145,17 @@ def _radii(hs: np.ndarray, dt: float) -> np.ndarray:
 def _check_drift(psis: np.ndarray, times: np.ndarray, dt: float, hs) -> None:
     """Raise StepError naming the first record whose norm is off 1 by more than MAX_NORM_DRIFT.
 
-    ``hs[k]`` is H at record k.  A non-finite norm gets the stability bound of H there.
+    ``hs[k]`` is H at record k.  A non-finite norm gets the stability bound of a finite H there.
     """
     drift = np.abs(np.sqrt(np.vecdot(psis, psis).real) - 1.0)
     over = np.flatnonzero(~(drift <= MAX_NORM_DRIFT))  # a NaN norm counts as drift
     if over.size:
         k, first = over[0], drift[over[0]]
-        suggested = (f"~ {dt * (1e-8 / first) ** 0.25:.3g}" if np.isfinite(first) else
-                     f"< {STABILITY_LIMIT / max(_spectral_radii(hs[k]), 1e-300):.3g}")
+        limit = STABILITY_LIMIT / max(_spectral_radii(hs[k]), 1e-300)  # NaN if H is not finite
+        hint = (f"suggested dt ~ {dt * (1e-8 / first) ** 0.25:.3g}" if np.isfinite(first) else
+                f"suggested dt < {limit:.3g}" if np.isfinite(limit) else "H there is not finite")
         raise StepError(f"norm drift {first:.3e} at t = {times[k]:.9g} exceeds "
-                        f"{MAX_NORM_DRIFT}; suggested dt {suggested}")
+                        f"{MAX_NORM_DRIFT}; {hint}")
 
 
 def _step_maps(hs: np.ndarray, steps: int, dt: float) -> np.ndarray:

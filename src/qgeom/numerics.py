@@ -53,7 +53,7 @@ def complex_matrix(entries) -> np.ndarray:
 def hermitian(entries, asymmetry_tol: float | None = None) -> np.ndarray:
     """Return a matrix that is Hermitian exactly as stored.
 
-    The input is symmetrized via (M + M†)/2, which in IEEE arithmetic yields
+    The input is symmetrized via M/2 + M†/2, which in IEEE arithmetic yields
     entry(i, j) == conj(entry(j, i)) bit for bit and a real diagonal.
 
     Parameters
@@ -71,18 +71,14 @@ def hermitian(entries, asymmetry_tol: float | None = None) -> np.ndarray:
         The symmetrized matrix.
     """
     m = complex_matrix(entries)
-    asym = m - m.conj().T
     if asymmetry_tol is not None:
-        scale = max(1.0, float(np.abs(m).max()))
-        worst = tuple(int(i) for i in np.unravel_index(np.argmax(np.abs(asym)), asym.shape))
-        worst_val = float(np.abs(asym[worst]))
-        if worst_val > asymmetry_tol * scale:
-            raise InputError(
-                f"matrix is not Hermitian: entry {worst} differs from the "
-                f"conjugate of its transpose by {worst_val:.3e} "
-                f"(tolerance {asymmetry_tol * scale:.3e})"
-            )
-    return (m + m.conj().T) / 2
+        asym = np.abs(m - m.conj().T)
+        tol = asymmetry_tol * max(1.0, float(np.abs(m).max()))
+        if (worst := asym.max()) > tol:
+            at = tuple(int(i) for i in np.unravel_index(asym.argmax(), asym.shape))
+            raise InputError(f"matrix is not Hermitian: entry {at} differs from the conjugate "
+                             f"of its transpose by {worst:.3e} (tolerance {tol:.3e})")
+    return m / 2 + m.conj().T / 2  # (M + M^H)/2 where the halves are normal, with no overflow
 
 
 def real_number(value, what: str, kind=float):
@@ -182,18 +178,20 @@ def degeneracy_groups(energies, tol: float) -> tuple[tuple[int, ...], ...]:
     e = np.asarray(energies, dtype=float)
     if e.size == 0:
         return ()
-    cuts = np.flatnonzero(~(np.diff(e) <= tol)) + 1  # a NaN gap splits too
+    with np.errstate(over="ignore"):  # a gap past the float range is inf
+        cuts = np.flatnonzero(~(np.diff(e) <= tol)) + 1  # a NaN gap splits too
     return tuple(tuple(g.tolist()) for g in np.split(np.arange(e.size), cuts))
 
 
 def default_degeneracy_tol(energies):
     """Scale-aware clustering tolerance: 1e-9 * max(1, spectral range).
 
-    For a stack of ascending spectra (..., d), one tolerance per spectrum.
+    For a stack of ascending spectra (..., d), one tolerance per spectrum, taken as
+    2e-9 * max(1/2, E_max/2 - E_min/2): the same bits, as halving is exact, and no overflow.
     """
     e = np.asarray(energies, dtype=float)
-    spread = e[..., -1] - e[..., 0] if e.shape[-1] else 0.0
-    return 1e-9 * np.maximum(1.0, spread)
+    half = e[..., -1] / 2 - e[..., 0] / 2 if e.shape[-1] else 0.0
+    return 2e-9 * np.maximum(0.5, half)
 
 
 def hermitian_eigensystem(h: np.ndarray, degeneracy_tol: float | None = None) -> EigenSystem:

@@ -160,17 +160,17 @@ def _sum_over_states(energies, vectors, dh, group) -> np.ndarray:
     return q.reshape(n, k, g, k, g).swapaxes(2, 3)
 
 
-def _too_wide(energies) -> np.ndarray:
-    """Whether each spectrum (..., d), ascending, spreads over SPREAD_MAX or more, or over
-    a spread that is not finite."""
-    return ~(energies[..., -1] - energies[..., 0] < SPREAD_MAX)
+def _spread(energies) -> np.ndarray:
+    """E_max - E_min of each ascending spectrum (..., d); inf past the float range."""
+    with np.errstate(over="ignore"):
+        return energies[..., -1] - energies[..., 0]
 
 
 def _check_spread(es: EigenSystem, what: str) -> None:
     """NumericalError unless the sum over states of ``es`` has finite energy denominators."""
-    if _too_wide(es.energies):
+    if not (spread := _spread(es.energies)) < SPREAD_MAX:
         raise NumericalError(f"{what} tensor is not finite: the spectrum spreads over "
-                             f"{es.energies[-1] - es.energies[0]:.3e}, past {SPREAD_MAX:.3e}")
+                             f"{spread:.3e}, past {SPREAD_MAX:.3e}")
 
 
 def _abelian(energies, vectors, dh, level: int) -> np.ndarray:
@@ -191,31 +191,42 @@ def level_gap(energies, level: int) -> np.ndarray:
         raise InputError(f"energies must have a level axis, got shape {e.shape}")
     integer_index(level, e.shape[-1], "level")
     none = np.full(e.shape[:-1], np.inf)
-    below = e[..., level] - e[..., level - 1] if level > 0 else none
-    above = e[..., level + 1] - e[..., level] if level + 1 < e.shape[-1] else none
+    with np.errstate(over="ignore"):  # a gap past the float range is inf
+        below = e[..., level] - e[..., level - 1] if level > 0 else none
+        above = e[..., level + 1] - e[..., level] if level + 1 < e.shape[-1] else none
     return np.fmin(below, above)  # a NaN gap is no neighbour, as in degeneracy_groups
 
 
 def _near_degenerate(energies: np.ndarray, level: int) -> bool:
-    scale = max(1.0, float(energies[-1] - energies[0]))
+    scale = max(1.0, float(_spread(energies)))
     return bool(level_gap(energies, level) < NEAR_DEGENERACY_FACTOR * scale)
 
 
-def _solved_blocks(model: ModelSpec, points, level: int, where, directions, vectors: bool):
-    """(index of its first point, H, dH, energies, eigenvectors or None) per H block,
-    under the one isolation rule of :func:`level_blocks` and :func:`level_states`."""
+def _solved_blocks(model: ModelSpec, points, level: int, where, tensors: bool, vectors: bool):
+    """(index of its first point, H, energies, eigenvectors or None, Q or None) per H block,
+    judged as :func:`level_blocks` says: the one judge of a solved block."""
     integer_index(level, model.dim, "level")
+    label = where or (lambda i: f"point {i}")
     start = 0
-    for h, dh in hamiltonian_blocks(model, points, directions):
+    for h, dh in hamiltonian_blocks(model, points, model.parameters if tensors else ()):
         energies, v = _eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
         tol = default_degeneracy_tol(energies)
         bad = np.flatnonzero(level_gap(energies, level) <= tol)
         if bad.size:
             i = bad[0]
             group = next(g for g in degeneracy_groups(energies[i], tol[i]) if level in g)
-            label = f"at {where(start + i)}: " if where else ""
-            raise DegeneracyError(label + _degenerate(level, group))
-        yield start, h, dh, energies, v
+            raise DegeneracyError((f"at {where(start + i)}: " if where else "")
+                                  + _degenerate(level, group))
+        q, what = None, "state"
+        if tensors:  # what overflows is named below
+            with np.errstate(over="ignore", invalid="ignore"):
+                q, what = _abelian(energies, v, dh, level), "tensor"
+            bad = ~(_spread(energies) < SPREAD_MAX) | ~np.isfinite(q).all(axis=(1, 2))
+        else:
+            bad = ~np.isfinite(energies).all(axis=1)
+        if (bad := np.flatnonzero(bad)).size:
+            raise NumericalError(f"level {level} {what} at {label(start + bad[0])} is not finite")
+        yield start, h, energies, v, q
         start += len(h)
 
 
@@ -226,31 +237,19 @@ def level_blocks(model: ModelSpec, points, level: int, tensors: bool = False, wh
     Q, the sum-over-states tensor of ``level``, comes with ``tensors``.  The
     first point where the level is not isolated (as by :func:`degeneracy_groups`
     with :func:`default_degeneracy_tol`) raises DegeneracyError, prefixed
-    "at {where(i)}: " when ``where`` is given; the first point whose Q is not
-    finite, as an overflowed H gives, raises NumericalError naming
-    ``where(i)`` (or "point i").  So does the first point whose spectrum spreads
-    over ``SPREAD_MAX`` or more, and no Q is formed from it on.
+    "at {where(i)}: " when ``where`` is given.  With ``tensors``, the first point
+    whose spectrum spreads over ``SPREAD_MAX`` or more, or whose Q is not finite, as
+    an overflowed H gives, raises NumericalError naming ``where(i)`` (or "point i");
+    without, so does the first point whose spectrum is not finite.
     """
-    directions = model.parameters if tensors else ()
-    for start, _, dh, e, v in _solved_blocks(model, points, level, where, directions, True):
-        q = None
-        if tensors:
-            n = int(np.argmax(wide)) if (wide := _too_wide(e)).any() else len(e)
-            with np.errstate(over="ignore", invalid="ignore"):  # what overflows is named below
-                q = _abelian(e[:n], v[:n], dh[:n], level)  # none from the first wide point on
-            bad = np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))
-            if bad.size or n < len(e):
-                i = start + (bad[0] if bad.size else n)
-                label = where(i) if where else f"point {i}"
-                raise NumericalError(f"level {level} tensor at {label} is not finite")
-        yield e, v, q
+    return ((e, v, q) for *_, e, v, q in _solved_blocks(model, points, level, where, tensors, True))
 
 
 def level_states(model: ModelSpec, points, level: int, where=None) -> np.ndarray:
     """Unit ``level`` eigenstates (N, d) at the ``points`` (as :func:`level_blocks` takes
     them), each in an arbitrary phase.
 
-    Isolation is checked as by :func:`level_blocks`.  Below ``STATE_SOLVE_MIN_DIM``
+    Points are judged as by :func:`level_blocks` without tensors.  Below ``STATE_SOLVE_MIN_DIM``
     the states are ``eigh``'s columns; from it up they come from ``eigvalsh`` and
     :func:`~qgeom.numerics.level_eigenvectors`, which raises NumericalError
     naming the point where a state does not converge.
@@ -260,7 +259,7 @@ def level_states(model: ModelSpec, points, level: int, where=None) -> np.ndarray
     parts = [
         level_eigenvectors(h, e, level, lambda i: label(start + i)) if solve
         else v[:, :, level].copy()  # copied, so no block of eigenvectors outlives its turn
-        for start, h, _, e, v in _solved_blocks(model, points, level, where, (), not solve)]
+        for start, h, e, v, _ in _solved_blocks(model, points, level, where, False, not solve)]
     return np.concatenate(parts) if parts else np.empty((0, model.dim), complex)
 
 

@@ -60,6 +60,11 @@ SIZES = "tests/test_cli.py::test_a_count_past_physical_memory_exits_1_before_its
 AXES = "tests/test_batch.py::test_axes_evaluate_as_their_row_major_points"
 MODEL = "tests/test_model.py::"
 CONTRACT = "tests/test_cli.py::test_a_mutated_config_exits_0_1_or_2_with_one_error_line"
+JSON_MEMORY = "tests/test_cli.py::test_json_writer_memory_stays_within_a_few_times_its_file"
+INFINITE = "tests/test_cli.py::test_an_infinite_h_exits_2_with_one_line_and_no_warning"
+FLOAT_RANGE = "tests/test_cli.py::test_a_spectrum_past_the_float_range_is_not_called_degenerate"
+TOL = ("tests/test_numerics.py::"
+       "test_the_degeneracy_tolerance_keeps_its_bits_and_stays_finite_past_the_float_range")
 
 ROWS = [
     # the tensor and its isolation rule
@@ -242,15 +247,35 @@ ROWS = [
     ("no size check before the arrays", "cli.py",
      "if need > (memory := dynamics._physical_memory()):",
      "if need > (memory := dynamics._physical_memory()) and False:", [SIZES, CONTRACT]),
-    ("no check of non-finite states", "geometry.py",
-     "if (bad := np.flatnonzero(~np.isfinite(states).all(axis=1))).size:", "if False:",
+    # one judge of a solved block, and no overflow on the way to it
+    ("no check of non-finite states", "qgt.py", "bad = ~np.isfinite(energies).all(axis=1)",
+     "bad = np.zeros(len(energies), bool)",
      ["tests/test_cli.py::test_a_state_that_is_not_finite_exits_2_naming_its_point"]),
-    ("no check of non-finite tensors", "qgt.py",
-     "bad = np.flatnonzero(~np.isfinite(q).all(axis=(1, 2)))", "bad = np.flatnonzero(q[:0])",
+    ("no check of non-finite tensors", "qgt.py", " | ~np.isfinite(q).all(axis=(1, 2))", "",
      ["tests/test_cli.py::test_a_tensor_that_overflows_at_a_finite_spread_exits_2_naming_its_point"]),
-    ("no spread check before Q", "qgt.py",
-     "n = int(np.argmax(wide)) if (wide := _too_wide(e)).any() else len(e)", "n = len(e)",
+    ("no spread check before Q", "qgt.py", "bad = ~(_spread(energies) < SPREAD_MAX) | ", "bad = ",
      ["tests/test_cli.py::test_a_spectrum_too_wide_for_its_energy_denominators_exits_2"]),
+    ("a spread that overflows with a warning", "qgt.py",
+     '    with np.errstate(over="ignore"):\n        return energies[..., -1] - energies[..., 0]',
+     "    return energies[..., -1] - energies[..., 0]", [FLOAT_RANGE + "[check-1e+308]"]),
+    ("a level gap that overflows with a warning", "qgt.py",
+     'with np.errstate(over="ignore"):  # a gap past the float range is inf\n        below',
+     "with np.errstate():\n        below", [FLOAT_RANGE]),
+    ("a tolerance from the overflowing spread", "numerics.py",
+     "half = e[..., -1] / 2 - e[..., 0] / 2", "half = (e[..., -1] - e[..., 0]) / 2", [TOL]),
+    ("a cluster gap that overflows with a warning", "numerics.py",
+     'with np.errstate(over="ignore"):  # a gap past the float range is inf\n        cuts',
+     "with np.errstate():\n        cuts", [TOL]),
+    ("terms symmetrized as (m + m^H) / 2", "numerics.py", "return m / 2 + m.conj().T / 2",
+     "return (m + m.conj().T) / 2",
+     ["tests/test_numerics.py::TestConstructors::test_hermitian_halves_before_it_adds",
+      "tests/test_cli.py::test_a_field_of_minus_1e308_has_the_chern_number_of_minus_1"]),
+    ("a closure mismatch of inf - inf with a warning", "geometry.py",
+     'with np.errstate(invalid="ignore"):  # inf - inf', "with np.errstate():  #",
+     [INFINITE + "[chern-sphere]", INFINITE + "[chern-torus]"]),
+    ("a drift hint from a radius that is not finite", "dynamics.py",
+     'if np.isfinite(limit) else "H there is not finite"', 'if True else ""',
+     [INFINITE + "[evolve-amplitudes]"]),
     # the check verdict
     ("verdict order threshold below a constant error's order", "cli.py",
      "slope is not None and slope < 1.5 and", "slope is not None and slope < -0.5 and",
@@ -273,8 +298,13 @@ ROWS = [
     ("no newline after a % row", "cli.py", '"".join([row_fmt + "\\n"] * len(rows))',
      '"".join([row_fmt] * len(rows))', [PERCENT_TAIL]),
     ("the whole CSV text written at once", "cli.py",
-     "for chunk in chunks:\n                out.write(chunk)", 'out.write("".join(chunks))',
-     [WRITER_MEMORY]),
+     "out.writelines(pieces)", 'out.write("".join(pieces))', [WRITER_MEMORY, JSON_MEMORY]),
+    ("the whole JSON text encoded at once", "cli.py",
+     'pieces = chain(iter(lambda: "".join(islice(text, 4096)), ""), ["\\n"])',
+     'pieces = ["".join(text) + "\\n"]', [JSON_MEMORY]),
+    ("no JSON size guard", "cli.py",
+     '_check_fits([len(columns[0])], 10 * len(names), meta.get("command", "json"))', "pass",
+     ["tests/test_cli.py::test_json_rows_past_physical_memory_exit_1_where_csv_fits"]),
     # the numpy formatting of a float
     ("no tie fallback", "cli.py", "spill = ~up & (r + margin >= 0.5) | ~kept & (x != 0)",
      "spill = ~kept & (x != 0)", [EXACT]),

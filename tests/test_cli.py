@@ -40,6 +40,19 @@ def _run(capsys, *argv):
 SPIN = {"builtin": "spin_half", "mu_times_b": 1.0}
 
 
+def _infinite_model(tmp_path):
+    """The spin-1/2 sphere model (theta, phi) plus two sigma_z terms of 1e308, whose sum
+    overflows H00 to inf (and H11 to -inf) at every point; its file path."""
+    sx, sy = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]
+    sz = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
+    terms = [(sx, "sin(theta)*cos(phi)"), (sy, "sin(theta)*sin(phi)"), (sz, "cos(theta)"),
+             (sz, "1e308"), (sz, "1e308")]
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps({"name": "infinite", "dim": 2, "parameters": ["theta", "phi"],
+                                "terms": [{"matrix": m, "coeff": c} for m, c in terms]}))
+    return path
+
+
 class TestChernCommand:
     def test_spin_half_sphere_json(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {
@@ -520,16 +533,82 @@ def test_a_count_past_physical_memory_exits_1_before_its_arrays_are_built(tmp_pa
 
 
 def test_a_state_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys):
-    # mu_times_b = -1e308 overflows the model's terms, so every state is NaN; no link
-    # overlap falls below min_link (NaN < 0.2 is False), and the flux would be NaN
-    cfg = _write_config(tmp_path, {"model": {"builtin": "spin_half", "mu_times_b": -1e308},
+    # H00 overflows to inf, so every energy is NaN, while LAPACK returns identity
+    # eigenvectors; no link overlap falls below min_link, and the Chern number read 0
+    model = _infinite_model(tmp_path)
+    cfg = _write_config(tmp_path, {"model": str(model),
                                    "chern": {"level": 0, "surface": {"shape": [24, 24]}}})
-    with pytest.warns(RuntimeWarning):  # numpy reports the overflow and its NaNs
-        code, _, err = _run(capsys, "chern", "--config", str(cfg),
-                            "--output", str(tmp_path / "chern.csv"))
-    assert code == 2 and list(tmp_path.iterdir()) == [cfg]
+    code, _, err = _run(capsys, "chern", "--config", str(cfg),
+                        "--output", str(tmp_path / "chern.csv"))
+    assert code == 2 and sorted(tmp_path.iterdir()) == [cfg, model]
     assert err == ("numerical error: level 0 state at lambda = [0.06544984694978735, 0.0] "
                    "is not finite\n")
+
+
+@pytest.mark.parametrize("command, block, line", [
+    ("chern", {"level": 0, "surface": {"shape": [8, 8]}},
+     "level 0 state at lambda = [0.19634954084936207, 0.0] is not finite"),
+    ("chern", {"level": 0, "surface": {"closure": "torus", "mu": "theta", "nu": "phi",
+                                       "shape": [8, 8]}},
+     "level 0 state at lambda = [0.0, 0.0] is not finite"),
+    ("check", {"level": 0, "point": {"theta": 0.3, "phi": 0.2}},
+     "level 0 state at point 0 is not finite"),
+    ("evolve", {"schedule": {"theta": "1.0", "phi": "t"}, "t0": 0.0, "t1": 0.1, "dt": 0.01,
+                "initial": {"level": 0}}, "level 0 state at t = 0 is not finite"),
+    ("evolve", {"schedule": {"theta": "1.0", "phi": "t"}, "t0": 0.0, "t1": 0.1, "dt": 0.01,
+                "level": 0, "initial": {"amplitudes": [[1.0, 0.0], [0.0, 0.0]]}},
+     "norm drift nan at t = 0.01 exceeds 1e-06; H there is not finite"),
+    ("grid", {"level": 0, "axes": {"theta": [0.1, 3, 3], "phi": [0, 6, 2]}},
+     "level 0 tensor at lambda = [0.1, 0.0] is not finite"),
+], ids=["chern-sphere", "chern-torus", "check", "evolve-level", "evolve-amplitudes", "grid"])
+def test_an_infinite_h_exits_2_with_one_line_and_no_warning(tmp_path, capsys, command, block,
+                                                            line):
+    # chern exited 0 with a Chern number of 0, check read "spreads over nan" and evolve
+    # suggested "dt < nan", after numpy's RuntimeWarnings
+    model = _infinite_model(tmp_path)
+    cfg = _write_config(tmp_path, {"model": str(model), command: block})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(capsys, command, "--config", str(cfg),
+                            "--output", str(tmp_path / "out.csv"))
+    assert code == 2 and sorted(tmp_path.iterdir()) == [cfg, model]
+    assert err == f"numerical error: {line}\n"
+
+
+@pytest.mark.parametrize("mass", [1e308, -1e308])
+@pytest.mark.parametrize("command, block, line", [
+    ("check", {"level": 0, "point": {"kx": 0.3, "ky": 0.2}},
+     "level 0 tensor is not finite: the spectrum spreads over inf, past 1.341e+154"),
+    ("grid", {"level": 1, "axes": {"kx": [0.0, 3.0, 4]}, "fixed": {"ky": 0.5}},
+     "level 1 tensor at lambda = [0.0, 0.5] is not finite"),
+], ids=["check", "grid"])
+def test_a_spectrum_past_the_float_range_is_not_called_degenerate(tmp_path, capsys, mass,
+                                                                   command, block, line):
+    # the spread of +-1e308 overflowed to an infinite tolerance, after RuntimeWarnings:
+    # "level 0 is degenerate with levels (0, 1)"
+    cfg = _write_config(tmp_path, {"model": {"builtin": "two_band_lattice", "mass": mass},
+                                   command: block})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run(capsys, command, "--config", str(cfg),
+                            "--output", str(tmp_path / "out.csv"))
+    assert code == 2 and list(tmp_path.iterdir()) == [cfg]
+    assert err == f"numerical error: {line}\n"
+
+
+def test_a_field_of_minus_1e308_has_the_chern_number_of_minus_1(tmp_path, capsys):
+    # its terms overflowed in (m + m^H) / 2, and every state was NaN
+    rows = []
+    for scale in (-1e308, -1.0):
+        cfg = _write_config(tmp_path, {"model": {"builtin": "spin_half", "mu_times_b": scale},
+                                       "chern": {"level": 0, "surface": {"shape": [24, 24]}}})
+        out = tmp_path / "chern.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(capsys, "chern", "--config", str(cfg), "--output", str(out))
+        assert code == 0, err
+        rows.append(out.read_text().splitlines()[-1].split(","))
+    assert rows[0][0] == rows[1][0] == "-1"  # the plaquette fluxes differ in rounding only
 
 
 @pytest.mark.parametrize("command, block, where", [
@@ -539,11 +618,12 @@ def test_a_state_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys):
 ])
 def test_a_tensor_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys, command, block,
                                                               where):
-    # mu_times_b = 1e308 overflows the model's terms, so every Q is NaN; unchecked, grid
-    # writes NaN rows and distance fails later on its end states, naming no point
+    # mu_times_b = 1e308 spreads the spectrum over 2e308, past the float range; unchecked,
+    # grid wrote NaN rows and distance failed later on its end states, naming no point
     cfg = _write_config(tmp_path, {"model": {"builtin": "spin_half", "mu_times_b": 1e308},
                                    command: block})
-    with pytest.warns(RuntimeWarning):  # numpy reports the overflow and its NaNs
+    with warnings.catch_warnings():  # no numpy warning precedes the error line
+        warnings.simplefilter("error")
         code, _, err = _run(capsys, command, "--config", str(cfg),
                             "--output", str(tmp_path / "out.csv"))
     assert code == 2 and list(tmp_path.iterdir()) == [cfg]
@@ -1008,6 +1088,37 @@ def test_csv_writer_memory_is_bounded_by_its_chunk_not_by_the_table(tmp_path):
     assert peak < 2 * 2**20
 
 
+def test_json_writer_memory_stays_within_a_few_times_its_file(tmp_path):
+    # the whole document as one string peaked at about 8 times the file
+    columns = list(np.random.default_rng(30).normal(size=(7, 50_000)))
+    path = tmp_path / "table.json"
+    tracemalloc.start()
+    try:
+        cli._write_table(path, "json", {"tool": "qgeom"}, [f"c{j}" for j in range(7)],
+                         columns, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 12 * 10**6
+    assert peak < 4 * path.stat().st_size
+
+
+def test_json_rows_past_physical_memory_exit_1_where_csv_fits(tmp_path, capsys, monkeypatch):
+    # 10,000 points: the grid counts 7 doubles each (0.56 MB), a JSON row 70 (5.6 MB)
+    monkeypatch.setattr(dynamics, "_physical_memory", lambda: 2**20)
+    cfg = _write_config(tmp_path, {"model": SPIN, "grid": {
+        "level": 0, "axes": {"theta": [0.1, 3.0, 100], "phi": [0.0, 6.0, 100]}}})
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out),
+                        "--format", "json")
+    assert code == 1 and list(tmp_path.iterdir()) == [cfg]
+    assert err == ("error: grid: 10000 points need 0.00522 GiB, more than the 0.000977 GiB "
+                   "of physical memory; use fewer points\n")
+    code, _, err = _run(capsys, "grid", "--config", str(cfg), "--output", str(out),
+                        "--format", "csv")
+    assert (code, err) == (0, "") and len(out.read_text().splitlines()) == 10_000 + 7
+
+
 def _hard_floats():
     """Doubles next to each rounding, exponent and layout rule of %.17g, each with both
     neighbours and negated."""
@@ -1391,9 +1502,7 @@ def _nodes(doc, path=()):
 def test_a_mutated_config_exits_0_1_or_2_with_one_error_line(case, data):
     # One or two values of a small config, or of its model, are replaced from a pool of
     # sizes, extreme floats, wrong types, malformed expressions and extreme amplitudes.
-    # numpy's RuntimeWarnings are recorded, not raised.  Two sources are known, both on
-    # models of 1e308: numerics.hermitian overflows in (m + m^H) / 2 on such terms, and
-    # a spectrum of +-1e308 overflows its spread in the isolation test.
+    # Warnings are recorded, not raised, and none may be a numpy RuntimeWarning.
     command, doc = case[0], copy.deepcopy(case[1])
     for _ in range(data.draw(st.integers(1, 2))):
         *parent, key = data.draw(st.sampled_from(list(_nodes(doc))))
@@ -1405,10 +1514,11 @@ def test_a_mutated_config_exits_0_1_or_2_with_one_error_line(case, data):
         folder = Path(tmp)
         cfg = _write_config(folder, doc)
         err = io.StringIO()
-        with warnings.catch_warnings(record=True), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
             code = main([command, "--config", str(cfg), "--output", str(folder / "out.csv")])
         assert code in (0, 1, 2)
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
         if code:
             assert list(folder.iterdir()) == [cfg]
             lines = err.getvalue().splitlines(keepends=True)

@@ -25,6 +25,15 @@ class TestConstructors:
             assert np.array_equal(h, h.conj().T)
             assert np.all(h.diagonal().imag == 0.0)
 
+    def test_hermitian_halves_before_it_adds(self):
+        # (M + M^H) / 2 bit for bit wherever the halves are normal, and no overflow past it
+        rng = np.random.default_rng(30)
+        for scale in 10.0 ** rng.integers(-300, 300, 50):
+            m = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            assert np.array_equal(qg.hermitian(m), (m + m.conj().T) / 2)
+        h = qg.hermitian([[1e308, 1.5e308], [1.7e308, -1e308]])
+        assert np.array_equal(h, [[1e308, 1.6e308], [1.6e308, -1e308]])
+
     def test_hermitian_rejects_large_asymmetry(self):
         m = [[0, 1], [1 + 1e-3, 0]]
         with pytest.raises(qg.InputError, match=r"\(0, 1\)|\(1, 0\)"):
@@ -153,6 +162,16 @@ def test_one_isolation_rule(energies, tol):
     for level in range(len(energies)):
         group = next(g for g in groups if level in g)
         assert (len(group) > 1) == bool(qg.level_gap(energies, level) <= tol)
+
+
+def test_the_degeneracy_tolerance_keeps_its_bits_and_stays_finite_past_the_float_range():
+    rng = np.random.default_rng(30)
+    e = np.sort(rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-20, 300, (2000, 1)), axis=1)
+    expected = 1e-9 * np.maximum(1.0, e[:, -1] - e[:, 0])
+    assert np.array_equal(numerics.default_degeneracy_tol(e), expected)
+    # the spread of 2e308 overflowed to an infinite tolerance, so every level was degenerate
+    assert numerics.default_degeneracy_tol([-1e308, 1e308]) == 2e-9 * 1e308
+    assert qg.degeneracy_groups([-1e308, 1e308], 2e-9 * 1e308) == ((0,), (1,))
 
 
 @pytest.mark.parametrize("energies, tol", [([0.0, 1e-9], 1e-9), ([0.0, 1e-8, 1.0], 1e-8)])
