@@ -42,9 +42,8 @@ from .errors import InputError, NumericalError
 from .geometry import SurfaceGrid, berry_flux, fidelity_angle, path_quantum_length, path_spec
 from .model import ModelSpec, load_model_spec, read_json, spin_half, two_band_lattice
 from .numerics import integer_index, real_number, state_vector
-from .qgt import (DEFAULT_FD_STEP, derivative_matrices, fd_offsets, level_blocks, level_gap,
-                  level_states, overlap_from_solved, projector_from_solved, qgt_from_eigensystem,
-                  solve_displaced)
+from .qgt import (DEFAULT_FD_STEP, _fd_routes, derivative_matrices, level_blocks, level_gap,
+                  level_states, qgt_from_eigensystem)
 
 ORDER_BASE_H = 4e-3  # check fits its convergence orders on the steps 4e-3, 2e-3 and 1e-3
 
@@ -576,15 +575,9 @@ def _run_check(model, block, meta, out_path, fmt, written) -> None:
 
     hs = ORDER_BASE_H / np.array([1.0, 2.0, 4.0])
     steps = (h, *hs)  # at h for the deviations, then at hs for the fit
-    # every step is validated, then one walk solves the centre and every step's points
-    offsets = [fd_offsets(model, lam, s) for s in steps]
-    solved = solve_displaced(model, lam, level, np.concatenate(offsets))
-    q = qgt_from_eigensystem(solved.center, derivative_matrices(model, lam), level).matrix
-    starts = range(0, len(solved.states), len(offsets[0]))  # each step's first row
-    # each route once per step, the projector's steps first
-    (dev_proj, *proj), (dev_fd, *over) = (
-        [route(solved, level, s, start).matrix - q for s, start in zip(steps, starts)]
-        for route in (projector_from_solved, overlap_from_solved))
+    center, *routes = _fd_routes(model, lam, level, steps)
+    q = qgt_from_eigensystem(center, derivative_matrices(model, lam), level).matrix
+    (dev_proj, *proj), (dev_fd, *over) = ([t.matrix - q for t in route] for route in routes)
     errors = {"projector": [np.abs(d).max() for d in proj],
               "overlap_metric": [np.abs(d.real).max() for d in over]}
     # an order is undefined unless every error is positive and finite

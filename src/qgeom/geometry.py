@@ -399,6 +399,12 @@ def plaquette_flux_grid(
         raise InputError("sphere closure needs both pole states")
     if not 0.0 <= real_number(min_link, "min_link") <= 1.0:
         raise InputError(f"min_link must be in [0, 1], not {min_link!r}")
+    shape, least = np.shape(states), 1 + (closure == "open")  # an open grid needs 2 x 2 points
+    poles = [np.shape(pole) for pole in (north, south)] if closure == "sphere" else []
+    if len(shape) != 3 or min(shape[:2]) < least or any(p[-1:] != shape[-1:] for p in poles):
+        raise InputError(f"{closure} states need shape (n_mu, n_nu, dim) with n_mu, n_nu >= "
+                         f"{least}" + (" and poles of shape (dim,)" if poles else "")
+                         + f"; got states {shape}" + "".join(f", pole {p}" for p in poles))
     # u_mu[j, i] = <(j,i)|(j+1,i)> and u_nu[j, i] = <(j,i)|(j,i+1)>, each link once.
     # A closure adds link rows and columns; plaquette (j, i) is then bounded by
     # u_mu[j, i], u_nu[j+1, i], u_mu[j, i+1] and u_nu[j, i].

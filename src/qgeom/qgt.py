@@ -33,10 +33,9 @@ vectorised isolation test and the sum-over-states tensors of the whole block.
 States alone come from :func:`level_states`: from ``STATE_SOLVE_MIN_DIM`` up by
 ``eigvalsh`` and a shifted solve per point, under the same isolation test.
 
-The two finite-difference routes share solved states but not formulas:
-:func:`solve_displaced` solves a centre and the points of any number of
-:func:`fd_offsets` steps in one walk, and each route takes its own rows,
-overlap floor and formula from that.
+The two finite-difference routes share solved states but not formulas: one
+walk solves a centre and the displaced points of any number of steps, and
+each route takes its own rows, overlap floor and formula from that.
 """
 
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ import numpy as np
 from .errors import DegeneracyError, InputError, NumericalError, StepError
 from .model import ModelSpec, hamiltonian_blocks, parameter_point
 from .numerics import (EigenSystem, _eigh, default_degeneracy_tol, degeneracy_groups, hermitian,
-                       hermitian_eigensystem, integer_index, level_eigenvectors)
+                       hermitian_eigensystem, integer_index, level_eigenvectors, real_number)
 
 __all__ = [
     "QgtTensor",
@@ -57,15 +56,9 @@ __all__ = [
     "derivative_matrices",
     "qgt_from_eigensystem",
     "qgt_sum_over_states",
-    "DisplacedStates",
-    "fd_offsets",
-    "solve_displaced",
     "aligned_neighbor_states",
-    "derivative_states_from_neighbors",
     "qgt_projector",
-    "projector_from_solved",
     "qgt_projector_fd",
-    "overlap_from_solved",
     "qgt_overlap_fd",
     "nonabelian_from_eigensystem",
     "qgt_nonabelian",
@@ -308,7 +301,7 @@ def qgt_sum_over_states(model: ModelSpec, lam, level: int) -> QgtTensor:
 
 
 @dataclass(frozen=True)
-class DisplacedStates:
+class _DisplacedStates:
     """The eigensystem at a centre and, per row of ``offsets``, the ``level`` state of
     the displaced point (in an arbitrary phase), its overlap <state|centre state>, and
     whether another column matches the centre state better."""
@@ -320,7 +313,7 @@ class DisplacedStates:
     states: np.ndarray  # (n, d)
 
 
-def fd_offsets(model: ModelSpec, lam, h: float) -> np.ndarray:
+def _fd_offsets(model: ModelSpec, lam, h: float) -> np.ndarray:
     """Displacements of both finite-difference routes at step ``h``, one per row.
 
     Rows +h e_0, -h e_0, +h e_1, ... lead (the projector route's 2k rows); the
@@ -331,7 +324,7 @@ def fd_offsets(model: ModelSpec, lam, h: float) -> np.ndarray:
     """
     lam = parameter_point(model, lam)
     k = lam.size
-    if not h > 0:
+    if not real_number(h, "step h") > 0:
         raise InputError("step h must be positive")
     m, n = np.triu_indices(k, 1)  # the (m, n) planes
     e_m, e_n = np.eye(k)[m], np.eye(k)[n]
@@ -348,19 +341,14 @@ def fd_offsets(model: ModelSpec, lam, h: float) -> np.ndarray:
     return offsets
 
 
-def solve_displaced(model: ModelSpec, lam, level: int, offsets) -> DisplacedStates:
+def _solve_displaced(model: ModelSpec, lam, level: int, offsets) -> _DisplacedStates:
     """Solve ``level`` at ``lam`` and at ``lam`` plus each row of ``offsets`` in one
-    :func:`level_blocks` walk, the centre first.
-
-    The first point where the level is not isolated raises DegeneracyError.
-    """
+    :func:`level_blocks` walk, the centre first; a point that fails is named by its lambda."""
     lam = parameter_point(model, lam)
-    offsets = np.asarray(offsets, dtype=float)
-    if offsets.ndim != 2 or offsets.shape[1] != lam.size:
-        raise InputError(f"offsets have shape {offsets.shape}, expected (n, {lam.size})")
     es, parts = None, []
     points = lam + np.vstack([np.zeros(lam.size), offsets])
-    for energies, vectors, _ in level_blocks(model, points, level):  # one block kept at a time
+    blocks = level_blocks(model, points, level, where=lambda i: f"lambda = {points[i].tolist()}")
+    for energies, vectors, _ in blocks:  # one block kept at a time
         if es is None:  # the centre leads the first block
             tol = default_degeneracy_tol(energies[0])
             es = EigenSystem(energies[0], vectors[0], degeneracy_groups(energies[0], tol))
@@ -368,18 +356,16 @@ def solve_displaced(model: ModelSpec, lam, level: int, offsets) -> DisplacedStat
         parts.append((np.abs(center @ vectors.conj()).argmax(axis=1) != level,
                       np.vecdot(vectors[:, :, level], center), vectors[:, :, level].copy()))
     swapped, overlaps, states = (np.concatenate(part)[1:] for part in zip(*parts))
-    return DisplacedStates(es, offsets, swapped, overlaps, states)
+    return _DisplacedStates(es, offsets, swapped, overlaps, states)
 
 
-def _aligned(solved: DisplacedStates, level: int, rows: slice, floor: float) -> np.ndarray:
+def _aligned(solved: _DisplacedStates, level: int, rows: slice, floor: float) -> np.ndarray:
     """The states of ``rows``, each rephased so its overlap with the centre state is
     real and positive.
 
     An overlap modulus below ``floor`` means the step is too large (or the level
     crossed another inside the step); the first such row raises StepError.
     """
-    if (rows.stop or 0) > len(solved.states):
-        raise InputError(f"rows up to {rows.stop} asked of {len(solved.states)} solved points")
     swapped, o, states = solved.swapped[rows], solved.overlaps[rows], solved.states[rows]
     modulus = np.hypot(o.real, o.imag)  # rounds like abs() of one complex number
     bad = np.flatnonzero(swapped | (modulus < floor))
@@ -404,14 +390,9 @@ def aligned_neighbor_states(model: ModelSpec, lam, level: int,
     the simplest smooth gauge near the point.  An overlap below 0.5 raises
     StepError.
     """
-    offsets = fd_offsets(model, lam, h)[:2 * model.n_parameters]
-    states = _aligned(solve_displaced(model, lam, level, offsets), level, slice(None), 0.5)
+    offsets = _fd_offsets(model, lam, h)[:2 * model.n_parameters]
+    states = _aligned(_solve_displaced(model, lam, level, offsets), level, slice(None), 0.5)
     return list(zip(states[0::2], states[1::2]))
-
-
-def derivative_states_from_neighbors(neighbors, h: float) -> np.ndarray:
-    """Central-difference state derivatives, one row per parameter."""
-    return np.array([(plus - minus) / (2.0 * h) for plus, minus in neighbors])
 
 
 def qgt_projector(es: EigenSystem, derivative_states, level: int) -> QgtTensor:
@@ -432,28 +413,27 @@ def qgt_projector(es: EigenSystem, derivative_states, level: int) -> QgtTensor:
     return QgtTensor(hermitian(q, asymmetry_tol=1e-8), near)
 
 
-def projector_from_solved(solved: DisplacedStates, level: int, h: float,
-                          start: int = 0) -> QgtTensor:
+def _projector_from_solved(solved: _DisplacedStates, level: int, h: float,
+                           start: int = 0) -> QgtTensor:
     """Projector-route QGT at step ``h`` from the 2k rows of ``solved`` from ``start``
-    on, laid out as by :func:`fd_offsets`; an overlap below 0.5 raises StepError."""
+    on, laid out as by :func:`_fd_offsets`; an overlap below 0.5 raises StepError."""
     k = solved.offsets.shape[1]
     states = _aligned(solved, level, slice(start, start + 2 * k), 0.5)
-    neighbors = zip(states[0::2], states[1::2])
-    return qgt_projector(solved.center, derivative_states_from_neighbors(neighbors, h), level)
+    return qgt_projector(solved.center, (states[0::2] - states[1::2]) / (2.0 * h), level)
 
 
 def qgt_projector_fd(
     model: ModelSpec, lam, level: int, h: float = DEFAULT_FD_STEP
 ) -> QgtTensor:
     """Convenience wrapper: aligned neighbors -> derivatives -> projector QGT."""
-    offsets = fd_offsets(model, lam, h)[:2 * model.n_parameters]
-    return projector_from_solved(solve_displaced(model, lam, level, offsets), level, h)
+    offsets = _fd_offsets(model, lam, h)[:2 * model.n_parameters]
+    return _projector_from_solved(_solve_displaced(model, lam, level, offsets), level, h)
 
 
-def overlap_from_solved(solved: DisplacedStates, level: int, h: float,
-                        start: int = 0) -> QgtTensor:
+def _overlap_from_solved(solved: _DisplacedStates, level: int, h: float,
+                         start: int = 0) -> QgtTensor:
     """Overlap-route QGT (see :func:`qgt_overlap_fd`) at step ``h`` from the rows of
-    ``solved`` from ``start`` on, laid out as by :func:`fd_offsets`."""
+    ``solved`` from ``start`` on, laid out as by :func:`_fd_offsets`."""
     es, k = solved.center, solved.offsets.shape[1]
     m, n = np.triu_indices(k, 1)  # the (m, n) planes
     # overlap decay along each axis, then each diagonal; then the plaquette corners
@@ -497,8 +477,21 @@ def qgt_overlap_fd(
     floor 2 (d + 2) eps / h^2 to stay within ``OVERLAP_FLOOR_SHARE`` max(1, max|g|);
     otherwise StepError.
     """
-    return overlap_from_solved(solve_displaced(model, lam, level, fd_offsets(model, lam, h)),
-                               level, h)
+    return _overlap_from_solved(_solve_displaced(model, lam, level, _fd_offsets(model, lam, h)),
+                                level, h)
+
+
+def _fd_routes(model: ModelSpec, lam, level: int,
+               steps) -> tuple[EigenSystem, list[QgtTensor], list[QgtTensor]]:
+    """The centre's eigensystem, then the projector route's and the overlap route's
+    tensors at each of the ``steps``, from one walk that solves the centre and every
+    step's points; every step is validated before any point is solved."""
+    offsets = [_fd_offsets(model, lam, h) for h in steps]
+    solved = _solve_displaced(model, lam, level, np.concatenate(offsets))
+    starts = range(0, len(solved.states), len(offsets[0]))  # each step's first row
+    # each route once per step, the projector's steps first
+    return solved.center, *([route(solved, level, h, start) for h, start in zip(steps, starts)]
+                            for route in (_projector_from_solved, _overlap_from_solved))
 
 
 # --------------------------------------------------------------------------
@@ -547,9 +540,11 @@ def berry_connection(es: EigenSystem, neighbors, level: int, h: float) -> np.nda
 
     The analytic connection is purely real; the finite-difference residue in
     the imaginary part (O(h^2)) is truncated when below max(1e-10, 10 h^2)
-    and raises otherwise.
+    and raises otherwise, as does a step ``h`` that is not a positive finite number.
     """
     es.group_of(level)
+    if not real_number(h, "step h") > 0:
+        raise InputError("step h must be positive")
     psi = es.vectors[:, level]
     limit = max(1e-10, 10.0 * h * h)
     beta = np.empty(len(neighbors))

@@ -63,6 +63,8 @@ CONTRACT = "tests/test_cli.py::test_a_mutated_config_exits_0_1_or_2_with_one_err
 JSON_MEMORY = "tests/test_cli.py::test_json_writer_memory_stays_within_a_few_times_its_file"
 INFINITE = "tests/test_cli.py::test_an_infinite_h_exits_2_with_one_line_and_no_warning"
 FLOAT_RANGE = "tests/test_cli.py::test_a_spectrum_past_the_float_range_is_not_called_degenerate"
+STEP = ("tests/test_qgt.py::"
+        "test_a_step_that_is_not_a_positive_number_is_an_input_error_with_no_warning")
 TOL = ("tests/test_numerics.py::"
        "test_the_degeneracy_tolerance_keeps_its_bits_and_stays_finite_past_the_float_range")
 
@@ -224,13 +226,27 @@ ROWS = [
      "isinstance(x, (int, float)) for x in entry",
      [MODEL + "test_a_boolean_matrix_entry_is_an_error[entry-walk]"]),
     # one solve for every check step
-    ("a step's rows taken from another step", "cli.py",
+    ("a step's rows taken from another step", "qgt.py",
      "range(0, len(solved.states), len(offsets[0]))",
      "range(0, len(solved.states), len(offsets[0]))[::-1]",
      [CHECK + "test_route_tensors_equal_the_standalone_routes_bit_for_bit"]),
     ("no vanishing-step guard", "qgt.py", "if lost.any() or h * h == 0:", "if False:",
      ["tests/test_qgt.py::test_a_vanishing_step_is_a_step_error",
       CHECK + "test_a_vanishing_step_exits_2_and_writes_nothing"]),
+    ("displaced points named by their row", "qgt.py",
+     'level_blocks(model, points, level, where=lambda i: f"lambda = {points[i].tolist()}")',
+     "level_blocks(model, points, level)",
+     ["tests/test_cli.py::test_check_names_the_displaced_point_that_fails",
+      INFINITE + "[check]"]),
+    ("a route's step h taken without real_number", "qgt.py",
+     '    k = lam.size\n    if not real_number(h, "step h") > 0:',
+     "    k = lam.size\n    if not h > 0:", [STEP + "[projector-inf]"]),
+    ("the connection's step h taken without real_number", "qgt.py",
+     '    es.group_of(level)\n    if not real_number(h, "step h") > 0:',
+     "    es.group_of(level)\n    if not h > 0:", [STEP + "[connection-nan]"]),
+    ("no shape guard on a state grid", "geometry.py",
+     "if len(shape) != 3 or min(shape[:2]) < least or any(p[-1:] != shape[-1:] for p in poles):",
+     "if False:", [GEO + "::TestPlaquetteFluxGrid::test_states_that_are_no_grid_are_an_input_error"]),
     # the certified bound on the spectral radius at the stability marks
     ("no rounding margin in the radius bound", "dynamics.py",
      "margin = 1.0 + 4.0 * (hs.shape[-1] + 1) ** 2 * np.finfo(float).eps", "margin = 1.0",

@@ -23,3 +23,10 @@ def test_module_only_names_stay_out_of_the_package():
     assert MODULE_ONLY <= {name for m in MODULES for name in m.__all__}
     assert not MODULE_ONLY & set(qg.__all__)
     assert not MODULE_ONLY & set(dir(qg))
+
+
+def test_the_finite_difference_plumbing_stays_inside_qgt():
+    private = {"DisplacedStates", "fd_offsets", "solve_displaced", "projector_from_solved",
+               "overlap_from_solved", "derivative_states_from_neighbors"}
+    assert not private & set(qg.__all__)
+    assert not private & set(dir(qg))

@@ -40,13 +40,13 @@ def _run(capsys, *argv):
 SPIN = {"builtin": "spin_half", "mu_times_b": 1.0}
 
 
-def _infinite_model(tmp_path):
-    """The spin-1/2 sphere model (theta, phi) plus two sigma_z terms of 1e308, whose sum
-    overflows H00 to inf (and H11 to -inf) at every point; its file path."""
+def _infinite_model(tmp_path, coeff="1e308"):
+    """The spin-1/2 sphere model (theta, phi) plus two sigma_z terms of ``coeff``, whose sum
+    at 1e308 overflows H00 to inf (and H11 to -inf) at every point; its file path."""
     sx, sy = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], [[[0, 0], [0, -1]], [[0, 1], [0, 0]]]
     sz = [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]
     terms = [(sx, "sin(theta)*cos(phi)"), (sy, "sin(theta)*sin(phi)"), (sz, "cos(theta)"),
-             (sz, "1e308"), (sz, "1e308")]
+             (sz, coeff), (sz, coeff)]
     path = tmp_path / "infinite.json"
     path.write_text(json.dumps({"name": "infinite", "dim": 2, "parameters": ["theta", "phi"],
                                 "terms": [{"matrix": m, "coeff": c} for m, c in terms]}))
@@ -552,7 +552,7 @@ def test_a_state_that_is_not_finite_exits_2_naming_its_point(tmp_path, capsys):
                                        "shape": [8, 8]}},
      "level 0 state at lambda = [0.0, 0.0] is not finite"),
     ("check", {"level": 0, "point": {"theta": 0.3, "phi": 0.2}},
-     "level 0 state at point 0 is not finite"),
+     "level 0 state at lambda = [0.3, 0.2] is not finite"),
     ("evolve", {"schedule": {"theta": "1.0", "phi": "t"}, "t0": 0.0, "t1": 0.1, "dt": 0.01,
                 "initial": {"level": 0}}, "level 0 state at t = 0 is not finite"),
     ("evolve", {"schedule": {"theta": "1.0", "phi": "t"}, "t0": 0.0, "t1": 0.1, "dt": 0.01,
@@ -573,6 +573,32 @@ def test_an_infinite_h_exits_2_with_one_line_and_no_warning(tmp_path, capsys, co
                             "--output", str(tmp_path / "out.csv"))
     assert code == 2 and sorted(tmp_path.iterdir()) == [cfg, model]
     assert err == f"numerical error: {line}\n"
+
+
+@pytest.mark.parametrize("model, point, line", [
+    # H overflows at theta = 0.298, a plaquette corner of the step 4e-3, first of all points
+    ("overflow", {"theta": 0.3, "phi": 0.5},
+     "numerical error: level 0 state at lambda = [0.298, 0.498] is not finite"),
+    # H = x sz + y sx vanishes at the step 4e-3's point -h e_x
+    ({"name": "cone", "dim": 2, "parameters": ["x", "y"],
+      "terms": [{"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "coeff": "x"},
+                {"matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "coeff": "y"}]},
+     {"x": 0.004, "y": 0.0},
+     "numerical error: at lambda = [0.0, 0.0]: level 0 is degenerate with levels (0, 1); "
+     "use qgt_nonabelian for the block tensor"),
+], ids=["state", "degeneracy"])
+def test_check_names_the_displaced_point_that_fails(tmp_path, capsys, model, point, line):
+    # the state read "at point 17", a row of an internal stack; the degeneracy named no point
+    if model == "overflow":
+        model = _infinite_model(tmp_path, "1e308*sin(1e4*(theta - 0.3))")
+    else:
+        (path := tmp_path / "cone.json").write_text(json.dumps(model))
+        model = path
+    cfg = _write_config(tmp_path, {"model": str(model), "check": {"level": 0, "point": point}})
+    code, _, err = _run(capsys, "check", "--config", str(cfg),
+                        "--output", str(tmp_path / "out.csv"))
+    assert code == 2 and sorted(tmp_path.iterdir()) == sorted([cfg, model])
+    assert err == line + "\n"
 
 
 @pytest.mark.parametrize("mass", [1e308, -1e308])
@@ -833,8 +859,8 @@ class TestCheckCommand:
     def test_a_route_that_does_not_converge_exits_2_and_writes_nothing(
             self, tmp_path, capsys, monkeypatch):
         # Q conjugated flips F's sign: the error no longer falls as h shrinks (order ~ 0)
-        route = cli.projector_from_solved
-        monkeypatch.setattr(cli, "projector_from_solved", lambda *args: dataclasses.replace(
+        route = qgt._projector_from_solved
+        monkeypatch.setattr(qgt, "_projector_from_solved", lambda *args: dataclasses.replace(
             q := route(*args), matrix=q.matrix.conj()))
         code, err, out = self._run_lattice_check(tmp_path, capsys)
         assert code == 2 and not out.exists()
@@ -845,7 +871,7 @@ class TestCheckCommand:
                                                                monkeypatch):
         # a constant 1e-12 error fits order ~ 0, but lies below 1e-9 max(1, max|Q|)
         q = qgt_sum_over_states(two_band_lattice(1.0), list(self.LATTICE_POINT.values()), 0)
-        monkeypatch.setattr(cli, "projector_from_solved", lambda *args: (
+        monkeypatch.setattr(qgt, "_projector_from_solved", lambda *args: (
             dataclasses.replace(q, matrix=q.matrix + 1e-12)))
         code, err, out = self._run_lattice_check(tmp_path, capsys)
         assert (code, err) == (0, "")
@@ -874,17 +900,17 @@ class TestCheckCommand:
         seen = {}
 
         def record(name):
-            route = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda *args: seen.setdefault(name, []).append(
+            route = getattr(qgt, name)
+            monkeypatch.setattr(qgt, name, lambda *args: seen.setdefault(name, []).append(
                 q := route(*args)) or q)
 
-        record("projector_from_solved")
-        record("overlap_from_solved")
+        record("_projector_from_solved")
+        record("_overlap_from_solved")
         block = {"level": 0, "point": dict(zip(model.parameters, lam.tolist())), "h": 2e-4}
         cli._run_check(model, block, {}, tmp_path / "check.csv", "csv", [])
         steps = (2e-4, *(cli.ORDER_BASE_H / np.array([1.0, 2.0, 4.0])))
-        for route, name in ((qgt_projector_fd, "projector_from_solved"),
-                            (qgt_overlap_fd, "overlap_from_solved")):
+        for route, name in ((qgt_projector_fd, "_projector_from_solved"),
+                            (qgt_overlap_fd, "_overlap_from_solved")):
             assert len(seen[name]) == len(steps)
             for h, q in zip(steps, seen[name]):
                 assert q.matrix.tobytes() == route(model, lam, 0, h).matrix.tobytes(), (name, h)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -393,6 +394,35 @@ class TestPlaquetteFluxGrid:
     def test_bad_closure_is_an_input_error(self, closure, poles, message):
         with pytest.raises(qg.InputError, match=f"^{message}$"):
             qg.plaquette_flux_grid(self._real_states(np.zeros((3, 4))), closure, *poles)
+
+    @pytest.mark.parametrize("closure, shape, poles, expected", [
+        ("torus", (3, 4), (), "torus states need shape (n_mu, n_nu, dim) with n_mu, n_nu >= 1; "
+         "got states (3, 4)"),
+        ("open", (1, 3, 2), (), "open states need shape (n_mu, n_nu, dim) with n_mu, n_nu >= 2; "
+         "got states (1, 3, 2)"),
+        ("open", (3, 1, 2), (), "open states need shape (n_mu, n_nu, dim) with n_mu, n_nu >= 2; "
+         "got states (3, 1, 2)"),
+        ("torus", (0, 3, 2), (), "torus states need shape (n_mu, n_nu, dim) with n_mu, n_nu >= 1; "
+         "got states (0, 3, 2)"),
+        ("sphere", (3, 0, 2), (2, 2), "sphere states need shape (n_mu, n_nu, dim) with n_mu, "
+         "n_nu >= 1 and poles of shape (dim,); got states (3, 0, 2), pole (2,), pole (2,)"),
+        ("sphere", (3, 4, 2), (3, 2), "sphere states need shape (n_mu, n_nu, dim) with n_mu, "
+         "n_nu >= 1 and poles of shape (dim,); got states (3, 4, 2), pole (3,), pole (2,)"),
+        ("torus", (1, 3, 2), (), (1, 3)),
+        ("torus", (3, 1, 2), (), (3, 1)),
+        ("sphere", (1, 1, 2), (2, 2), (2, 1)),
+        ("open", (2, 2, 2), (), (1, 1)),
+    ], ids=["2d-states", "open-one-row", "open-one-column", "empty-axis", "sphere-empty-axis",
+            "long-pole", "torus-1x3", "torus-3x1", "sphere-1x1", "open-2x2"])
+    def test_states_that_are_no_grid_are_an_input_error(self, closure, shape, poles, expected):
+        # these raised numpy's AxisError, "zero-size array to reduction" or vecdot's ValueError
+        states = np.ones(shape, complex) / np.sqrt(shape[-1])
+        poles = [np.ones(n, complex) / np.sqrt(n) for n in poles]
+        if isinstance(expected, str):
+            with pytest.raises(qg.InputError, match=f"^{re.escape(expected)}$"):
+                qg.plaquette_flux_grid(states, closure, *poles)
+        else:  # the smallest grids keep working
+            assert qg.plaquette_flux_grid(states, closure, *poles).shape == expected
 
     @pytest.mark.parametrize("min_link, message", [
         (float("nan"), "^min_link must be a finite number, not nan$"),

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -559,20 +560,32 @@ def test_a_vanishing_step_is_a_step_error(spin_model, route, lam, h, where):
         route(spin_model, lam, 1, h)
 
 
-def test_a_route_asked_for_rows_that_were_not_solved_is_an_input_error(spin_model):
-    axes = qg.fd_offsets(spin_model, LAM, 1e-3)[:4]  # the projector's rows alone
-    solved = qg.solve_displaced(spin_model, LAM, 1, axes)
-    assert qg.projector_from_solved(solved, 1, 1e-3).matrix.tobytes() == \
-        qg.qgt_projector_fd(spin_model, LAM, 1, 1e-3).matrix.tobytes()
-    with pytest.raises(qg.InputError, match=r"^rows up to 10 asked of 4 solved points$"):
-        qg.overlap_from_solved(solved, 1, 1e-3)
-    with pytest.raises(qg.InputError, match=r"^offsets have shape \(4,\), expected \(n, 2\)$"):
-        qg.solve_displaced(spin_model, LAM, 1, axes[0].repeat(2))
-
-
 def test_projector_route_needs_a_positive_step(spin_model):
     with pytest.raises(qg.InputError, match=r"^step h must be positive$"):
         qg.qgt_projector_fd(spin_model, LAM, 0, h=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda model, es, nb: qg.berry_connection(es, nb, 1, float("nan")),
+     "step h must be a finite number, not nan"),
+    (lambda model, es, nb: qg.berry_connection(es, nb, 1, 0.0), "step h must be positive"),
+    (lambda model, es, nb: qg.qgt_projector_fd(model, LAM, 1, float("inf")),
+     "step h must be a finite number, not inf"),
+    (lambda model, es, nb: qg.qgt_overlap_fd(model, LAM, 1, float("inf")),
+     "step h must be a finite number, not inf"),
+    (lambda model, es, nb: qg.aligned_neighbor_states(model, LAM, 1, float("inf")),
+     "step h must be a finite number, not inf"),
+], ids=["connection-nan", "connection-zero", "projector-inf", "overlap-inf", "neighbors-inf"])
+def test_a_step_that_is_not_a_positive_number_is_an_input_error_with_no_warning(
+        spin_model, call, message):
+    # the connection read [nan, nan] at nan and blamed "imaginary residue -inf" at 0; the
+    # routes at inf warned, then blamed "parameter points must be finite"
+    es = qg.hermitian_eigensystem(qg.hamiltonian_at(spin_model, LAM))
+    neighbors = qg.aligned_neighbor_states(spin_model, LAM, 1, 1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(qg.InputError, match=f"^{re.escape(message)}$"):
+            call(spin_model, es, neighbors)
 
 
 def test_projector_rejects_derivative_states_of_the_wrong_shape(spin_model):
